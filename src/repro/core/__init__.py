@@ -20,6 +20,7 @@ from repro.core.pipeline import (
 )
 from repro.core.priority import (
     PriorityFn,
+    PriorityKey,
     fifo_priority,
     mobility_only_priority,
     paper_priority,
@@ -40,6 +41,7 @@ __all__ = [
     "IterationRecord",
     "OptimizeResult",
     "PriorityFn",
+    "PriorityKey",
     "RefineResult",
     "RemapOutcome",
     "anticipated_start",

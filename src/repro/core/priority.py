@@ -13,13 +13,22 @@ data volumes ``m_i``:
 Root nodes (no zero-delay predecessor) score ``-MB(v)``, i.e. pure
 inverse mobility.  Alternative priorities used by the ablation bench
 (:mod:`repro.analysis.ablation`) are defined alongside.
+
+Every priority is *affine in the control step*.  It is evaluated once,
+when ``v`` becomes ready (all zero-delay producers placed), and returns
+a key ``(a, b)`` whose score at control step ``cs`` is ``a + b * cs``
+(higher first).  For the PF the control step cancels: with
+``MB(v) = ALAP(v) - cs_cur`` the score is
+``max_i(m_i + CE(u_i) + 1) - ALAP(v)``, so ``b = 0``; root nodes score
+``cs_cur - ALAP(v)``, so ``b = 1``.  This is what lets
+:func:`repro.core.startup.start_up_schedule` keep the ready list in
+heaps instead of re-sorting it at every control step.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from repro.core.mobility import mobility
 from repro.graph.csdfg import CSDFG, Node
 
 __all__ = [
@@ -28,11 +37,20 @@ __all__ = [
     "fifo_priority",
     "volume_only_priority",
     "PriorityFn",
+    "PriorityKey",
 ]
 
+#: ``(a, b)``: the score at control step ``cs`` is ``a + b * cs``.
+PriorityKey = tuple[float, int]
+
 #: Signature shared by all start-up priority functions:
-#: ``(graph, alap, finish_times, node, cs_cur) -> score`` (higher first).
-PriorityFn = Callable[[CSDFG, Mapping[Node, int], Mapping[Node, int], Node, int], float]
+#: ``(graph, alap, finish_times, node) -> (a, b)``, called once when
+#: ``node`` becomes ready.  ``b`` must be an integer and ``a`` exact in
+#: binary floating point (integers, or integers plus a fraction of few
+#: bits), so scores compare exactly at every control step.
+PriorityFn = Callable[
+    [CSDFG, Mapping[Node, int], Mapping[Node, int], Node], PriorityKey
+]
 
 
 def paper_priority(
@@ -40,23 +58,20 @@ def paper_priority(
     alap: Mapping[Node, int],
     finish: Mapping[Node, int],
     node: Node,
-    cs_cur: int,
-) -> float:
+) -> PriorityKey:
     """The paper's PF (Definition 3.6)."""
-    # no defensive copy: mobility() only reads, and this runs once per
-    # ready node per control step — a copy here is O(V) per evaluation
-    mb = mobility(alap, node, cs_cur)
-    best: float | None = None
+    late = alap[node]
+    best: int | None = None
     for e in graph.in_edges(node):
         if e.delay != 0 or e.src not in finish:
             continue
-        deferred = cs_cur - (finish[e.src] + 1)
-        score = e.volume - deferred - mb
+        # m_i - (cs - (CE(u_i) + 1)) - (ALAP(v) - cs): cs cancels
+        score = e.volume + finish[e.src] + 1
         if best is None or score > best:
             best = score
     if best is None:
-        return float(-mb)
-    return float(best)
+        return float(-late), 1
+    return float(best - late), 0
 
 
 def mobility_only_priority(
@@ -64,10 +79,9 @@ def mobility_only_priority(
     alap: Mapping[Node, int],
     finish: Mapping[Node, int],
     node: Node,
-    cs_cur: int,
-) -> float:
+) -> PriorityKey:
     """Classic list scheduling: least mobility first (ablation)."""
-    return float(-mobility(alap, node, cs_cur))
+    return float(-alap[node]), 1
 
 
 def fifo_priority(
@@ -75,10 +89,9 @@ def fifo_priority(
     alap: Mapping[Node, int],
     finish: Mapping[Node, int],
     node: Node,
-    cs_cur: int,
-) -> float:
+) -> PriorityKey:
     """No prioritisation at all — ready order (ablation strawman)."""
-    return 0.0
+    return 0.0, 0
 
 
 def volume_only_priority(
@@ -86,12 +99,11 @@ def volume_only_priority(
     alap: Mapping[Node, int],
     finish: Mapping[Node, int],
     node: Node,
-    cs_cur: int,
-) -> float:
+) -> PriorityKey:
     """Largest pending inbound data volume first (ablation)."""
     volumes = [
         e.volume
         for e in graph.in_edges(node)
         if e.delay == 0 and e.src in finish
     ]
-    return float(max(volumes, default=0))
+    return float(max(volumes, default=0)), 0

@@ -36,14 +36,18 @@ __all__ = [
 ]
 
 
-def asap_times(graph: CSDFG) -> dict[Node, int]:
+def asap_times(
+    graph: CSDFG, *, order: list[Node] | None = None
+) -> dict[Node, int]:
     """As-soon-as-possible start control step of every node.
 
     Computed over the zero-delay sub-DAG with unlimited processors and
     zero communication cost; control steps start at 1 (paper
-    convention).
+    convention).  ``order`` is the zero-delay topological order when
+    the caller already has it.
     """
-    order = topological_order_zero_delay(graph)
+    if order is None:
+        order = topological_order_zero_delay(graph)
     start: dict[Node, int] = {v: 1 for v in order}
     for node in order:
         finish = start[node] + graph.time(node) - 1
@@ -53,7 +57,9 @@ def asap_times(graph: CSDFG) -> dict[Node, int]:
     return start
 
 
-def critical_path_length(graph: CSDFG) -> int:
+def critical_path_length(
+    graph: CSDFG, *, order: list[Node] | None = None
+) -> int:
     """Length (in control steps) of the longest zero-delay path.
 
     Equals the minimum possible schedule length with unlimited
@@ -61,19 +67,26 @@ def critical_path_length(graph: CSDFG) -> int:
     """
     if graph.num_nodes == 0:
         return 0
-    starts = asap_times(graph)
+    starts = asap_times(graph, order=order)
     return max(starts[v] + graph.time(v) - 1 for v in graph.nodes())
 
 
-def alap_times(graph: CSDFG, horizon: int | None = None) -> dict[Node, int]:
+def alap_times(
+    graph: CSDFG,
+    horizon: int | None = None,
+    *,
+    order: list[Node] | None = None,
+) -> dict[Node, int]:
     """As-late-as-possible start control steps w.r.t. ``horizon``.
 
     ``horizon`` defaults to the critical path length, so nodes on the
-    critical path satisfy ``ASAP == ALAP``.
+    critical path satisfy ``ASAP == ALAP``.  ``order`` is the zero-delay
+    topological order when the caller already has it.
     """
+    if order is None:
+        order = topological_order_zero_delay(graph)
     if horizon is None:
-        horizon = critical_path_length(graph)
-    order = topological_order_zero_delay(graph)
+        horizon = critical_path_length(graph, order=order)
     start: dict[Node, int] = {
         v: horizon - graph.time(v) + 1 for v in order
     }

@@ -9,7 +9,11 @@ implementations that the fast-path engine replaced:
   task, ``busy_cells``/``row`` scan the whole cell dict);
 * :func:`reference_find_spot` — the remapping slot search that calls
   ``arch.comm_cost`` for every constraint of every scanned slot;
-* :func:`reference_cyclo_compact` — cyclo-compaction wired to both of
+* :func:`reference_start_up_schedule` — the per-control-step list
+  scheduler: it re-sorts every ready node by its priority and re-probes
+  every PE for it at every control step (with the placement-failure
+  memo for nodes without zero-delay producers);
+* :func:`reference_cyclo_compact` — cyclo-compaction wired to all of
   the above with ``fast_path=False`` (no communication-cost cache, full
   ``projected_schedule_length`` rescan after every pass).
 
@@ -18,9 +22,10 @@ the fast path produce **identical schedules** — same lengths, same
 placements, same accept/reject traces.  ``tests/unit/test_table_index.py``
 pins the tables against each other operation by operation and
 ``tests/integration/test_fastpath_equivalence.py`` pins the end-to-end
-engines on every registered workload x topology.  (Only observability
-*metrics* such as ``remap.candidate_slots`` may differ: the fast path
-prunes slots the reference path scans and rejects.)
+engines on every registered workload x topology, and the start-up
+schedulers on their own.  (Only observability *metrics* such as
+``remap.candidate_slots`` or ``startup.deferrals`` may differ: the fast
+path prunes slots and probes the reference path makes and rejects.)
 """
 
 from __future__ import annotations
@@ -28,20 +33,26 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterator
 
+from repro.arch.cache import CommCostCache
 from repro.arch.topology import Architecture
+from repro.core import cyclo as _cyclo_mod
 from repro.core import remapping as _remapping_mod
-from repro.core import startup as _startup_mod
 from repro.core.config import CycloConfig
 from repro.core.cyclo import CycloResult, cyclo_compact
+from repro.core.mobility import mobility_map
+from repro.core.priority import PriorityFn, paper_priority
+from repro.core.psl import projected_schedule_length
 from repro.core.remapping import _implied_length
-from repro.errors import PlacementConflictError, ScheduleError
+from repro.errors import PlacementConflictError, ScheduleError, SchedulingError
 from repro.graph.csdfg import CSDFG, Node
-from repro.obs import metrics
+from repro.graph.validation import topological_order_zero_delay
+from repro.obs import metrics, span
 from repro.schedule.table import Placement, ScheduleTable
 
 __all__ = [
     "ReferenceScheduleTable",
     "reference_find_spot",
+    "reference_start_up_schedule",
     "reference_cyclo_compact",
 ]
 
@@ -253,6 +264,182 @@ def reference_find_spot(
     return best[3], best[2], best[4]
 
 
+def reference_start_up_schedule(
+    graph: CSDFG,
+    arch: Architecture,
+    *,
+    priority: PriorityFn = paper_priority,
+    pad_for_delayed_edges: bool = True,
+    pipelined_pes: bool = False,
+    comm: CommCostCache | None = None,
+) -> ScheduleTable:
+    """The original start-up list scheduler on a
+    :class:`ReferenceScheduleTable`.
+
+    Walks every control step ``cs = 1, 2, ...``, re-sorts the whole
+    ready list by the priority's score ``a + b * cs`` at that step and
+    probes every PE for every ready node; nodes that fit nowhere are
+    deferred to the next step.  Same parameters and result as
+    :func:`repro.core.startup.start_up_schedule`.
+    """
+    if graph.num_nodes == 0:
+        raise SchedulingError("cannot schedule an empty graph")
+    # verifies legality (zero-delay subgraph acyclic) as a side effect
+    topological_order_zero_delay(graph)
+
+    with span(
+        "startup", workload=graph.name, arch=arch.name
+    ) as startup_span:
+        alap = mobility_map(graph)
+        schedule = ReferenceScheduleTable(
+            arch.num_pes, name=f"{graph.name}@{arch.name}:startup"
+        )
+        finish: dict[Node, int] = {}
+
+        pending_preds: dict[Node, int] = {
+            v: sum(1 for e in graph.in_edges(v) if e.delay == 0)
+            for v in graph.nodes()
+        }
+        # static zero-delay in-degrees (pending_preds decays to 0):
+        # nodes without zero-delay producers share the placement-failure
+        # memo below
+        no_zero_preds = {v for v, k in pending_preds.items() if k == 0}
+        ready: list[Node] = [v for v, k in pending_preds.items() if k == 0]
+        remaining = graph.num_nodes
+
+        # any legal schedule fits in total work plus total possible comm
+        max_comm = arch.diameter * sum(e.volume for e in graph.edges())
+        cs_limit = graph.total_work() + max_comm + 1
+
+        pf_evaluations = 0
+        placements_made = 0
+        deferrals = 0
+
+        def score(v: Node, cs: int) -> float:
+            a, b = priority(graph, alap, finish, v)
+            return a + b * cs
+
+        cs = 1
+        while remaining > 0:
+            if cs > cs_limit:
+                raise SchedulingError(
+                    f"start-up scheduling did not converge by cs {cs_limit}"
+                )
+            pf_evaluations += len(ready)
+            ready.sort(key=lambda v: (-score(v, cs), str(v)))
+            deferred: list[Node] = []
+            newly_ready: list[Node] = []
+            # failure memo for nodes *without* zero-delay producers:
+            # their _reference_best_processor outcome depends only on
+            # (cs, base execution time, schedule occupancy), so one
+            # failure rules out every same-duration node until the next
+            # placement mutates the table.
+            fail_gen: dict[int, int] = {}
+            for node in ready:
+                memo_key = (
+                    graph.time(node) if node in no_zero_preds else None
+                )
+                if (
+                    memo_key is not None
+                    and fail_gen.get(memo_key) == placements_made
+                ):
+                    deferred.append(node)
+                    deferrals += 1
+                    continue
+                choice = _reference_best_processor(
+                    graph, arch, schedule, finish, node, cs, pipelined_pes,
+                    comm=comm,
+                )
+                if choice is None:
+                    if memo_key is not None:
+                        fail_gen[memo_key] = placements_made
+                    deferred.append(node)
+                    deferrals += 1
+                    continue
+                pe, duration = choice
+                occupancy = 1 if pipelined_pes else duration
+                placement = schedule.place(node, pe, cs, duration, occupancy)
+                finish[node] = placement.finish
+                remaining -= 1
+                placements_made += 1
+                for e in graph.out_edges(node):
+                    if e.delay == 0:
+                        pending_preds[e.dst] -= 1
+                        if pending_preds[e.dst] == 0:
+                            newly_ready.append(e.dst)
+            ready = deferred + newly_ready
+            cs += 1
+
+        schedule.trim()
+        if pad_for_delayed_edges:
+            schedule.set_length(
+                projected_schedule_length(
+                    graph, arch, schedule, pipelined_pes=pipelined_pes,
+                    comm=comm,
+                )
+            )
+        metrics.inc("startup.placements", placements_made)
+        metrics.inc("startup.deferrals", deferrals)
+        metrics.inc("startup.pf_evaluations", pf_evaluations)
+        metrics.inc("startup.control_steps", cs - 1)
+        startup_span.add(
+            length=schedule.length,
+            placements=placements_made,
+            deferrals=deferrals,
+            pf_evaluations=pf_evaluations,
+        )
+    return schedule
+
+
+def _reference_best_processor(
+    graph: CSDFG,
+    arch: Architecture,
+    schedule: ScheduleTable,
+    finish: dict[Node, int],
+    node: Node,
+    cs: int,
+    pipelined_pes: bool,
+    *,
+    comm: CommCostCache | None = None,
+) -> tuple[int, int] | None:
+    """The ``(processor, duration)`` where ``node`` may start at ``cs``.
+
+    Minimises the execution time on the PE (heterogeneous machines),
+    then the data-arrival bound ``cm``; ``None`` when no processor
+    qualifies."""
+    cost = comm.cost if comm is not None else arch.comm_cost
+    zero_preds: list[tuple[int, int, int]] = []  # (src_pe, finish, volume)
+    for e in graph.in_edges(node):
+        if e.delay == 0:
+            zero_preds.append(
+                (schedule.processor(e.src), finish[e.src], e.volume)
+            )
+    base_time = graph.time(node)
+    best: tuple[int, int, int] | None = None  # (duration, cm, pe)
+    for pe in arch.processors:
+        cm = 0
+        feasible = True
+        for src_pe, finish_u, vol in zero_preds:
+            arrival = finish_u + cost(src_pe, pe, vol)
+            if arrival > cm:
+                cm = arrival
+            if arrival >= cs:  # paper: need cm < cs
+                feasible = False
+                break
+        if not feasible:
+            continue
+        duration = arch.execution_time(pe, base_time)
+        occupancy = 1 if pipelined_pes else duration
+        if not schedule.is_free(pe, cs, occupancy):
+            continue
+        key = (duration, cm, pe)
+        if best is None or key < best:
+            best = key
+    if best is None:
+        return None
+    return best[2], best[0]
+
+
 def reference_cyclo_compact(
     graph: CSDFG,
     arch: Architecture,
@@ -263,19 +450,20 @@ def reference_cyclo_compact(
     """Run cyclo-compaction on the pre-optimisation engine.
 
     Forces ``fast_path=False`` (no comm-cost cache, no incremental PSL)
-    and temporarily swaps in the reference table class and slot search.
-    The swap covers the two construction/search sites the optimiser
-    uses (``start_up_schedule`` and ``remap_nodes``); it is restored on
-    exit, so concurrent use from other threads is not supported.
+    and temporarily swaps in the reference start-up scheduler (which
+    builds a :class:`ReferenceScheduleTable`) and slot search.  The
+    swap covers the two sites the optimiser uses (``start_up_schedule``
+    and ``remap_nodes``); it is restored on exit, so concurrent use
+    from other threads is not supported.
     """
     cfg = config if config is not None else CycloConfig()
     cfg = dataclasses.replace(cfg, fast_path=False)
-    saved_table = _startup_mod.ScheduleTable
+    saved_startup = _cyclo_mod.start_up_schedule
     saved_find = _remapping_mod._find_spot
-    _startup_mod.ScheduleTable = ReferenceScheduleTable
+    _cyclo_mod.start_up_schedule = reference_start_up_schedule
     _remapping_mod._find_spot = reference_find_spot
     try:
         return cyclo_compact(graph, arch, config=cfg, initial=initial)
     finally:
-        _startup_mod.ScheduleTable = saved_table
+        _cyclo_mod.start_up_schedule = saved_startup
         _remapping_mod._find_spot = saved_find

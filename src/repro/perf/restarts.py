@@ -48,7 +48,7 @@ from repro.arch.topology import Architecture
 from repro.baselines import schedule_bounds
 from repro.core.config import CycloConfig
 from repro.core.cyclo import cyclo_compact
-from repro.core.priority import paper_priority
+from repro.core.priority import PriorityKey, paper_priority
 from repro.core.startup import start_up_schedule
 from repro.errors import SchedulingError
 from repro.graph.csdfg import CSDFG, Node
@@ -68,9 +68,10 @@ __all__ = [
 
 
 class JitteredPriority:
-    """The paper priority plus a deterministic per-node jitter in
-    ``[0, 1)`` — enough to shuffle ties and near-ties in the start-up
-    ready queue, which is what diversifies the restarts.
+    """The paper priority key with a deterministic per-node jitter in
+    ``[0, 1)`` added to its constant part — enough to shuffle ties and
+    near-ties in the start-up ready queue, which is what diversifies the
+    restarts.  The jitter has 32 fractional bits, so scores stay exact.
 
     The jitter comes from ``crc32`` over ``seed:index:node`` (never
     python's ``hash``, which is salted per process and would break the
@@ -84,10 +85,10 @@ class JitteredPriority:
         self.seed = seed
         self.index = index
 
-    def __call__(self, graph, alap, finish, node, cs_cur) -> float:
-        base = paper_priority(graph, alap, finish, node, cs_cur)
+    def __call__(self, graph, alap, finish, node) -> PriorityKey:
+        a, b = paper_priority(graph, alap, finish, node)
         digest = zlib.crc32(f"{self.seed}:{self.index}:{node}".encode())
-        return base + digest / 2**32
+        return a + digest / 2**32, b
 
     def __reduce__(self):
         return (JitteredPriority, (self.seed, self.index))

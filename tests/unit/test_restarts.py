@@ -119,10 +119,11 @@ class TestJitteredPriority:
         alap = mobility_map(graph)
         node = next(iter(graph.nodes()))
         p = JitteredPriority(5, 2)
-        base = paper_priority(graph, alap, {}, node, 1)
-        val = p(graph, alap, {}, node, 1)
-        assert val == p(graph, alap, {}, node, 1)
-        assert 0.0 <= val - base < 1.0
+        base_a, base_b = paper_priority(graph, alap, {}, node)
+        a, b = p(graph, alap, {}, node)
+        assert (a, b) == p(graph, alap, {}, node)
+        assert b == base_b
+        assert 0.0 <= a - base_a < 1.0
 
     def test_picklable(self):
         import pickle

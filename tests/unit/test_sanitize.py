@@ -155,12 +155,12 @@ def mutate_priority(site: Path) -> Path:
     shutil.copytree(PACKAGE_DIR, pkg)
     victim = pkg / "core" / "priority.py"
     text = victim.read_text()
-    marker = "    mb = mobility(alap, node, cs_cur)\n"
+    marker = "    late = alap[node]\n"
     assert marker in text
     text = text.replace(marker, marker + (
         "    import os\n"
         "    import zlib\n"
-        "    mb -= zlib.crc32(\n"
+        "    late -= zlib.crc32(\n"
         "        f\"{os.environ.get('PYTHONHASHSEED', '')}:\"\n"
         "        f\"{node}\".encode()\n"
         "    ) % 97\n"

@@ -94,3 +94,20 @@ class TestGeneralBehaviour:
         # B occupies two consecutive cells on its PE
         pe = s.processor("B")
         assert s.cell(pe, 2) == "B" and s.cell(pe, 3) == "B"
+
+
+class TestCounters:
+    """The ``startup.*`` counters the benchmark's per-layer table reads."""
+
+    def test_one_key_per_node_and_last_step(self, figure7):
+        from repro.obs import InMemorySink, metrics, sink_installed
+
+        arch = Mesh2D(2, 2)
+        with sink_installed(InMemorySink()):
+            s = start_up_schedule(figure7, arch)
+        counters = metrics.snapshot()["counters"]
+        assert counters["startup.placements"] == figure7.num_nodes
+        assert counters["startup.pf_evaluations"] == figure7.num_nodes
+        assert counters["startup.control_steps"] == max(
+            s.start(v) for v in figure7.nodes()
+        )
