@@ -20,7 +20,12 @@ remapping pass only perturbs edges incident to the rotated nodes (a
 uniform :meth:`~repro.schedule.table.ScheduleTable.shift_all` leaves
 every bound's numerator ``CE + M + 1 - CB`` unchanged), so the tracker
 recomputes a handful of edges per pass instead of rescanning the whole
-graph through :func:`minimum_feasible_length`.
+graph through :func:`minimum_feasible_length`.  A shift touches nothing
+here at all: the table only moves its origin, and since every bound
+depends on starts only through the difference ``CE(u) - CB(v)`` the
+tracker reads the table's stored records
+(:meth:`~repro.schedule.table.ScheduleTable.stored_placements`) without
+converting them.
 
 Two scale-tier refinements keep the tracker O(touched edges) even on
 thousand-edge graphs:
@@ -147,7 +152,9 @@ class PSLTracker:
         placements violate a zero-delay dependence (the tracker must be
         seeded from a legal schedule).
         """
-        placements = self.schedule._placements
+        # stored starts: every bound is a difference of starts, so the
+        # table origin cancels
+        placements, _origin = self.schedule.stored_placements()
         cost = self._cost
         keys: list[tuple[Node, Node]] = []
         finishes: list[int] = []
@@ -203,7 +210,7 @@ class PSLTracker:
         anything) when some touched zero-delay edge is violated."""
         # fused _incident_edges + _edge_bound with direct placement
         # lookups: this runs once per remapping pass on the hot path
-        placements = self.schedule._placements
+        placements, _origin = self.schedule.stored_placements()
         cost = self._cost
         graph = self.graph
         seen: set[tuple[Node, Node]] = set()

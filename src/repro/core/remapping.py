@@ -207,8 +207,17 @@ def _placement_order(
     nodes: list[Node],
     topo_rank: dict[Node, int] | None = None,
 ) -> list[Node]:
-    """Zero-delay topological order restricted to the rotated set, so a
+    """Zero-delay topological order restricted to ``nodes``.
+
+    For an arbitrary node set (``resilience/repair.py`` remaps the
+    tasks of failed PEs) the order is a dependence requirement: a
     node's intra-iteration producers inside the set are placed first.
+    For a *rotated* set it is not — after a rotation no rotated node
+    has a zero-delay out-edge (edges leaving the set gain a delay and
+    internal edges already carry one), so the order is only a
+    deterministic tie-break taken from the cached full-graph Kahn
+    ranks.  It still decides which node claims a contested slot first,
+    so the ranks must stay to keep schedules identical.
 
     Ranks are unique per node, so sorting by the full-graph rank and by
     the set-restricted rank produce the same list — which is what lets
@@ -288,7 +297,8 @@ def _find_spot(
     out_zero: list[tuple[list[int | None], int]] = []  # (row, CB(x))
     out_delayed: list[tuple[list[int | None], int, int]] = []  # (row, CB, dr)
     self_loops: list[int] = []
-    placements = schedule._placements
+    # stored records plus the table origin: absolute start = start + origin
+    placements, origin = schedule.stored_placements()
     for e in graph._pred[node].values():
         if e.src == node:
             self_loops.append(max(1, e.delay))
@@ -298,7 +308,7 @@ def _find_spot(
             row = comm.row_from(p.pe, e.volume) if comm is not None else None
             if row is None:
                 row = _cost_row(arch, comm, p.pe, e.volume, outgoing=True)
-            finish_u = p.start + p.duration - 1
+            finish_u = p.start + origin + p.duration - 1
             if e.delay == 0:
                 in_zero.append((row, finish_u))
             else:
@@ -312,10 +322,11 @@ def _find_spot(
         row = comm.row_to(p.pe, e.volume) if comm is not None else None
         if row is None:
             row = _cost_row(arch, comm, p.pe, e.volume, outgoing=False)
+        cb_x = p.start + origin
         if e.delay == 0:
-            out_zero.append((row, p.start))
+            out_zero.append((row, cb_x))
         else:
-            out_delayed.append((row, p.start, e.delay))
+            out_delayed.append((row, cb_x, e.delay))
 
     time_scales = arch.time_scales
     first_fit = strategy == "first-fit"

@@ -18,6 +18,19 @@ equivalence suite in ``tests/unit/test_table_index.py`` pins this
 implementation cell-for-cell against the naive reference table
 (:class:`repro.perf.reference.ReferenceScheduleTable`).
 
+The table stores every step relative to an internal **origin**: the
+absolute control step is the stored step plus the origin.  A rotation
+renumbers the whole table one step earlier, and because the table
+repeats with period ``length`` that renumbering only moves the origin —
+:meth:`shift_all` is O(PEs) (it checks each PE's first span, which is
+that PE's minimum start) instead of rebuilding every placement and
+span.  Every public method converts at the boundary: queries take and
+results report absolute steps, and :class:`Placement` records handed
+out carry absolute starts (fresh objects while the origin is non-zero).
+Hot readers that must not allocate per lookup use
+:meth:`ScheduleTable.stored_placements`, which returns the stored
+records together with the origin.
+
 ``length`` may exceed the last busy control step (the paper pads with
 empty control steps when the projected schedule length demands it).
 """
@@ -87,9 +100,10 @@ class Placement:
             raise ScheduleError(
                 f"{self.node!r}: control steps start at 1, got {start}"
             )
-        # hot path (every placement, every rotation): clone without
-        # re-running the dataclass field validation — only the start
-        # changed and its sole constraint is checked above
+        # hot path (the table hands out absolute copies of its stored
+        # records through here): clone without re-running the dataclass
+        # field validation — only the start changed and its sole
+        # constraint is checked above
         clone = object.__new__(Placement)
         set_field = object.__setattr__
         set_field(clone, "node", self.node)
@@ -129,6 +143,9 @@ class ScheduleTable:
         ]
         self._starts: list[list[int]] = [[] for _ in range(num_pes)]
         self._busy: list[int] = [0] * num_pes
+        # absolute step = stored step + origin; length and makespan are
+        # kept absolute
+        self._origin = 0
         self._makespan: int | None = 0  # lazy cache; None = recompute
         # plain-int instrumentation tallies: one increment per interval-
         # index probe / whole-table shift, published to the metrics
@@ -148,8 +165,10 @@ class ScheduleTable:
     def makespan(self) -> int:
         """Last busy control step (0 when empty); ``<= length``."""
         if self._makespan is None:
-            self._makespan = max(
-                (p.finish for p in self._placements.values()), default=0
+            self._makespan = (
+                max(p.finish for p in self._placements.values()) + self._origin
+                if self._placements
+                else 0
             )
         return self._makespan
 
@@ -164,13 +183,30 @@ class ScheduleTable:
         return iter(self._placements)
 
     def placements(self) -> Iterator[Placement]:
-        return iter(self._placements.values())
+        """Every placement, in insertion order, with absolute starts."""
+        origin = self._origin
+        if not origin:
+            return iter(self._placements.values())
+        return (p.shifted(origin) for p in self._placements.values())
 
     def placement(self, node: Node) -> Placement:
+        """``node``'s placement with its absolute start."""
         try:
-            return self._placements[node]
+            p = self._placements[node]
         except KeyError:
             raise ScheduleError(f"node {node!r} is not scheduled") from None
+        return p.shifted(self._origin) if self._origin else p
+
+    def stored_placements(self) -> tuple[dict[Node, Placement], int]:
+        """The live placement records and the origin they are stored
+        against: a record's absolute start is ``p.start + origin``
+        (``pe``, ``duration`` and ``occupancy`` need no conversion).
+
+        For hot readers that must not build a fresh :class:`Placement`
+        per lookup; the dict must not be mutated, and it and the origin
+        are only valid until the table next changes.
+        """
+        return self._placements, self._origin
 
     def start(self, node: Node) -> int:
         """The paper's ``CB(node)``."""
@@ -193,6 +229,7 @@ class ScheduleTable:
         if not (0 <= pe < self.num_pes):
             return None
         self.probes += 1
+        cs -= self._origin
         idx = bisect_right(self._starts[pe], cs) - 1
         if idx >= 0:
             _s, busy_until, node = self._intervals[pe][idx]
@@ -250,22 +287,24 @@ class ScheduleTable:
                 f"{node!r}: occupancy must be in 1..duration, got "
                 f"{occupancy}"
             )
+        origin = self._origin
+        stored = start - origin
         placement = Placement.__new__(Placement)
         set_field = object.__setattr__
         set_field(placement, "node", node)
         set_field(placement, "pe", pe)
-        set_field(placement, "start", start)
+        set_field(placement, "start", stored)
         set_field(placement, "duration", duration)
         set_field(placement, "occupancy", occupancy)
-        busy_until = start + occupancy - 1
+        busy_until = stored + occupancy - 1
         starts = self._starts[pe]
         intervals = self._intervals[pe]
-        pos = bisect_left(starts, start)
+        pos = bisect_left(starts, stored)
         # spans never overlap, so only the neighbours can conflict; the
         # reported cell is the first occupied one in the requested span
         if pos > 0:
             _s, prev_until, occupant = intervals[pos - 1]
-            if prev_until >= start:
+            if prev_until >= stored:
                 raise PlacementConflictError(
                     f"(pe{pe + 1}, cs{start}) already holds {occupant!r}; "
                     f"cannot place {node!r}"
@@ -274,11 +313,11 @@ class ScheduleTable:
             next_start, _e, occupant = intervals[pos]
             if next_start <= busy_until:
                 raise PlacementConflictError(
-                    f"(pe{pe + 1}, cs{next_start}) already holds "
+                    f"(pe{pe + 1}, cs{next_start + origin}) already holds "
                     f"{occupant!r}; cannot place {node!r}"
                 )
-        starts.insert(pos, start)
-        intervals.insert(pos, (start, busy_until, node))
+        starts.insert(pos, stored)
+        intervals.insert(pos, (stored, busy_until, node))
         self._placements[node] = placement
         self._busy[pe] += occupancy
         finish = start + duration - 1
@@ -286,7 +325,7 @@ class ScheduleTable:
             self._length = finish
         if self._makespan is not None and finish > self._makespan:
             self._makespan = finish
-        return placement
+        return placement.shifted(origin) if origin else placement
 
     def remove(self, node: Node) -> Placement:
         """Unschedule ``node`` and return its former placement.
@@ -294,25 +333,33 @@ class ScheduleTable:
         The schedule length is left unchanged (callers renumber/trim
         explicitly).
         """
-        placement = self.placement(node)
+        try:
+            placement = self._placements.pop(node)
+        except KeyError:
+            raise ScheduleError(f"node {node!r} is not scheduled") from None
         pe = placement.pe
         pos = bisect_left(self._starts[pe], placement.start)
         del self._starts[pe][pos]
         del self._intervals[pe][pos]
-        del self._placements[node]
         self._busy[pe] -= placement.occupancy
-        if self._makespan is not None and placement.finish >= self._makespan:
+        origin = self._origin
+        if (
+            self._makespan is not None
+            and placement.finish + origin >= self._makespan
+        ):
             self._makespan = None
-        return placement
+        return placement.shifted(origin) if origin else placement
 
     def shift_all(self, delta: int) -> None:
         """Renumber every placement by ``delta`` control steps.
 
         Used by the rotation phase (the former row 2 becomes row 1).
         The length is adjusted by the same delta (floored at the new
-        makespan).  The index is renumbered in place; an illegal shift
-        (some start would drop below control step 1) raises before any
-        mutation, leaving the table intact.
+        makespan).  Only the origin moves: legality needs each PE's
+        first span, which holds that PE's minimum start, so the cost is
+        O(PEs).  An illegal shift (some start would drop below control
+        step 1) raises for the first such placement in insertion order,
+        before any mutation, leaving the table intact.
         """
         if not self._placements:
             if delta:
@@ -321,31 +368,15 @@ class ScheduleTable:
         if not delta:
             return
         self.shifts += 1
-        # raises ScheduleError before any mutation if a start drops < 1;
-        # clones are built inline (this runs for every placement on
-        # every rotation) with the same check/message as Placement.shifted
-        new_placement = Placement.__new__
-        set_field = object.__setattr__
-        moved: dict[Node, Placement] = {}
-        for n, p in self._placements.items():
-            start = p.start + delta
-            if start < 1:
-                raise ScheduleError(
-                    f"{p.node!r}: control steps start at 1, got {start}"
-                )
-            clone = new_placement(Placement)
-            set_field(clone, "node", p.node)
-            set_field(clone, "pe", p.pe)
-            set_field(clone, "start", start)
-            set_field(clone, "duration", p.duration)
-            set_field(clone, "occupancy", p.occupancy)
-            moved[n] = clone
-        self._placements = moved
-        for pe in range(self.num_pes):
-            self._starts[pe] = [s + delta for s in self._starts[pe]]
-            self._intervals[pe] = [
-                (s + delta, e + delta, n) for s, e, n in self._intervals[pe]
-            ]
+        origin = self._origin + delta
+        if min(s[0] for s in self._starts if s) + origin < 1:
+            for p in self._placements.values():
+                if p.start + origin < 1:
+                    raise ScheduleError(
+                        f"{p.node!r}: control steps start at 1, got "
+                        f"{p.start + origin}"
+                    )
+        self._origin = origin
         if self._makespan is not None:
             self._makespan += delta
         self._length = max(0, self._length + delta)
@@ -370,6 +401,7 @@ class ScheduleTable:
         if not (0 <= pe < self.num_pes):
             return True
         self.probes += 1
+        start -= self._origin
         idx = bisect_right(self._starts[pe], start + duration - 1) - 1
         return idx < 0 or self._intervals[pe][idx][1] < start
 
@@ -391,6 +423,10 @@ class ScheduleTable:
         if not (0 <= pe < self.num_pes):
             return cs if cs + duration - 1 <= limit else None
         self.probes += 1
+        # walk in stored steps; the result converts back
+        origin = self._origin
+        cs -= origin
+        limit -= origin
         starts = self._starts[pe]
         intervals = self._intervals[pe]
         idx = bisect_right(starts, cs) - 1
@@ -402,10 +438,10 @@ class ScheduleTable:
             if cs + duration - 1 > limit:
                 return None
             if idx >= count:
-                return cs
+                return cs + origin
             next_start, next_until, _node = intervals[idx]
             if cs + duration - 1 < next_start:
-                return cs
+                return cs + origin
             cs = next_until + 1
             idx += 1
 
@@ -426,6 +462,9 @@ class ScheduleTable:
                 cs += 1
             return
         self.probes += 1
+        origin = self._origin
+        cs -= origin
+        last -= origin
         starts = self._starts[pe]
         intervals = self._intervals[pe]
         idx = bisect_right(starts, cs) - 1
@@ -435,12 +474,12 @@ class ScheduleTable:
         count = len(intervals)
         while cs <= last:
             if idx >= count:
-                yield cs
+                yield cs + origin
                 cs += 1
                 continue
             next_start, next_until, _node = intervals[idx]
             if cs + duration - 1 < next_start:
-                yield cs
+                yield cs + origin
                 cs += 1
                 continue
             cs = next_until + 1
@@ -468,6 +507,9 @@ class ScheduleTable:
                 yield cs, last
             return
         self.probes += 1
+        origin = self._origin
+        cs -= origin
+        last -= origin
         starts = self._starts[pe]
         intervals = self._intervals[pe]
         idx = bisect_right(starts, cs) - 1
@@ -477,14 +519,14 @@ class ScheduleTable:
         count = len(intervals)
         while cs <= last:
             if idx >= count:
-                yield cs, last
+                yield cs + origin, last + origin
                 return
             next_start, next_until, _node = intervals[idx]
             gap_last = next_start - duration  # last start fitting the gap
             if gap_last > last:
                 gap_last = last
             if cs <= gap_last:
-                yield cs, gap_last
+                yield cs + origin, gap_last + origin
             cs = next_until + 1
             idx += 1
 
@@ -492,9 +534,10 @@ class ScheduleTable:
         """Tasks starting at control step 1, by PE order (the set the
         rotation phase deallocates)."""
         out: list[Node] = []
+        first = 1 - self._origin
         for pe in range(self.num_pes):
             intervals = self._intervals[pe]
-            if intervals and intervals[0][0] == 1:
+            if intervals and intervals[0][0] == first:
                 out.append(intervals[0][2])
         return out
 
@@ -512,7 +555,13 @@ class ScheduleTable:
         if not (0 <= pe < self.num_pes):
             return []
         placements = self._placements
-        return [placements[node] for _s, _e, node in self._intervals[pe]]
+        origin = self._origin
+        if not origin:
+            return [placements[node] for _s, _e, node in self._intervals[pe]]
+        return [
+            placements[node].shifted(origin)
+            for _s, _e, node in self._intervals[pe]
+        ]
 
     def busy_cells(self, pe: int) -> int:
         """Number of occupied control steps on ``pe``."""
@@ -542,16 +591,19 @@ class ScheduleTable:
         clone._intervals = [list(spans) for spans in self._intervals]
         clone._starts = [list(starts) for starts in self._starts]
         clone._busy = list(self._busy)
+        clone._origin = self._origin
         clone._makespan = self._makespan
         return clone
 
     def same_placements(self, other: "ScheduleTable") -> bool:
         """True when both tables place every task identically."""
-        return (
-            self.num_pes == other.num_pes
-            and self._length == other._length
-            and self._placements == other._placements
-        )
+        if self.num_pes != other.num_pes or self._length != other._length:
+            return False
+        if self._origin == other._origin:
+            return self._placements == other._placements
+        return {p.node: p for p in self.placements()} == {
+            p.node: p for p in other.placements()
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

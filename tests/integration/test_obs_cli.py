@@ -234,8 +234,12 @@ class TestRegressionGate:
         for _ in range(2):
             assert main(["obs", "matrix", "--history-dir", str(hist)]) == 0
         capsys.readouterr()
+        # one baseline sample of ~3 ms cells: use the CI gate's 2x
+        # threshold so host noise cannot trip it; --min-seconds 0 keeps
+        # every cell gated (the seeded-slowdown test proves it fires)
         assert main(["obs", "regressions", "--history-dir", str(hist),
-                     "--kind", "gate"]) == 0
+                     "--kind", "gate", "--threshold", "2.0",
+                     "--min-seconds", "0"]) == 0
         assert "no regressions" in capsys.readouterr().out
 
     def test_seeded_slowdown_trips_the_gate(

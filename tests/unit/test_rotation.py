@@ -2,10 +2,17 @@
 
 import pytest
 
-from repro.core import rotate_schedule, start_up_schedule, undo_rotation
+from repro.arch import CompletelyConnected, LinearArray, Mesh2D
+from repro.core import (
+    cyclo_compact,
+    rotate_schedule,
+    start_up_schedule,
+    undo_rotation,
+)
 from repro.errors import IllegalRetimingError
 from repro.graph import CSDFG
 from repro.schedule import ScheduleTable
+from repro.workloads import make_workload, workload_names
 
 
 class TestRotateSchedule:
@@ -99,3 +106,39 @@ class TestUndoRotation:
         undo_rotation(g, s, rotated, old, snapshot.length)
         assert s.same_placements(snapshot)
         assert g.structurally_equal(figure1)
+
+
+class TestRotatedSetInvariant:
+    """After rotating a legal schedule no rotated node has a zero-delay
+    out-edge: every edge leaving the set gains a delay, and an internal
+    edge enters a first-row node, which a legal schedule only allows
+    with a delay on it.  The remapping order of a rotated set is
+    therefore a tie-break, not a dependence requirement (the set still
+    has zero-delay *in*-edges from outside, which the floor handles)."""
+
+    ARCHES = [LinearArray(4), Mesh2D(2, 4), CompletelyConnected(3)]
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_no_zero_delay_out_edge_after_rotation(self, name, monkeypatch):
+        from repro.core import cyclo as cyclo_mod
+
+        seen = {"rotations": 0, "zero_delay_in": 0}
+
+        def checked(graph, schedule):
+            rotated, old = rotate_schedule(graph, schedule)
+            for v in rotated:
+                for e in graph.out_edges(v):
+                    assert e.delay > 0, (name, e.key, e.delay)
+                seen["zero_delay_in"] += sum(
+                    e.delay == 0 for e in graph.in_edges(v)
+                )
+            seen["rotations"] += 1
+            return rotated, old
+
+        monkeypatch.setattr(cyclo_mod, "rotate_schedule", checked)
+        for arch in self.ARCHES:
+            cyclo_compact(make_workload(name), arch)
+        assert seen["rotations"] > 0
+        # the invariant is about out-edges only: the rotated sets do
+        # take zero-delay inputs from outside
+        assert seen["zero_delay_in"] > 0

@@ -4,8 +4,11 @@ The interval-indexed :class:`~repro.schedule.table.ScheduleTable`
 replaced the original per-cell dict table, which is preserved verbatim
 as :class:`~repro.perf.reference.ReferenceScheduleTable`.  This suite
 drives both through the same random operation sequences (200 seeds)
-and asserts every observable — cells, rows, slots, counters, lengths,
-and raised errors — coincides at every step.
+and asserts every observable — cells, rows, slots, gaps, placements in
+iteration order, counters, lengths, and raised errors — coincides at
+every step.  The fast table stores steps against a moving origin (a
+shift only moves the origin), so the random shifts also exercise every
+query at non-zero origins.
 """
 
 import random
@@ -32,6 +35,10 @@ def _observable_state(table, num_pes, window=24):
         for n, p in ((n, table.placement(n)) for n in table.nodes())
     }
     return {
+        "iteration": [
+            (p.node, p.pe, p.start, p.duration, p.occupancy)
+            for p in table.placements()
+        ],
         "length": table.length,
         "makespan": table.makespan,
         "num_tasks": table.num_tasks,
@@ -94,6 +101,15 @@ def _random_op(rng, num_pes):
     return ("trim", None)
 
 
+def _random_query(rng, num_pes):
+    """``(pe, not_before, duration, horizon, cs)`` for the slot queries."""
+    pe = rng.randint(-1, num_pes)
+    not_before = rng.randint(1, 12)
+    duration = rng.randint(1, 4)
+    horizon = rng.choice([None, rng.randint(1, 25)])
+    return pe, not_before, duration, horizon, rng.randint(-1, 20)
+
+
 @pytest.mark.parametrize("seed", range(200))
 def test_random_op_sequences_match_reference(seed):
     rng = random.Random(seed)
@@ -109,18 +125,36 @@ def test_random_op_sequences_match_reference(seed):
             ref, num_pes
         ), (seed, op, params)
         # slot queries against the current state
-        pe = rng.randint(-1, num_pes)
-        not_before = rng.randint(1, 12)
-        duration = rng.randint(1, 4)
-        horizon = rng.choice([None, rng.randint(1, 25)])
+        pe, not_before, duration, horizon, cs = _random_query(rng, num_pes)
         assert fast.earliest_slot(
             pe, not_before, duration, horizon=horizon
         ) == ref.earliest_slot(pe, not_before, duration, horizon=horizon)
-        assert list(fast.free_slots(pe, not_before, duration, 25)) == list(
-            ref.free_slots(pe, not_before, duration, 25)
-        )
-        cs = rng.randint(-1, 20)
+        ref_slots = list(ref.free_slots(pe, not_before, duration, 25))
+        assert list(fast.free_slots(pe, not_before, duration, 25)) == ref_slots
+        gaps = fast.free_gaps(pe, not_before, duration, 25)
+        assert [
+            cs for first, last in gaps for cs in range(first, last + 1)
+        ] == ref_slots
         assert fast.is_free(pe, cs, duration) == ref.is_free(pe, cs, duration)
+        assert fast.same_placements(ref.copy())
+        assert ref.same_placements(fast.copy())
+
+
+def test_random_op_sequences_reach_nonzero_origins():
+    # the equivalence suite above only covers the origin logic if its
+    # sequences actually shift placed tables; count the steps that do
+    nonzero = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        num_pes = rng.randint(1, 5)
+        table = ScheduleTable(num_pes)
+        for _ in range(40):
+            _run_op(table, *_random_op(rng, num_pes))
+            _placements, origin = table.stored_placements()
+            if origin and table.num_tasks:
+                nonzero += 1
+            _random_query(rng, num_pes)  # keep the suite's draw order
+    assert nonzero > 1000
 
 
 def test_copy_preserves_observable_state():
@@ -170,3 +204,53 @@ def test_illegal_shift_leaves_table_intact(table_cls):
     with pytest.raises(ScheduleError):
         table.shift_all(-5)
     assert _observable_state(table, 2) == before
+
+
+@pytest.mark.parametrize("table_cls", [ScheduleTable, ReferenceScheduleTable])
+def test_illegal_shift_after_legal_shifts(table_cls):
+    # both tasks would drop below step 1; the error names the first one
+    # in insertion order ("late"), not the one with the smallest start
+    table = table_cls(2)
+    table.place("late", 0, 6, 1)
+    table.place("early", 1, 4, 2)
+    table.shift_all(-2)
+    table.shift_all(-1)
+    before = _observable_state(table, 2)
+    with pytest.raises(ScheduleError) as info:
+        table.shift_all(-4)
+    assert str(info.value) == "'late': control steps start at 1, got -1"
+    assert _observable_state(table, 2) == before
+    assert table.first_row() == ["early"]
+
+
+def test_shifting_a_copy_leaves_the_original():
+    table = ScheduleTable(2)
+    table.place("a", 0, 3, 1)
+    table.place("b", 1, 5, 2)
+    table.shift_all(-1)
+    before = _observable_state(table, 2)
+    clone = table.copy()
+    clone.shift_all(-1)
+    clone.place("c", 0, 2, 1)
+    assert _observable_state(table, 2) == before
+    assert clone.start("a") == 1 and clone.start("b") == 3
+    table.shift_all(+3)
+    assert clone.start("a") == 1 and clone.start("b") == 3
+    assert table.start("a") == 5
+
+
+def test_shift_leaves_stored_placements_unrebuilt():
+    # a shift moves the origin only: the stored records are the same
+    # objects before and after, so an O(V) shift cannot creep back
+    table = ScheduleTable(3)
+    for i in range(9):
+        table.place(f"n{i}", i % 3, 2 + i, 1)
+    stored, origin = table.stored_placements()
+    records = dict(stored)
+    table.shift_all(-1)
+    table.shift_all(+2)
+    stored_after, origin_after = table.stored_placements()
+    assert origin_after == origin + 1
+    assert all(stored_after[n] is p for n, p in records.items())
+    # handed-out placements carry absolute starts
+    assert [p.start for p in table.placements()] == list(range(3, 12))
