@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
 
-from repro.errors import GraphError
+from repro.errors import GraphError, IllegalRetimingError
 
 __all__ = ["Edge", "CSDFG", "Node"]
 
@@ -40,7 +40,8 @@ class Edge:
     """A dependence edge ``src -> dst`` with its delay and data volume.
 
     Instances are immutable; mutating a delay (retiming) produces a new
-    :class:`Edge` inside the owning graph.
+    :class:`Edge` inside the owning graph, so graph copies share their
+    edges.
     """
 
     src: Node
@@ -271,12 +272,46 @@ class CSDFG:
     # copies and conversions
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "CSDFG":
-        """Deep copy (nodes, times, edges)."""
+        """Independent copy (nodes, times, edges).
+
+        The copy shares the immutable :class:`Edge` objects; mutating
+        either graph replaces edges in that graph only.
+        """
+        return self._clone(name)
+
+    def _clone(
+        self, name: str | None, retiming: Mapping[Node, int] | None = None
+    ) -> "CSDFG":
+        """Copy in one walk over the edges, optionally retimed.
+
+        Each edge ``u -> v`` carries ``d + r(u) - r(v)`` delays
+        (``retiming`` missing a node reads as 0); only edges whose delay
+        changes become new :class:`Edge` objects.  ``_pred`` is filled
+        in the source-grouped order of :meth:`edges`, exactly as an
+        :meth:`add_edge` loop over this graph would.  Raises
+        :class:`IllegalRetimingError` at the first edge, in :meth:`edges`
+        order, whose delay would become negative.
+        """
         clone = CSDFG(name if name is not None else self.name)
-        for node, time in self._time.items():
-            clone.add_node(node, time)
-        for edge in self.edges():
-            clone.add_edge(edge.src, edge.dst, edge.delay, edge.volume)
+        clone._time = dict(self._time)
+        succ = clone._succ = {}
+        pred = clone._pred = {node: {} for node in self._time}
+        shift = retiming.get if retiming else None
+        for src, out in self._succ.items():
+            row = succ[src] = {}
+            r_src = shift(src, 0) if shift is not None else 0
+            for dst, edge in out.items():
+                if shift is not None:
+                    delay = edge.delay + r_src - shift(dst, 0)
+                    if delay != edge.delay:
+                        if delay < 0:
+                            raise IllegalRetimingError(
+                                f"edge {src!r}->{dst!r}: retimed delay "
+                                f"{delay} < 0"
+                            )
+                        edge = edge.with_delay(delay)
+                row[dst] = edge
+                pred[dst][src] = edge
         return clone
 
     def relabel(self, mapping: Mapping[Node, Node], name: str | None = None) -> "CSDFG":
@@ -345,7 +380,7 @@ class CSDFG:
     def structurally_equal(self, other: "CSDFG") -> bool:
         """True when node times and edge annotations all coincide."""
         if not isinstance(other, CSDFG):
-            return NotImplemented
+            return False
         if self._time != other._time:
             return False
         mine = {e.key: (e.delay, e.volume) for e in self.edges()}

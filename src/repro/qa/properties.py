@@ -66,6 +66,16 @@ workloads:
     restart driver agrees with itself across repeated runs — the
     cross-process ``PYTHONHASHSEED``/``--jobs`` perturbation of the
     same contract lives in the CI sanitize smoke.
+``feasible-length-minimal``
+    :func:`~repro.schedule.validate.minimum_feasible_length` meets its
+    documented contract on the sample's start-up schedule and on seeded
+    corruptions of it (a removed node, a foreign node, a task moved
+    onto an occupied PE, a wrong duration, a failed PE, a zero-delay
+    violation, a non-zero table origin, pipelined PEs): it returns the
+    smallest ``L >= max(makespan, 1)`` at which the validator finds
+    nothing, found here by trying every length up to a bound past which
+    no delayed edge can still constrain ``L``, and ``None`` when none
+    works.
 """
 
 from __future__ import annotations
@@ -80,7 +90,9 @@ from repro.arch.comm import (
     ScaledContention,
     SerializedContention,
 )
+from repro.arch.cache import CommCostCache
 from repro.arch.contention import LinkOccupancy
+from repro.arch.degraded import DegradedTopology
 from repro.arch.routing import route as _route
 from repro.arch.topology import Architecture
 from repro.baselines.etf import etf_schedule
@@ -89,13 +101,14 @@ from repro.baselines.sequential import sequential_schedule
 from repro.core.config import CycloConfig
 from repro.core.cyclo import CycloResult, cyclo_compact
 from repro.core.pipeline import contention_aware_schedule
-from repro.errors import QAError, SchedulingError
+from repro.core.startup import start_up_schedule
+from repro.errors import ArchitectureError, QAError, SchedulingError
 from repro.graph.csdfg import CSDFG
 from repro.graph.properties import iteration_bound
 from repro.perf.reference import reference_cyclo_compact
 from repro.retiming.basic import apply_retiming, is_legal_retiming
 from repro.schedule.table import ScheduleTable
-from repro.schedule.validate import collect_violations
+from repro.schedule.validate import collect_violations, minimum_feasible_length
 
 __all__ = [
     "PROPERTIES",
@@ -758,6 +771,175 @@ def prop_sanitizer_agrees(
     return problems
 
 
+def _smallest_legal_length(
+    graph: CSDFG,
+    arch: Architecture,
+    schedule: ScheduleTable,
+    pipelined: bool,
+    comm: CommCostCache | None,
+) -> int | None:
+    """The contract of ``minimum_feasible_length``, by search.
+
+    Tries every ``L`` from ``max(makespan, 1)`` upwards, like the
+    start-up scheduler's ``cs_limit``.  From ``makespan + M_max`` on
+    (``M_max``: the dearest price of any edge volume between two alive
+    PEs) every delayed edge holds, since
+    ``CB(v) + d·L >= 1 + L >= CE(u) + M + 1``, so a length that still
+    fails there fails for a length-independent reason and the search
+    stops.
+    """
+    cost = comm.cost if comm is not None else arch.comm_cost
+    alive = list(arch.processors)
+    volumes = {e.volume for e in graph.edges()}
+    m_max = max(
+        (cost(p, q, vol) for vol in volumes for p in alive for q in alive),
+        default=0,
+    )
+    low = max(schedule.makespan, 1)
+    probe = schedule.copy()
+    for length in range(low, low + m_max + 1):
+        probe.set_length(length)
+        if not collect_violations(
+            graph, arch, probe, pipelined_pes=pipelined, comm=comm
+        ):
+            return length
+    return None
+
+
+def _occupied_move(
+    schedule: ScheduleTable, rng: random.Random
+) -> ScheduleTable | None:
+    """``schedule`` rebuilt issue-only (occupancy 1, as on pipelined
+    PEs) with one task moved so that its execution overlaps another
+    task on that PE; ``None`` when no such move exists (a table cannot
+    hold two tasks in one cell, so at least one of the pair must last
+    more than one step)."""
+    issue_only = ScheduleTable(
+        schedule.num_pes, name=f"{schedule.name}:occupied"
+    )
+    placed = list(schedule.placements())
+    for p in placed:
+        issue_only.place(p.node, p.pe, p.start, p.duration, 1)
+    rng.shuffle(placed)
+    for v in placed:
+        for w in placed:
+            if w.node == v.node:
+                continue
+            window = range(max(1, w.start - v.duration + 1), w.finish + 1)
+            for start in window:
+                if start != v.start and issue_only.is_free(w.pe, start, 1):
+                    out = issue_only.copy()
+                    out.remove(v.node)
+                    out.place(v.node, w.pe, start, v.duration, 1)
+                    return out
+    return None
+
+
+def _feasible_length_cases(
+    graph: CSDFG, arch: Architecture, cfg: CycloConfig, rng: random.Random
+):
+    """``(label, arch, schedule, pipelined, cache)`` probes for
+    ``feasible-length-minimal``: the unpadded start-up schedule and its
+    seeded corruptions (a corruption the sample cannot host is
+    skipped), each with a price cache of its machine."""
+    pipelined = cfg.pipelined_pes
+    cache = CommCostCache.for_graph(arch, graph)
+    base = start_up_schedule(
+        graph, arch, pad_for_delayed_edges=False, pipelined_pes=pipelined
+    )
+    nodes = list(base.nodes())
+    yield "startup", arch, base, pipelined, cache
+    yield "pipelined", arch, base, not pipelined, cache
+
+    removed = base.copy()
+    removed.remove(rng.choice(nodes))
+    yield "removed-node", arch, removed, pipelined, cache
+
+    foreign = base.copy()
+    foreign.place(
+        ("foreign", graph.name),
+        rng.choice(list(arch.processors)),
+        base.makespan + 1,
+        1,
+    )
+    yield "foreign-node", arch, foreign, pipelined, cache
+
+    occupied = _occupied_move(base, rng)
+    if occupied is not None:
+        yield "occupied-pe", arch, occupied, False, cache
+
+    wrong = base.copy()
+    victim = wrong.remove(rng.choice(nodes))
+    wrong.place(
+        victim.node, victim.pe, base.makespan + 1, victim.duration + 1
+    )
+    yield "wrong-duration", arch, wrong, pipelined, cache
+
+    alive = list(arch.processors)
+    if len(alive) > 1:
+        dead = base.processor(rng.choice(nodes))
+        try:
+            degraded = DegradedTopology(arch, failed_pes=(dead,))
+        except ArchitectureError:
+            pass  # the survivors would be cut apart
+        else:
+            yield "failed-pe", degraded, base, pipelined, (
+                CommCostCache.for_graph(degraded, graph)
+            )
+
+    zero = [e for e in graph.edges() if e.delay == 0]
+    if zero:
+        edge = rng.choice(zero)
+        early = base.copy()
+        moved = early.remove(edge.dst)
+        finish_u = early.finish(edge.src)
+        spots = [
+            (pe, start)
+            for pe in alive
+            for start in range(1, finish_u + 1)
+            if early.is_free(pe, start, moved.duration)
+        ]
+        if spots:
+            pe, start = rng.choice(spots)
+            early.place(edge.dst, pe, start, moved.duration, moved.occupancy)
+            yield "zero-delay-violation", arch, early, pipelined, cache
+
+    # a task moved into the rows a shift emptied is stored before the
+    # origin (stored start < 1), as after a rotation
+    shifted = base.copy()
+    shifted.shift_all(rng.randint(1, 3))
+    moved = shifted.remove(rng.choice(nodes))
+    start = 1 if shifted.is_free(moved.pe, 1, moved.occupancy) else moved.start
+    shifted.place(moved.node, moved.pe, start, moved.duration, moved.occupancy)
+    yield "table-origin", arch, shifted, pipelined, cache
+
+
+def prop_feasible_length_minimal(
+    graph: CSDFG, arch: Architecture, cfg: CycloConfig, rng: random.Random
+) -> list[str]:
+    """``minimum_feasible_length`` equals the smallest legal length
+    found by search, on start-up schedules and seeded corruptions."""
+    problems: list[str] = []
+    for label, machine, schedule, pipelined, cache in _feasible_length_cases(
+        graph, arch, cfg, rng
+    ):
+        for comm in (None, cache):
+            got = minimum_feasible_length(
+                graph, machine, schedule, pipelined_pes=pipelined, comm=comm
+            )
+            want = _smallest_legal_length(
+                graph, machine, schedule, pipelined, comm
+            )
+            if got != want:
+                problems.append(
+                    f"{label} (pipelined={pipelined}, "
+                    f"{'cached' if comm else 'uncached'} prices): "
+                    f"minimum_feasible_length {got} != smallest legal "
+                    f"length {want}"
+                )
+    return problems
+
+
 #: Registry of every property, in the order the fuzzer runs them.
 PROPERTIES: dict[str, PropertyFn] = {
     "schedules-legal": prop_schedules_legal,
@@ -771,6 +953,7 @@ PROPERTIES: dict[str, PropertyFn] = {
     "kernels-agree": prop_kernels_agree,
     "contention-legal": prop_contention_legal,
     "sanitizer-agrees": prop_sanitizer_agrees,
+    "feasible-length-minimal": prop_feasible_length_minimal,
 }
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.errors import IllegalRetimingError, RetimingError
+from repro.errors import RetimingError
 from repro.graph.csdfg import CSDFG, Node
 
 __all__ = [
@@ -65,15 +65,10 @@ def apply_retiming(
     unknown = [v for v in retiming if v not in graph]
     if unknown:
         raise RetimingError(f"retiming mentions unknown nodes: {unknown!r}")
-    out = graph.copy(name if name is not None else f"{graph.name}:retimed")
-    for e in graph.edges():
-        new_delay = e.delay + retiming.get(e.src, 0) - retiming.get(e.dst, 0)
-        if new_delay < 0:
-            raise IllegalRetimingError(
-                f"edge {e.src!r}->{e.dst!r}: retimed delay {new_delay} < 0"
-            )
-        out.set_delay(e.src, e.dst, new_delay)
-    return out
+    # one walk: edges whose delay does not change are shared with graph
+    return graph._clone(
+        name if name is not None else f"{graph.name}:retimed", retiming
+    )
 
 
 def normalize_retiming(retiming: Mapping[Node, int]) -> dict[Node, int]:

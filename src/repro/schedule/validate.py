@@ -204,28 +204,64 @@ def minimum_feasible_length(
 ) -> int | None:
     """Smallest length making these *placements* legal, or ``None``.
 
-    Keeps every ``(CB, PE)`` fixed and solves the precedence inequality
-    for ``L``: zero-delay edges constrain nothing through ``L`` (they
-    are feasible or not as placed), while each delayed edge demands
-    ``L >= ceil((CE(u) + M + 1 - CB(v)) / d)``.  Returns ``None`` when
-    some zero-delay edge (or completeness/resource problem) makes the
-    placements unsalvageable at any length.
+    Keeps every ``(CB, PE)`` fixed and returns the smallest
+    ``L >= max(makespan, 1)`` at which :func:`collect_violations` finds
+    nothing, or ``None`` when no length works.  The length-independent
+    rules are checked once: completeness, PE in range and alive,
+    duration, and resource exclusivity (recomputed from each PE's
+    spans, not from the table's cell index), and every zero-delay edge
+    must hold as placed.  Each delayed edge then demands
+    ``L >= ceil((CE(u) + M + 1 - CB(v)) / d)``; at the maximum of those
+    bounds and the makespan every precedence inequality holds, so one
+    pass over the placements and one over the edges decide the answer.
     """
-    # reuse the structural checks at the current length, masking only
-    # the L-dependent precedence violations and the length-overrun check
     cost = comm.cost if comm is not None else arch.comm_cost
-    probe = schedule.copy()
-    probe.set_length(max(probe.length, probe.makespan))
-    required = probe.makespan
-    for edge in graph.edges():
-        if edge.src not in probe or edge.dst not in probe:
+    # stored records: every rule below compares two starts of one table
+    # (CE(u) - CB(v), overlaps on one PE), so the origin cancels
+    placements = schedule.stored_placements()[0]
+    times = graph.times()
+    if len(placements) != len(times):
+        return None
+    num_pes = arch.num_pes
+    # (PE, t) -> the duration a task of time t takes there; None on an
+    # out-of-range or failed PE, where no placement can be legal
+    durations: dict[tuple[int, int], int | None] = {}
+    spans: dict[int, list[tuple[int, int]]] = {}
+    for node, p in placements.items():
+        base_time = times.get(node)
+        if base_time is None:
+            return None  # scheduled node not in the graph
+        pe = p.pe
+        key = (pe, base_time)
+        if key in durations:
+            duration = durations[key]
+        else:
+            duration = durations[key] = (
+                arch.execution_time(pe, base_time)
+                if pe < num_pes and arch.is_alive(pe)
+                else None
+            )
+        if p.duration != duration:
             return None
-        pu = probe.placement(edge.src)
-        pv = probe.placement(edge.dst)
-        for p in (pu, pv):
-            if p.pe >= arch.num_pes or not arch.is_alive(p.pe):
-                return None  # unroutable placement: no length can help
-        slack_needed = pu.finish + cost(pu.pe, pv.pe, edge.volume) + 1 - pv.start
+        start = p.start
+        end = start if pipelined_pes else start + p.duration - 1
+        spans.setdefault(pe, []).append((start, end))
+    for pe_spans in spans.values():
+        pe_spans.sort()
+        busy_until = pe_spans[0][0] - 1
+        for start, end in pe_spans:
+            if start <= busy_until:
+                return None
+            if end > busy_until:
+                busy_until = end
+
+    required = max(schedule.makespan, 1)
+    for edge in graph.edges():
+        pu = placements[edge.src]
+        pv = placements[edge.dst]
+        slack_needed = (
+            pu.start + pu.duration + cost(pu.pe, pv.pe, edge.volume) - pv.start
+        )
         if edge.delay == 0:
             if slack_needed > 0:
                 return None
@@ -233,12 +269,4 @@ def minimum_feasible_length(
             need = -(-slack_needed // edge.delay)  # ceil division
             if need > required:
                 required = need
-    # the internal checker, not collect_violations: the probe check is
-    # an implementation detail of PSL, not a "validate" phase of its
-    # caller, so it must not emit a validate span inside remap spans
-    probe.set_length(max(required, probe.makespan, 1))
-    if _collect_violations(
-        graph, arch, probe, pipelined_pes=pipelined_pes, comm=comm
-    ):
-        return None
-    return probe.length
+    return required

@@ -59,6 +59,21 @@ def tiny_loop():
 
 
 @pytest.fixture
+def unsorted_preds():
+    """``c``'s predecessors are inserted ``b`` before ``a``, so its
+    in-edge order is not grouped by source in node order (a copy built
+    by an ``add_edge`` loop over :meth:`CSDFG.edges` reorders it)."""
+    g = CSDFG("unsorted")
+    g.add_nodes("abcd")
+    g.add_edge("b", "c", 0, 1)
+    g.add_edge("a", "c", 1, 2)
+    g.add_edge("c", "d", 0, 1)
+    g.add_edge("a", "d", 2, 1)
+    g.add_edge("d", "b", 1, 1)
+    return g
+
+
+@pytest.fixture
 def diamond_dag():
     """Classic diamond: s -> (l, r) -> t, all zero delay."""
     g = CSDFG("diamond")

@@ -170,6 +170,75 @@ class TestCopies:
         assert not sub.has_edge("D", "A")
 
 
+    def test_structurally_equal_rejects_non_graphs(self, figure1):
+        # a truthy NotImplemented would make `if g.structurally_equal(x)`
+        # pass for any foreign object
+        assert figure1.structurally_equal(5) is False
+        assert figure1.structurally_equal(None) is False
+
+
+def adjacency(g):
+    return (
+        {v: [e.key for e in g.in_edges(v)] for v in g.nodes()},
+        {v: [e.key for e in g.out_edges(v)] for v in g.nodes()},
+    )
+
+
+class TestClones:
+    # the order an add_edge loop over edges() (grouped by source, in
+    # node order) gives the copy: a's out-edges land first everywhere
+    IN_ORDER = {
+        "a": [],
+        "b": [("d", "b")],
+        "c": [("a", "c"), ("b", "c")],
+        "d": [("a", "d"), ("c", "d")],
+    }
+    OUT_ORDER = {
+        "a": [("a", "c"), ("a", "d")],
+        "b": [("b", "c")],
+        "c": [("c", "d")],
+        "d": [("d", "b")],
+    }
+
+    def test_original_order_is_insertion_order(self, unsorted_preds):
+        ins, _outs = adjacency(unsorted_preds)
+        assert ins["c"] == [("b", "c"), ("a", "c")]
+
+    def test_copy_order_matches_add_edge_loop(self, unsorted_preds):
+        clone = unsorted_preds.copy()
+        assert list(clone.nodes()) == ["a", "b", "c", "d"]
+        assert adjacency(clone) == (self.IN_ORDER, self.OUT_ORDER)
+        assert [e.key for e in clone.edges()] == [
+            ("a", "c"), ("a", "d"), ("b", "c"), ("c", "d"), ("d", "b"),
+        ]
+
+    def test_copy_shares_edges(self, unsorted_preds):
+        g = unsorted_preds
+        clone = g.copy("twin")
+        assert clone.name == "twin" and g.copy().name == "unsorted"
+        for edge in g.edges():
+            assert clone.edge(edge.src, edge.dst) is edge
+
+    def test_set_delay_on_copy_leaves_original(self, unsorted_preds):
+        g = unsorted_preds
+        shared = g.edge("a", "c")
+        clone = g.copy()
+        clone.set_delay("a", "c", 5)
+        assert g.delay("a", "c") == 1 and g.edge("a", "c") is shared
+        assert [e.delay for e in g.in_edges("c")] == [0, 1]
+        assert [e.delay for e in clone.in_edges("c")] == [5, 0]
+        clone.add_node("e")
+        clone.add_edge("e", "a")
+        clone.remove_edge("b", "c")
+        assert "e" not in g and g.has_edge("b", "c")
+        assert g.in_degree("a") == 0
+
+    def test_copy_of_copy_keeps_order(self, unsorted_preds):
+        twice = unsorted_preds.copy().copy()
+        assert adjacency(twice) == (self.IN_ORDER, self.OUT_ORDER)
+        assert twice.structurally_equal(unsorted_preds)
+
+
 class TestNetworkxBridge:
     def test_round_trip(self, figure1):
         nxg = figure1.to_networkx()

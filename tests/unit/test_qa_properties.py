@@ -218,3 +218,60 @@ class TestSanitizerAgrees:
         )
         assert found, "sanitizer-agrees missed a run-dependent pipeline"
         assert "not deterministic" in found[0]
+
+
+class TestFeasibleLengthMinimal:
+    def test_registered(self):
+        assert "feasible-length-minimal" in PROPERTIES
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_holds_on_fixed_seeds(self, seed):
+        from repro.qa import sample_arch_spec, sample_config, sample_graph
+
+        rng = random.Random(seed)
+        graph = sample_graph(rng)
+        arch = sample_arch_spec(rng, degraded_prob=0.5).build()
+        cfg = sample_config(rng)
+        assert check_property(
+            "feasible-length-minimal", graph, arch, cfg, rng=seed
+        ) == []
+
+    def test_fires_when_exclusivity_is_skipped(self, monkeypatch):
+        # a pad that trusts the issue cells and never re-checks execution
+        # overlap accepts the occupied-PE corruption: on one PE the only
+        # move issues v at cs2, inside u's span (no edge can object)
+        import repro.qa.properties as props
+
+        g = CSDFG("pair")
+        g.add_node("u", 2)
+        g.add_node("v", 2)
+        g.add_edge("u", "v", 1, 1)
+
+        real = props.minimum_feasible_length
+
+        def cell_trusting(graph, arch, schedule, *, pipelined_pes=False,
+                          comm=None):
+            return real(graph, arch, schedule, pipelined_pes=True, comm=comm)
+
+        monkeypatch.setattr(props, "minimum_feasible_length", cell_trusting)
+        found = check_property(
+            "feasible-length-minimal", g, make_architecture("complete", 1),
+            CFG, rng=0,
+        )
+        assert found and all("occupied-pe" in v for v in found), found
+
+    def test_fires_on_an_off_by_one_length(self, figure1, mesh2x2,
+                                          monkeypatch):
+        import repro.qa.properties as props
+
+        real = props.minimum_feasible_length
+
+        def one_longer(*args, **kw):
+            length = real(*args, **kw)
+            return None if length is None else length + 1
+
+        monkeypatch.setattr(props, "minimum_feasible_length", one_longer)
+        found = check_property(
+            "feasible-length-minimal", figure1, mesh2x2, CFG, rng=0
+        )
+        assert found and all("minimum_feasible_length" in v for v in found)

@@ -48,6 +48,57 @@ class TestApply:
         out = apply_retiming(figure1, {"A": 1})
         assert iteration_bound(out) == iteration_bound(figure1)
 
+    def test_illegal_names_the_first_offender(self, unsorted_preds):
+        # a->c (1 - 2) is the first negative edge in edges() order;
+        # b->c (0 - 2) is worse but comes later
+        with pytest.raises(IllegalRetimingError) as info:
+            apply_retiming(unsorted_preds, {"c": 2})
+        assert str(info.value) == "edge 'a'->'c': retimed delay -1 < 0"
+
+    def test_unknown_node_message(self, unsorted_preds):
+        with pytest.raises(RetimingError) as info:
+            apply_retiming(unsorted_preds, {"z": 1, "a": 0, "y": 2})
+        assert not isinstance(info.value, IllegalRetimingError)
+        assert str(info.value) == (
+            "retiming mentions unknown nodes: ['z', 'y']"
+        )
+
+    def test_edge_order_matches_add_edge_loop(self, unsorted_preds):
+        out = apply_retiming(unsorted_preds, {"a": 1})
+        assert out.name == "unsorted:retimed"
+        assert {v: [e.key for e in out.in_edges(v)] for v in out.nodes()} == {
+            "a": [],
+            "b": [("d", "b")],
+            "c": [("a", "c"), ("b", "c")],
+            "d": [("a", "d"), ("c", "d")],
+        }
+        assert {v: [e.key for e in out.out_edges(v)] for v in out.nodes()} == {
+            "a": [("a", "c"), ("a", "d")],
+            "b": [("b", "c")],
+            "c": [("c", "d")],
+            "d": [("d", "b")],
+        }
+        assert [(e.key, e.delay) for e in out.in_edges("c")] == [
+            (("a", "c"), 2),
+            (("b", "c"), 0),
+        ]
+
+    def test_unchanged_edges_are_shared(self, unsorted_preds):
+        # identity guard: only edges whose delay changes are rebuilt
+        g = unsorted_preds
+        out = apply_retiming(g, {"a": 1, "b": 0}, name="r")
+        assert out.name == "r"
+        for key in (("b", "c"), ("c", "d"), ("d", "b")):
+            assert out.edge(*key) is g.edge(*key)
+        for key in (("a", "c"), ("a", "d")):
+            assert out.edge(*key) is not g.edge(*key)
+            assert out.delay(*key) == g.delay(*key) + 1
+            assert out.volume(*key) == g.volume(*key)
+        # the input keeps its delays, and the output is independent
+        assert g.delay("a", "c") == 1
+        out.set_delay("b", "c", 4)
+        assert g.delay("b", "c") == 0
+
     def test_volumes_and_times_unchanged(self, figure1):
         out = apply_retiming(figure1, {"A": 1})
         assert out.volume("A", "B") == 1

@@ -205,3 +205,71 @@ class TestMinimumFeasibleLength:
         if L is not None and L > s.makespan:
             shrunk._length = L - 1
             assert not is_valid_schedule(figure1, mesh2x2, shrunk)
+
+
+class TestMinimumFeasibleLengthSinglePass:
+    """The length-independent rules are checked once, from the
+    placements, never from the table's cell index."""
+
+    def test_execution_overlap_behind_issue_only_cells(self):
+        g = CSDFG("g")
+        g.add_node("u", 3)
+        g.add_node("v", 1)
+        arch = CompletelyConnected(1)
+        t = ScheduleTable(1)
+        # occupancy 1 leaves cs2 free in the cell index, but u executes
+        # through cs3, so only pipelined PEs may issue v at cs2
+        t.place("u", 0, 1, 3, occupancy=1)
+        t.place("v", 0, 2, 1, occupancy=1)
+        assert minimum_feasible_length(g, arch, t) is None
+        assert minimum_feasible_length(g, arch, t, pipelined_pes=True) == 3
+
+    def test_nonzero_origin_matches_a_fresh_table(self):
+        g = two_node_graph(delay=2, volume=4)
+        arch = LinearArray(2)
+        moved = ScheduleTable(2)
+        moved.place("u", 0, 2, 1)
+        moved.shift_all(2)  # origin 2, u stored at cs2 (absolute 4)
+        moved.place("v", 1, 1, 1)  # stored before the origin
+        fresh = ScheduleTable(2)
+        fresh.place("u", 0, 4, 1)
+        fresh.place("v", 1, 1, 1)
+        # CB(v) + 2L >= 4 + 4 + 1  =>  L >= ceil(8/2) = 4 = makespan
+        assert minimum_feasible_length(g, arch, moved) == 4
+        assert minimum_feasible_length(g, arch, fresh) == 4
+
+    def test_structural_problems_are_none(self):
+        g = two_node_graph(delay=1)
+        arch = CompletelyConnected(2)
+
+        def table(num_pes=2, **v):
+            t = ScheduleTable(num_pes)
+            t.place("u", 0, 1, 1)
+            t.place("v", v.get("pe", 1), 3, v.get("duration", 1))
+            return t
+
+        assert minimum_feasible_length(g, arch, table()) == 3
+        assert minimum_feasible_length(g, arch, table(duration=2)) is None
+        assert minimum_feasible_length(g, arch, table(3, pe=2)) is None
+        foreign = table()
+        foreign.place("w", 0, 2, 1)
+        assert minimum_feasible_length(g, arch, foreign) is None
+
+    def test_failed_pe_is_none(self):
+        from repro.arch import make_architecture
+        from repro.arch.degraded import DegradedTopology
+
+        g = two_node_graph(delay=1)
+        arch = DegradedTopology(make_architecture("ring", 4), failed_pes=(1,))
+        t = ScheduleTable(4)
+        t.place("u", 0, 1, 1)
+        t.place("v", 2, 1, 1)
+        assert minimum_feasible_length(g, arch, t) is not None
+        t.remove("v")
+        t.place("v", 1, 1, 1)
+        assert minimum_feasible_length(g, arch, t) is None
+
+    def test_empty_graph_is_one(self):
+        empty = CSDFG("empty")
+        t = ScheduleTable(1)
+        assert minimum_feasible_length(empty, CompletelyConnected(1), t) == 1
