@@ -15,12 +15,12 @@ Codes are grouped by what they analyze:
   checked over the module-level call graph by
   :mod:`repro.analyze.flow`),
 * ``RC2xx`` — interprocedural engine contracts (the freeze-then-certify
-  contention pricing protocol, cache construction discipline, kernel
-  backend encapsulation).
+  contention pricing protocol, cache construction discipline).
 
 Codes are *stable*: tests, CI annotations, suppression comments and
 ``docs/analysis.md`` all refer to them, so a code is never renumbered
-or reused.  New rules take the next free number in their band.
+or reused.  New rules take the next free number in their band; a
+retired code stays unused (``docs/analysis.md`` lists them).
 """
 
 from __future__ import annotations
@@ -383,18 +383,6 @@ RULES: dict[str, Rule] = _catalogue([
         "contention fixpoint) is the documented exception.",
         "hoist the construction out of the loop, or suppress a "
         "deliberate per-round reprice with a disable comment",
-    ),
-    Rule(
-        "RC204", "error", "kernel-backend-branch-outside-kernels",
-        "Code outside repro.core.kernels (and the repro.qa oracles, "
-        "which deliberately compare both backends) branches on the "
-        "kernel backend: reads BACKEND/np_kernels/py_kernels, consults "
-        "the REPRO_KERNELS env pin, or try/except-guards a numpy "
-        "import.  Backend selection is pinned once at import time in "
-        "one module so numpy-less hosts and CI pins behave identically "
-        "everywhere.",
-        "call the dispatching wrappers in repro.core.kernels instead "
-        "of branching on the backend locally",
     ),
 ])
 

@@ -30,9 +30,8 @@ converting them.
 Two scale-tier refinements keep the tracker O(touched edges) even on
 thousand-edge graphs:
 
-* :meth:`refresh` evaluates all edge bounds through the batched
-  :func:`repro.core.kernels.edge_bounds` kernel (one gather pass, one
-  array expression) instead of a per-edge python loop;
+* :meth:`refresh` gathers every edge once and evaluates all bounds in
+  one :func:`repro.core.kernels.edge_bounds` call;
 * :meth:`projected_length` reads the maximum bound from a lazy-deletion
   max-heap maintained alongside ``_bounds`` — updated edges are pushed
   and stale heap tops discarded on read, so the per-pass cost tracks

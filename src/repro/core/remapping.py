@@ -40,10 +40,9 @@ doomed slots are visited) but never the chosen placement.
 Three scale-tier refinements keep the search cheap on thousand-node
 tables:
 
-* on wide machines the per-PE floor/ceiling folds run through the
-  batched :func:`repro.core.kernels.fold_max` / ``fold_min`` kernels —
-  one array expression over all candidate PEs instead of a python loop
-  per PE;
+* the per-PE floor/ceiling folds run once per node through
+  :func:`repro.core.kernels.fold_max` / ``fold_min`` over all
+  candidate PEs, before the per-PE scan;
 * when the node has **no delayed in-edges**, every component of the
   slot key (implied length, ``ce``, ``cb``) is non-decreasing along
   the slot walk, so the first admissible start on a PE decides the
@@ -77,10 +76,6 @@ from repro.obs import metrics
 from repro.schedule.table import ScheduleTable
 
 __all__ = ["RemapOutcome", "remap_nodes"]
-
-# below this many candidate PEs the batched floor/ceiling folds cost
-# more in array setup than the plain python loop saves
-_FOLD_MIN_PES = 16
 
 
 @dataclass
@@ -334,18 +329,15 @@ def _find_spot(
     pes_scanned = 0
     slots_scanned = 0
     processors = arch.processors
-    # on wide machines fold the zero-delay floor/ceiling rows over all
-    # candidate PEs at once through the batched kernels; narrow ones
-    # keep the plain loops (array setup would dominate)
-    floors: list[int] | None = None
-    ceilings: list[int] | None = None
-    if len(processors) >= _FOLD_MIN_PES:
-        if in_zero:
-            floors = kernels.fold_max(
-                [(row, ce_u + 1) for row, ce_u in in_zero], processors, 1
-            )
-        if out_zero:
-            ceilings = kernels.fold_min(out_zero, processors)
+    # zero-delay floor/ceiling rows folded over all candidate PEs at once
+    floors = (
+        kernels.fold_max(
+            [(row, ce_u + 1) for row, ce_u in in_zero], processors, 1
+        )
+        if in_zero
+        else None
+    )
+    ceilings = kernels.fold_min(out_zero, processors) if out_zero else None
     # key: (implied, ce, cb, pe) for "implied"; (cb, ce, pe) lifted into
     # the same tuple shape for "first-fit"
     for j, pe in enumerate(processors):
@@ -360,24 +352,10 @@ def _find_spot(
                 self_loop_bound = bound
         # earliest start admissible w.r.t. zero-delay producers; every
         # slot at or past the floor satisfies all zero-delay in-edges
-        if floors is not None:
-            floor = floors[j]
-        else:
-            floor = 1
-            for row, ce_u in in_zero:
-                need = ce_u + row[pe] + 1
-                if need > floor:
-                    floor = need
+        floor = floors[j] if floors is not None else 1
         # latest start admissible w.r.t. zero-delay consumers: beyond
         # the ceiling every later slot violates some zero-delay out-edge
-        ceiling: int | None = None
-        if ceilings is not None:
-            ceiling = ceilings[j] - duration
-        else:
-            for row, cb_x in out_zero:
-                latest = cb_x - row[pe] - duration
-                if ceiling is None or latest < ceiling:
-                    ceiling = latest
+        ceiling = ceilings[j] - duration if ceilings is not None else None
         # with a cap, slots beyond it are pointless; without one, scan
         # far enough past the tail (and past the floor) that a free
         # slot is guaranteed on every PE

@@ -76,11 +76,11 @@ class ScaleCell:
 
 #: The pinned scale cells: four structural families, four sizes
 #: (1k/2k/5k/10k nodes), six topology kinds, one wide (64-PE)
-#: machine to exercise the batched per-PE fold kernels, plus one
-#: contended Cayley cell (circulant machine, serialised links) that
-#: runs the two-phase pipeline.  Pass budgets keep one full matrix
-#: under ~10 s while every cell still accepts multiple compaction
-#: passes.
+#: machine where the remap slot search scans many candidate PEs,
+#: plus one contended Cayley cell (circulant machine, serialised
+#: links) that runs the two-phase pipeline.  Pass budgets keep one
+#: full matrix under ~10 s while every cell still accepts multiple
+#: compaction passes.
 SCALE_MATRIX: tuple[ScaleCell, ...] = (
     ScaleCell("layered", 1000, "mesh", 16, 40),
     ScaleCell("fork-join", 2000, "hypercube", 16, 12),

@@ -45,12 +45,6 @@ workloads:
     inputs it passes never yield a validator-illegal schedule (and its
     RA4xx certificate checker reaches the validator's verdict); inputs
     it rejects make the pipeline refuse with a typed error.
-``kernels-agree``
-    The two batched-kernel backends (:mod:`repro.core.kernels`) are
-    exactly equal — comm-cost rows, PSL edge bounds and the per-PE
-    anticipation folds, on data derived from the sampled graph and
-    architecture (including degraded rows holding ``None``).  Vacuous
-    when only one backend is importable.
 ``contention-legal``
     The two-phase contention pipeline
     (:func:`repro.core.pipeline.contention_aware_schedule`) with a
@@ -526,114 +520,6 @@ def prop_analyzer_agrees(
     return problems
 
 
-def prop_kernels_agree(
-    graph: CSDFG, arch: Architecture, cfg: CycloConfig, rng: random.Random
-) -> list[str]:
-    """Both kernel backends agree exactly on sample-derived inputs.
-
-    Inputs come from the fuzz sample itself — the architecture's
-    distance matrix and cost model, the graph's edge volumes and
-    delays — so the comparison covers the value ranges the engine
-    actually feeds the kernels, not synthetic ones.  Vacuously true
-    when numpy is unavailable (or the python backend was forced).
-    """
-    from repro.core.kernels import np_kernels, py_kernels
-
-    if np_kernels is None:
-        return []
-    problems: list[str] = []
-    pes = list(arch.processors)
-    n = arch.num_pes
-    # the oracle needs the raw hop-cost model: comm_cost_row's cost_of
-    # contract is per-hop-count, same as the cache's internal caller
-    model_cost = arch.comm_model.cost  # repro-lint: disable=RL103
-    dist = arch.distance_matrix
-    volumes = sorted({e.volume for e in graph.edges()}) or [1]
-
-    def check(kernel: str, a, b, detail: str) -> None:
-        if a != b:
-            problems.append(
-                f"{kernel} backends disagree ({detail}): "
-                f"python={a!r} numpy={b!r}"
-            )
-
-    for src in rng.sample(pes, min(3, len(pes))):
-        hops_row = [int(dist[src][p]) for p in range(n)]
-        for vol in volumes:
-            def cost_of(hops: int, _vol: int = vol) -> int:
-                return model_cost(hops, _vol)
-
-            check(
-                "comm_cost_row",
-                py_kernels.comm_cost_row(hops_row, pes, cost_of, n),
-                np_kernels.comm_cost_row(hops_row, pes, cost_of, n),
-                f"src={src} volume={vol}",
-            )
-
-    edges = list(graph.edges())
-    if edges:
-        finishes = [rng.randint(0, 30) for _ in edges]
-        comms = [
-            model_cost(rng.randint(0, arch.diameter), e.volume)
-            for e in edges
-        ]
-        starts = [rng.randint(0, 30) for _ in edges]
-        delays = [e.delay for e in edges]
-        check(
-            "edge_bounds",
-            py_kernels.edge_bounds(finishes, comms, starts, delays),
-            np_kernels.edge_bounds(finishes, comms, starts, delays),
-            f"{len(edges)} edges",
-        )
-
-    rows_consts = [
-        (
-            [
-                model_cost(int(dist[rng.choice(pes)][p]), rng.choice(volumes))
-                for p in range(n)
-            ],
-            rng.randint(0, 10),
-        )
-        for _ in range(3)
-    ]
-    base = rng.randint(0, 5)
-    check(
-        "fold_max",
-        py_kernels.fold_max(rows_consts, pes, base),
-        np_kernels.fold_max(rows_consts, pes, base),
-        f"{len(rows_consts)} rows, base={base}",
-    )
-    check(
-        "fold_min",
-        py_kernels.fold_min(rows_consts, pes),
-        np_kernels.fold_min(rows_consts, pes),
-        f"{len(rows_consts)} rows",
-    )
-    if n > 1:
-        # degraded topology: one dead PE's entries are None and the PE
-        # is excluded from the gather — numpy must fall back, outputs
-        # must still match exactly
-        dead = rng.choice(pes)
-        alive = [p for p in pes if p != dead]
-        degraded = [
-            ([None if p == dead else v for p, v in enumerate(row)], const)
-            for row, const in rows_consts
-        ]
-        check(
-            "fold_max",
-            py_kernels.fold_max(degraded, alive, base),
-            np_kernels.fold_max(degraded, alive, base),
-            f"degraded pe={dead}",
-        )
-        check(
-            "fold_min",
-            py_kernels.fold_min(degraded, alive),
-            np_kernels.fold_min(degraded, alive),
-            f"degraded pe={dead}",
-        )
-    return problems
-
-
 def contended_design_criterion_violations(
     graph: CSDFG,
     arch: Architecture,
@@ -950,7 +836,6 @@ PROPERTIES: dict[str, PropertyFn] = {
     "retiming-legality": prop_retiming_legality,
     "bounds": prop_bounds,
     "analyzer-agrees": prop_analyzer_agrees,
-    "kernels-agree": prop_kernels_agree,
     "contention-legal": prop_contention_legal,
     "sanitizer-agrees": prop_sanitizer_agrees,
     "feasible-length-minimal": prop_feasible_length_minimal,

@@ -32,7 +32,12 @@ from repro.core import (
 )
 from repro.errors import ReproError
 from repro.graph.csdfg import CSDFG
-from repro.graph.generators import chain_csdfg, fork_join_csdfg, ring_csdfg
+from repro.graph.generators import (
+    chain_csdfg,
+    fork_join_csdfg,
+    layered_csdfg,
+    ring_csdfg,
+)
 from repro.perf.reference import (
     reference_cyclo_compact,
     reference_start_up_schedule,
@@ -136,6 +141,33 @@ def test_longer_run_stays_equivalent():
     graph = make_workload("figure7")
     arch = make_architecture("mesh", 8)
     cfg = CycloConfig(max_iterations=40, validate_each_step=False)
+    _assert_equivalent(graph, arch, cfg)
+
+
+WIDE_GRAPHS = {
+    "figure7": lambda: make_workload("figure7"),
+    "layered60-s1": lambda: layered_csdfg([6] * 10, seed=1),
+    "layered60-s2": lambda: layered_csdfg([5, 8, 7, 9, 8, 7, 9, 7], seed=2),
+}
+
+WIDE_MACHINES = {
+    "mesh16": lambda: make_architecture("mesh", 16),
+    "complete16": lambda: make_architecture("complete", 16),
+    # 18 live PEs with non-contiguous ids and None rows at the dead ones
+    "mesh20-minus-0-5": lambda: DegradedTopology(
+        make_architecture("mesh", 20), failed_pes=[0, 5]
+    ),
+}
+
+
+@pytest.mark.parametrize("machine", sorted(WIDE_MACHINES))
+@pytest.mark.parametrize("graph_name", sorted(WIDE_GRAPHS))
+def test_wide_machines(graph_name, machine):
+    # the remapping slot search on 16 or more candidate PEs
+    graph = WIDE_GRAPHS[graph_name]()
+    arch = WIDE_MACHINES[machine]()
+    assert len(arch.processors) >= 16
+    cfg = CycloConfig(max_iterations=12, validate_each_step=False)
     _assert_equivalent(graph, arch, cfg)
 
 

@@ -156,7 +156,7 @@ class TestListRules:
                      "determinism flow", "engine contracts"):
             assert head in out
         for code in ("RA101", "RL101", "RL109",
-                     "RD101", "RD104", "RC201", "RC204"):
+                     "RD101", "RD104", "RC201"):
             assert code in out
 
     def test_shows_severity_and_title(self, capsys):

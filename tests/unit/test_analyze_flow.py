@@ -354,47 +354,6 @@ class TestRC203CacheInHotLoop:
         assert codes(report) == [] and report.suppressed == 1
 
 
-class TestRC204BackendBranchOutsideKernels:
-    def test_backend_reference(self, tmp_path):
-        report = run(tmp_path, {"core/fast.py": (
-            "from repro.core.kernels import BACKEND\n"
-            "def pick(rows):\n"
-            "    if BACKEND == 'numpy':\n"
-            "        return rows\n"
-            "    return list(rows)\n"
-        )})
-        assert "RC204" in codes(report)
-
-    def test_guarded_numpy_import(self, tmp_path):
-        report = run(tmp_path, {"perf/fast.py": (
-            "try:\n"
-            "    import numpy as np\n"
-            "except ImportError:\n"
-            "    np = None\n"
-            "def rows(xs):\n"
-            "    return xs\n"
-        )})
-        assert "RC204" in codes(report)
-
-    def test_env_pin_read(self, tmp_path):
-        report = run(tmp_path, {"obs/pin.py": (
-            "import os\n"
-            "def backend_name():\n"
-            "    return os.environ.get('REPRO_KERNELS', 'numpy')\n"
-        )})
-        assert "RC204" in codes(report)
-
-    def test_qa_oracles_are_allowlisted(self, tmp_path):
-        report = run(tmp_path, {"qa/oracle.py": (
-            "from repro.core.kernels import np_kernels, py_kernels\n"
-            "def agree(rows):\n"
-            "    if np_kernels is None:\n"
-            "        return True\n"
-            "    return np_kernels == py_kernels\n"
-        )})
-        assert "RC204" not in codes(report)
-
-
 class TestEngineBehaviour:
     def test_missing_path_is_analysis_error(self, tmp_path):
         with pytest.raises(AnalysisError, match="no such file"):
