@@ -1,7 +1,7 @@
 """Head 2 — the codebase lint (``repro lint``).
 
 A small :mod:`ast`-based linter enforcing the repository's own
-invariants (rules ``RL101``–``RL108`` in the catalogue):
+invariants (rules ``RL101``–``RL107`` in the catalogue):
 
 * determinism — no draws from global random state and no unseeded
   ``Random()`` outside :mod:`repro.qa` (RL101), no wall-clock reads in
@@ -15,11 +15,7 @@ invariants (rules ``RL101``–``RL108`` in the catalogue):
 * sinks over stdout — no ``print()`` in the instrumented packages
   (:mod:`repro.core`, :mod:`repro.perf`) or in
   :mod:`repro.obs.runtime` (RL107): diagnostics there belong in the
-  observability sinks, not on stdout;
-* batched kernels stay batched — no python-level loop (``for`` or
-  comprehension) over ``graph.nodes()``/``graph.edges()`` inside the
-  batched-kernel modules (RL108): callers gather once and pass flat
-  sequences.
+  observability sinks, not on stdout.
 
 A finding on a line carrying ``# repro-lint: disable=CODE`` (several
 codes comma-separated, or ``disable=all``) is suppressed and counted in
@@ -56,14 +52,6 @@ CORE_PACKAGES = WALLCLOCK_BANNED + ("repro.arch", "repro.schedule")
 #: the instrumented packages plus the observability runtime itself.
 PRINT_BANNED_PACKAGES = ("repro.core", "repro.perf")
 PRINT_BANNED_MODULES = ("repro.obs.runtime",)
-
-#: Modules holding array-at-a-time kernels, where per-node python
-#: loops over graph nodes/edges are banned (RL108): callers gather
-#: once, kernels take flat sequences.
-BATCHED_KERNEL_MODULES = ("repro.core.kernels",)
-
-#: Graph-walk methods whose iteration RL108 flags.
-_GRAPH_WALKS = frozenset({"nodes", "edges", "in_edges", "out_edges"})
 
 #: Functions that read or mutate a module-global random state.
 _RAND_FUNCS = frozenset({
@@ -236,36 +224,6 @@ class _Visitor(ast.NodeVisitor):
                     node,
                 )
         self.generic_visit(node)
-
-    # -- RL108 ---------------------------------------------------------
-    def _check_graph_walk(self, iter_node: ast.expr, node: ast.AST) -> None:
-        if self.module not in BATCHED_KERNEL_MODULES:
-            return
-        if not isinstance(iter_node, ast.Call):
-            return
-        chain = _dotted(iter_node.func)
-        if len(chain) >= 2 and chain[-1] in _GRAPH_WALKS:
-            self._emit(
-                "RL108",
-                f"python-level loop over .{chain[-1]}() in batched-kernel "
-                f"module {self.module}: gather in the caller, pass flat "
-                "sequences",
-                node,
-            )
-
-    def visit_For(self, node: ast.For) -> None:
-        self._check_graph_walk(node.iter, node)
-        self.generic_visit(node)
-
-    def _visit_comp(self, node) -> None:
-        for gen in node.generators:
-            self._check_graph_walk(gen.iter, node)
-        self.generic_visit(node)
-
-    visit_ListComp = _visit_comp
-    visit_SetComp = _visit_comp
-    visit_DictComp = _visit_comp
-    visit_GeneratorExp = _visit_comp
 
     # -- RL106 ---------------------------------------------------------
     def visit_Raise(self, node: ast.Raise) -> None:

@@ -289,16 +289,6 @@ RULES: dict[str, Rule] = _catalogue([
         "with a disable comment",
     ),
     Rule(
-        "RL108", "error", "scalar-loop-in-kernel-module",
-        "A python-level loop (for statement or comprehension) iterates "
-        "over graph.nodes()/graph.edges() inside a batched-kernel "
-        "module: these modules exist to keep the per-node work "
-        "array-at-a-time, so per-element graph walks belong in the "
-        "caller, which gathers once and passes flat sequences.",
-        "hoist the gather to the caller and pass flat sequences, or "
-        "suppress a deliberate scalar path with a disable comment",
-    ),
-    Rule(
         "RL109", "warning", "useless-suppression",
         "A `# repro-lint: disable=` comment names a code that is not in "
         "the rule catalogue, or suppresses nothing on its line (or, for "

@@ -8,7 +8,6 @@ High-level entry points:
   remapping with/without relaxation).
 """
 
-from repro.core.anticipation import anticipated_start, latest_finish
 from repro.core.config import CycloConfig
 from repro.core.cyclo import CycloResult, cyclo_compact
 from repro.core.mobility import mobility, mobility_map
@@ -44,11 +43,9 @@ __all__ = [
     "PriorityKey",
     "RefineResult",
     "RemapOutcome",
-    "anticipated_start",
     "contention_aware_schedule",
     "cyclo_compact",
     "fifo_priority",
-    "latest_finish",
     "mobility",
     "mobility_map",
     "mobility_only_priority",

@@ -33,8 +33,10 @@ class CycloConfig:
         Stop early after this many consecutive passes without improving
         the best length.  ``None`` disables early stopping.
     validate_each_step:
-        Run the full schedule validator after every pass (cheap for the
-        paper-scale graphs; disable for large sweeps).
+        Run the full schedule validator after every pass and
+        cross-check the incremental projected schedule length against
+        the full rescan (cheap for the paper-scale graphs; disable for
+        large sweeps).
     pipelined_pes:
         Schedule for pipelined processing elements (paper §2): a task
         blocks its processor for a single control step while its result
@@ -60,14 +62,6 @@ class CycloConfig:
         only ever copies validated tables, so the returned schedule is
         unaffected by whatever state the failing pass left behind.
         Default false: internal invariant violations stay loud.
-    fast_path:
-        Use the fast-path engine: a per-(graph, architecture)
-        communication-cost cache and incremental projected-schedule-
-        length bounds (see ``docs/performance.md``).  Produces schedules
-        identical to the unoptimised path (pinned by the equivalence
-        suite); disable only to benchmark against the reference
-        behaviour.  With ``validate_each_step`` on, every pass
-        cross-checks the incremental PSL against the full rescan.
     contention_model:
         Opt-in contention-aware pricing for the two-phase pipeline
         (``contention_aware_schedule``): ``None`` (default) keeps the
@@ -92,7 +86,6 @@ class CycloConfig:
     remap_strategy: str = "implied"
     deadline_seconds: float | None = None
     recover_on_error: bool = False
-    fast_path: bool = True
     contention_model: str | None = None
     contention_weight: int = 1
     contention_rounds: int = 2
@@ -155,7 +148,6 @@ class CycloConfig:
             "remap_strategy": self.remap_strategy,
             "deadline_seconds": self.deadline_seconds,
             "recover_on_error": self.recover_on_error,
-            "fast_path": self.fast_path,
             "contention_model": self.contention_model,
             "contention_weight": self.contention_weight,
             "contention_rounds": self.contention_rounds,

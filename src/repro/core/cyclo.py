@@ -211,10 +211,9 @@ def cyclo_compact(
         Optional pre-built :class:`CommCostCache` pricing this run —
         the hook the contention-aware pipeline uses to schedule under
         surcharged (frozen-occupancy) prices.  Defaults to the plain
-        contention-free cache when ``cfg.fast_path`` is on.  Every
-        in-run consumer (start-up, remapping, PSL, validation) prices
-        through it, so the returned schedule is legal w.r.t. exactly
-        this cache's cost function.
+        contention-free cache.  Every in-run consumer (start-up,
+        remapping, PSL, validation) prices through it, so the returned
+        schedule is legal w.r.t. exactly this cache's cost function.
 
     The input graph is copied, never mutated.
     """
@@ -223,7 +222,7 @@ def cyclo_compact(
         # edge volumes are copy- and retiming-invariant, so one cache
         # built from the input graph serves the whole run
         if comm is None:
-            comm = CommCostCache.for_graph(arch, graph) if cfg.fast_path else None
+            comm = CommCostCache.for_graph(arch, graph)
         state = _initial_state(graph, arch, cfg, initial, comm=comm)
         result = _run_passes(state, graph, arch, cfg, comm=comm)
         sp.add(
@@ -235,8 +234,7 @@ def cyclo_compact(
         # publish the hot-subsystem tallies exactly once per run (the
         # working table carries the probe/shift counts; best/initial
         # copies start from fresh zeros)
-        if comm is not None:
-            comm.publish_stats()
+        comm.publish_stats()
         if result.final_schedule is not None:
             result.final_schedule.publish_stats()
     return result
@@ -248,11 +246,9 @@ def _initial_state(
     cfg: CycloConfig,
     initial: ScheduleTable | None,
     *,
-    comm: CommCostCache | None = None,
+    comm: CommCostCache,
 ) -> _LoopState:
     working = graph.copy()
-    if comm is None and cfg.fast_path:
-        comm = CommCostCache.for_graph(arch, working)
     if initial is None:
         schedule = start_up_schedule(
             working, arch, pipelined_pes=cfg.pipelined_pes, comm=comm
@@ -285,27 +281,22 @@ def _run_passes(
     arch: Architecture,
     cfg: CycloConfig,
     *,
-    comm: CommCostCache | None = None,
+    comm: CommCostCache,
 ) -> CycloResult:
     """Drive passes ``state.next_index .. z``, honouring every budget."""
     started = time.monotonic()  # repro-lint: disable=RL102,RD103 (deadline budget, result-neutral)
     stop_reason = "completed"
     total = cfg.iterations_for(state.working.num_nodes)
 
-    tracker: PSLTracker | None = None
-    if cfg.fast_path and total >= state.next_index:
-        # the tracker is seeded from the (legal) working schedule and
-        # updated incrementally by each remapping pass
-        if comm is None:
-            comm = CommCostCache.for_graph(arch, state.working)
-        tracker = PSLTracker(
-            state.working,
-            arch,
-            state.schedule,
-            comm=comm,
-            pipelined_pes=cfg.pipelined_pes,
-        )
-
+    # the tracker is seeded from the (legal) working schedule and
+    # updated incrementally by each remapping pass
+    tracker = PSLTracker(
+        state.working,
+        arch,
+        state.schedule,
+        comm=comm,
+        pipelined_pes=cfg.pipelined_pes,
+    )
     topo_cache = _TopoRankCache()
     for index in range(state.next_index, total + 1):
         if (
@@ -365,9 +356,9 @@ def _one_pass(
     cfg: CycloConfig,
     index: int,
     *,
-    comm: CommCostCache | None = None,
-    tracker: PSLTracker | None = None,
-    topo_cache: _TopoRankCache | None = None,
+    comm: CommCostCache,
+    tracker: PSLTracker,
+    topo_cache: _TopoRankCache,
 ) -> str | None:
     """One rotate+remap pass; a stop reason string ends the loop."""
     working, schedule, retiming = state.working, state.schedule, state.retiming
@@ -378,11 +369,7 @@ def _one_pass(
             rotated, old_placements = rotate_schedule(working, schedule)
         for node in rotated:
             retiming[node] += 1
-        topo_rank = (
-            topo_cache.ranks(working, rotated)
-            if topo_cache is not None
-            else None
-        )
+        topo_rank = topo_cache.ranks(working, rotated)
         with span("remap", index=index, nodes=len(rotated)):
             outcome = remap_nodes(
                 working,
@@ -401,8 +388,7 @@ def _one_pass(
         if not outcome.accepted:
             metrics.inc("cyclo.rejected")
             metrics.inc("cyclo.rollbacks")
-            if topo_cache is not None:
-                topo_cache.note_rollback()
+            topo_cache.note_rollback()
             undo_rotation(
                 working, schedule, rotated, old_placements, previous_length
             )

@@ -11,11 +11,8 @@ them as one plain-python function over flat sequences.
 All arithmetic is integer-exact: ceil division is ``-(-a // b)``.
 
 Callers reach the kernels through the module (``kernels.fold_max(...)``)
-so a tracer can wrap them by patching these attributes.
-
-Keep per-node python loops out of this module — ``repro lint`` rule
-RL108 flags iteration over ``graph.nodes()``/``graph.edges()`` here;
-kernels take flat sequences, callers do the (single) gather.
+so a tracer can wrap them by patching these attributes.  Kernels take
+flat sequences; callers do the (single) gather over the graph.
 """
 
 from __future__ import annotations

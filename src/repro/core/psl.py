@@ -41,18 +41,15 @@ thousand-edge graphs:
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-from repro.core import kernels
-
+from repro.arch.cache import CommCostCache
 from repro.arch.topology import Architecture
+from repro.core import kernels
 from repro.errors import InfeasibleScheduleError
 from repro.graph.csdfg import CSDFG, Node
 from repro.schedule.table import ScheduleTable
 from repro.schedule.validate import minimum_feasible_length
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.arch.cache import CommCostCache
 
 __all__ = ["psl_edge_bound", "projected_schedule_length", "PSLTracker"]
 
@@ -76,14 +73,14 @@ def projected_schedule_length(
     schedule: ScheduleTable,
     *,
     pipelined_pes: bool = False,
-    comm: "CommCostCache | None" = None,
+    comm: CommCostCache | None = None,
 ) -> int:
     """Minimum legal length for the schedule's current placements.
 
     Raises :class:`InfeasibleScheduleError` when some zero-delay
     dependence is violated outright (no length can repair an
-    intra-iteration ordering error).  ``comm`` supplies precomputed
-    communication costs for the fast path.
+    intra-iteration ordering error).  ``comm`` prices the transfers
+    (``arch.comm_cost`` when omitted).
     """
     length = minimum_feasible_length(
         graph, arch, schedule, pipelined_pes=pipelined_pes, comm=comm
@@ -128,14 +125,16 @@ class PSLTracker:
         arch: Architecture,
         schedule: ScheduleTable,
         *,
-        comm: "CommCostCache | None" = None,
+        comm: CommCostCache | None = None,
         pipelined_pes: bool = False,
     ):
         self.graph = graph
         self.arch = arch
         self.schedule = schedule
         self.pipelined_pes = pipelined_pes
-        self._cost = comm.cost if comm is not None else arch.comm_cost
+        if comm is None:
+            comm = CommCostCache.for_graph(arch, graph)
+        self._cost = comm.cost
         self._bounds: dict[tuple[Node, Node], int] = {}
         # lazy-deletion max-heap of (-bound, key); entries go stale when
         # a key's bound changes — projected_length() discards tops whose

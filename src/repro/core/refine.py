@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.arch.cache import CommCostCache
 from repro.arch.topology import Architecture
 from repro.core.psl import projected_schedule_length
 from repro.core.remapping import _find_spot
@@ -75,6 +76,7 @@ def refine_schedule(
         raise ScheduleValidationError(["refine needs a legal schedule"] + violations)
 
     work = schedule.copy(name=f"{schedule.name}:refined")
+    comm = CommCostCache.for_graph(arch, graph)
     initial_length = work.length
     order = topological_order_zero_delay(graph)
     total_moves = 0
@@ -84,7 +86,7 @@ def refine_schedule(
         sweeps += 1
         moved_this_sweep = 0
         for node in order:
-            if _try_move(graph, arch, work, node, pipelined_pes):
+            if _try_move(graph, arch, work, node, pipelined_pes, comm):
                 moved_this_sweep += 1
         total_moves += moved_this_sweep
         if moved_this_sweep == 0:
@@ -105,6 +107,7 @@ def _try_move(
     schedule: ScheduleTable,
     node: Node,
     pipelined_pes: bool,
+    comm: CommCostCache,
 ) -> bool:
     """Re-place ``node`` if a strictly better or equal-length-but-
     earlier slot exists; returns True when the placement changed."""
@@ -118,6 +121,7 @@ def _try_move(
         node,
         cap=length_before,
         pipelined_pes=pipelined_pes,
+        comm=comm,
     )
     if spot is None:
         # restore verbatim (cannot happen for legal inputs, but be safe)
@@ -129,7 +133,7 @@ def _try_move(
     occupancy = 1 if pipelined_pes else duration
     schedule.place(node, pe, cb, duration, occupancy)
     new_length = projected_schedule_length(
-        graph, arch, schedule, pipelined_pes=pipelined_pes
+        graph, arch, schedule, pipelined_pes=pipelined_pes, comm=comm
     )
     changed = (pe, cb) != (before.pe, before.start)
     improved_position = new_length < length_before or (

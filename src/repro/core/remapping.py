@@ -27,10 +27,9 @@ Fast path
 ---------
 The slot search hoists all communication costs out of the inner loop:
 for each constraint the full per-candidate-PE cost row is fetched once
-(from a :class:`~repro.arch.cache.CommCostCache` when provided, else
-via ``arch.comm_cost``), each candidate PE folds the rows into scalar
-floor/ceiling/delayed-bound constants, and the per-slot work reduces to
-a handful of integer ceil-divisions.  Zero-delay *in* constraints are
+from a :class:`~repro.arch.cache.CommCostCache`, each candidate PE
+folds the rows into scalar floor/ceiling/delayed-bound constants, and
+the per-slot work reduces to a handful of integer ceil-divisions.  Zero-delay *in* constraints are
 enforced entirely by the floor (every scanned slot satisfies them by
 construction); zero-delay *out* constraints give a start-step ceiling
 past which the PE's scan stops early — later slots can only violate
@@ -122,16 +121,19 @@ def remap_nodes(
     search: ``"implied"`` (this implementation's scoring) or
     ``"first-fit"`` (the paper's literal procedure).
 
-    ``comm`` supplies precomputed communication costs; ``psl`` supplies
-    incremental projected-schedule-length bounds (its edge snapshot is
-    restored on every rejected pass, so the tracker always reflects the
-    schedule the caller sees).  ``topo_rank`` optionally supplies the
+    ``comm`` prices every placement (a plain
+    :class:`~repro.arch.cache.CommCostCache` for ``graph`` when
+    omitted); ``psl`` supplies incremental projected-schedule-length
+    bounds (its edge snapshot is restored on every rejected pass, so
+    the tracker always reflects the schedule the caller sees).  ``topo_rank`` optionally supplies the
     full-graph zero-delay topological ranks (node -> position) so the
     placement order need not re-run Kahn's algorithm — it must match
     the graph's *current* delays.  ``debug_check=True`` cross-checks
     the incremental length against the full rescan and raises
     :class:`SchedulingError` on divergence.
     """
+    if comm is None:
+        comm = CommCostCache.for_graph(arch, graph)
     ordered = _placement_order(graph, nodes, topo_rank)
     placed: list[Node] = []
     outcome = RemapOutcome(accepted=True, new_length=previous_length)
@@ -229,38 +231,6 @@ def _placement_order(
     return sorted(nodes, key=lambda v: (rank[v], -graph.time(v), str(v)))
 
 
-def _cost_row(
-    arch: Architecture,
-    comm: CommCostCache | None,
-    fixed_pe: int,
-    volume: int,
-    *,
-    outgoing: bool,
-) -> list[int | None]:
-    """Costs between ``fixed_pe`` and every candidate PE id.
-
-    ``outgoing=True`` prices ``fixed_pe -> p`` (the candidate receives);
-    ``outgoing=False`` prices ``p -> fixed_pe``.  Entries for PEs the
-    scheduler never visits (failed ones) may be ``None``.
-    """
-    if comm is not None:
-        row = (
-            comm.row_from(fixed_pe, volume)
-            if outgoing
-            else comm.row_to(fixed_pe, volume)
-        )
-        if row is not None:
-            return row
-    row = [None] * arch.num_pes
-    for p in arch.processors:
-        row[p] = (
-            arch.comm_cost(fixed_pe, p, volume)
-            if outgoing
-            else arch.comm_cost(p, fixed_pe, volume)
-        )
-    return row
-
-
 def _find_spot(
     graph: CSDFG,
     arch: Architecture,
@@ -270,9 +240,10 @@ def _find_spot(
     cap: int | None,
     pipelined_pes: bool = False,
     strategy: str = "implied",
-    comm: CommCostCache | None = None,
+    comm: CommCostCache,
 ) -> tuple[int, int, int] | None:
-    """Best ``(pe, cb, duration)`` slot for ``node``.
+    """Best ``(pe, cb, duration)`` slot for ``node``, priced by ``comm``
+    (which must cover the graph's edge volumes).
 
     ``strategy="implied"`` scans every free slot up to the horizon and
     minimises the implied schedule length; ``strategy="first-fit"``
@@ -300,9 +271,7 @@ def _find_spot(
             continue
         p = placements.get(e.src)
         if p is not None:
-            row = comm.row_from(p.pe, e.volume) if comm is not None else None
-            if row is None:
-                row = _cost_row(arch, comm, p.pe, e.volume, outgoing=True)
+            row = comm.row_from(p.pe, e.volume)
             finish_u = p.start + origin + p.duration - 1
             if e.delay == 0:
                 in_zero.append((row, finish_u))
@@ -314,9 +283,7 @@ def _find_spot(
         p = placements.get(e.dst)
         if p is None:
             continue
-        row = comm.row_to(p.pe, e.volume) if comm is not None else None
-        if row is None:
-            row = _cost_row(arch, comm, p.pe, e.volume, outgoing=False)
+        row = comm.row_to(p.pe, e.volume)
         cb_x = p.start + origin
         if e.delay == 0:
             out_zero.append((row, cb_x))
@@ -442,45 +409,6 @@ def _find_spot(
     if first_fit:
         return best[3], best[0], best[4]
     return best[3], best[2], best[4]
-
-
-def _implied_length(
-    arch: Architecture,
-    pe: int,
-    cb: int,
-    ce: int,
-    in_constraints: list[tuple[int, int, int, int]],
-    out_constraints: list[tuple[int, int, int, int]],
-    comm: CommCostCache | None = None,
-) -> int | None:
-    """Smallest ``L`` making the candidate legal w.r.t. its placed
-    neighbours, or ``None`` when a zero-delay dependence is violated.
-
-    Retained as the reference form of the slot score (the fast-path
-    scan in :func:`_find_spot` folds the same arithmetic into per-PE
-    constants); constraints are ``(peer_pe, CE-or-CB, dr, vol)``.
-    """
-    cost = comm.cost if comm is not None else arch.comm_cost
-    implied = 1
-    for src_pe, ce_u, dr, vol in in_constraints:
-        slack = ce_u + cost(src_pe, pe, vol) + 1 - cb
-        if dr == 0:
-            if slack > 0:
-                return None
-        else:
-            need = -(-slack // dr)  # ceil
-            if need > implied:
-                implied = need
-    for dst_pe, cb_x, dr, vol in out_constraints:
-        slack = ce + cost(pe, dst_pe, vol) + 1 - cb_x
-        if dr == 0:
-            if slack > 0:
-                return None
-        else:
-            need = -(-slack // dr)
-            if need > implied:
-                implied = need
-    return implied
 
 
 def _rollback(schedule: ScheduleTable, placed: list[Node]) -> None:

@@ -79,9 +79,8 @@ def start_up_schedule(
         for one control step only, while its results still take
         ``t(v)`` control steps to appear.
     comm:
-        Optional precomputed communication-cost cache (see
-        :class:`repro.arch.cache.CommCostCache`); placement decisions
-        are identical with or without it.
+        The :class:`repro.arch.cache.CommCostCache` pricing every
+        placement; a plain cache for ``graph`` is built when omitted.
 
     Returns
     -------
@@ -99,7 +98,9 @@ def start_up_schedule(
         schedule = ScheduleTable(
             arch.num_pes, name=f"{graph.name}@{arch.name}:startup"
         )
-        cost = comm.cost if comm is not None else arch.comm_cost
+        if comm is None:
+            comm = CommCostCache.for_graph(arch, graph)
+        cost = comm.cost
         processors = list(arch.processors)
         # last control step each PE is busy, keyed by PE id (degraded
         # machines have non-contiguous ids)

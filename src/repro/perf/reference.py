@@ -14,8 +14,10 @@ implementations that the fast-path engine replaced:
   every PE for it at every control step (with the placement-failure
   memo for nodes without zero-delay producers);
 * :func:`reference_cyclo_compact` — cyclo-compaction wired to all of
-  the above with ``fast_path=False`` (no communication-cost cache, full
-  ``projected_schedule_length`` rescan after every pass).
+  the above, pricing every transfer through ``arch.comm_cost`` (no
+  communication-cost cache) and recomputing the projected schedule
+  length by a full ``projected_schedule_length`` rescan after every
+  pass (no incremental tracker).
 
 The behaviour contract: for identical inputs the reference engine and
 the fast path produce **identical schedules** — same lengths, same
@@ -30,10 +32,8 @@ path prunes slots and probes the reference path makes and rejects.)
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterator
 
-from repro.arch.cache import CommCostCache
 from repro.arch.topology import Architecture
 from repro.core import cyclo as _cyclo_mod
 from repro.core import remapping as _remapping_mod
@@ -42,8 +42,12 @@ from repro.core.cyclo import CycloResult, cyclo_compact
 from repro.core.mobility import mobility_map
 from repro.core.priority import PriorityFn, paper_priority
 from repro.core.psl import projected_schedule_length
-from repro.core.remapping import _implied_length
-from repro.errors import PlacementConflictError, ScheduleError, SchedulingError
+from repro.errors import (
+    InfeasibleScheduleError,
+    PlacementConflictError,
+    ScheduleError,
+    SchedulingError,
+)
 from repro.graph.csdfg import CSDFG, Node
 from repro.graph.validation import topological_order_zero_delay
 from repro.obs import metrics, span
@@ -264,6 +268,44 @@ def reference_find_spot(
     return best[3], best[2], best[4]
 
 
+def _implied_length(
+    arch: Architecture,
+    pe: int,
+    cb: int,
+    ce: int,
+    in_constraints: list[tuple[int, int, int, int]],
+    out_constraints: list[tuple[int, int, int, int]],
+) -> int | None:
+    """Smallest ``L`` making the candidate legal w.r.t. its placed
+    neighbours, or ``None`` when a zero-delay dependence is violated.
+
+    The reference form of the slot score (the engine's
+    :func:`repro.core.remapping._find_spot` folds the same arithmetic
+    into per-PE constants); constraints are ``(peer_pe, CE-or-CB, dr,
+    vol)``.
+    """
+    implied = 1
+    for src_pe, ce_u, dr, vol in in_constraints:
+        slack = ce_u + arch.comm_cost(src_pe, pe, vol) + 1 - cb
+        if dr == 0:
+            if slack > 0:
+                return None
+        else:
+            need = -(-slack // dr)  # ceil
+            if need > implied:
+                implied = need
+    for dst_pe, cb_x, dr, vol in out_constraints:
+        slack = ce + arch.comm_cost(pe, dst_pe, vol) + 1 - cb_x
+        if dr == 0:
+            if slack > 0:
+                return None
+        else:
+            need = -(-slack // dr)
+            if need > implied:
+                implied = need
+    return implied
+
+
 def reference_start_up_schedule(
     graph: CSDFG,
     arch: Architecture,
@@ -271,10 +313,10 @@ def reference_start_up_schedule(
     priority: PriorityFn = paper_priority,
     pad_for_delayed_edges: bool = True,
     pipelined_pes: bool = False,
-    comm: CommCostCache | None = None,
+    comm=None,  # accepted for signature compatibility; never cached here
 ) -> ScheduleTable:
     """The original start-up list scheduler on a
-    :class:`ReferenceScheduleTable`.
+    :class:`ReferenceScheduleTable`, pricing through ``arch.comm_cost``.
 
     Walks every control step ``cs = 1, 2, ...``, re-sorts the whole
     ready list by the priority's score ``a + b * cs`` at that step and
@@ -347,8 +389,7 @@ def reference_start_up_schedule(
                     deferrals += 1
                     continue
                 choice = _reference_best_processor(
-                    graph, arch, schedule, finish, node, cs, pipelined_pes,
-                    comm=comm,
+                    graph, arch, schedule, finish, node, cs, pipelined_pes
                 )
                 if choice is None:
                     if memo_key is not None:
@@ -374,8 +415,7 @@ def reference_start_up_schedule(
         if pad_for_delayed_edges:
             schedule.set_length(
                 projected_schedule_length(
-                    graph, arch, schedule, pipelined_pes=pipelined_pes,
-                    comm=comm,
+                    graph, arch, schedule, pipelined_pes=pipelined_pes
                 )
             )
         metrics.inc("startup.placements", placements_made)
@@ -399,15 +439,13 @@ def _reference_best_processor(
     node: Node,
     cs: int,
     pipelined_pes: bool,
-    *,
-    comm: CommCostCache | None = None,
 ) -> tuple[int, int] | None:
     """The ``(processor, duration)`` where ``node`` may start at ``cs``.
 
     Minimises the execution time on the PE (heterogeneous machines),
     then the data-arrival bound ``cm``; ``None`` when no processor
     qualifies."""
-    cost = comm.cost if comm is not None else arch.comm_cost
+    cost = arch.comm_cost
     zero_preds: list[tuple[int, int, int]] = []  # (src_pe, finish, volume)
     for e in graph.in_edges(node):
         if e.delay == 0:
@@ -440,6 +478,52 @@ def _reference_best_processor(
     return best[2], best[0]
 
 
+class _UncachedComm:
+    """What the compaction driver reads of its comm cache once start-up,
+    the slot search and the PSL tracker are swapped out: every price is
+    ``arch.comm_cost`` and there are no tables, hence no tallies."""
+
+    def __init__(self, arch: Architecture):
+        self.cost = arch.comm_cost
+
+    def publish_stats(self) -> None:
+        pass
+
+
+class _RescanPSL:
+    """Stand-in for :class:`~repro.core.psl.PSLTracker`: recomputes the
+    projected schedule length by a full rescan after every pass."""
+
+    def __init__(
+        self,
+        graph: CSDFG,
+        arch: Architecture,
+        schedule: ScheduleTable,
+        *,
+        comm=None,  # accepted for signature compatibility; never cached here
+        pipelined_pes: bool = False,
+    ):
+        self.graph = graph
+        self.arch = arch
+        self.schedule = schedule
+        self.pipelined_pes = pipelined_pes
+
+    def snapshot(self, nodes) -> None:
+        return None  # nothing incremental to restore
+
+    def restore(self, snapshot) -> None:
+        pass
+
+    def update_nodes(self, nodes) -> int | None:
+        try:
+            return projected_schedule_length(
+                self.graph, self.arch, self.schedule,
+                pipelined_pes=self.pipelined_pes,
+            )
+        except InfeasibleScheduleError:  # pragma: no cover - defensive
+            return None
+
+
 def reference_cyclo_compact(
     graph: CSDFG,
     arch: Architecture,
@@ -449,21 +533,29 @@ def reference_cyclo_compact(
 ) -> CycloResult:
     """Run cyclo-compaction on the pre-optimisation engine.
 
-    Forces ``fast_path=False`` (no comm-cost cache, no incremental PSL)
-    and temporarily swaps in the reference start-up scheduler (which
-    builds a :class:`ReferenceScheduleTable`) and slot search.  The
-    swap covers the two sites the optimiser uses (``start_up_schedule``
-    and ``remap_nodes``); it is restored on exit, so concurrent use
-    from other threads is not supported.
+    Every decision and every in-run check prices through
+    ``arch.comm_cost`` (:class:`_UncachedComm` stands in for the comm
+    cache), and the projected schedule length is rescanned in full
+    after every pass (:class:`_RescanPSL` stands in for the
+    incremental tracker).  The reference start-up scheduler (which
+    builds a :class:`ReferenceScheduleTable`) and slot search are
+    swapped in with the tracker on the module attributes the optimiser
+    looks them up from; all three are restored on exit, so concurrent
+    use from other threads is not supported.
     """
-    cfg = config if config is not None else CycloConfig()
-    cfg = dataclasses.replace(cfg, fast_path=False)
-    saved_startup = _cyclo_mod.start_up_schedule
-    saved_find = _remapping_mod._find_spot
-    _cyclo_mod.start_up_schedule = reference_start_up_schedule
-    _remapping_mod._find_spot = reference_find_spot
+    swaps = [
+        (_cyclo_mod, "start_up_schedule", reference_start_up_schedule),
+        (_cyclo_mod, "PSLTracker", _RescanPSL),
+        (_remapping_mod, "_find_spot", reference_find_spot),
+    ]
+    saved = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in swaps]
+    for owner, attr, stand_in in swaps:
+        setattr(owner, attr, stand_in)
     try:
-        return cyclo_compact(graph, arch, config=cfg, initial=initial)
+        return cyclo_compact(
+            graph, arch, config=config, initial=initial,
+            comm=_UncachedComm(arch),
+        )
     finally:
-        _cyclo_mod.start_up_schedule = saved_startup
-        _remapping_mod._find_spot = saved_find
+        for owner, attr, original in saved:
+            setattr(owner, attr, original)

@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.arch.cache import CommCostCache
 from repro.arch.topology import Architecture
 from repro.core.config import CycloConfig
 from repro.core.cyclo import CycloResult, _LoopState, _run_passes
@@ -126,21 +127,26 @@ class CompactionCheckpoint:
             raise CheckpointError(
                 f"unsupported checkpoint version {data.get('version')!r}"
             )
-        return cls(
-            workload=data["workload"],
-            arch_name=data["arch_name"],
-            num_nodes=data["num_nodes"],
-            num_pes=data["num_pes"],
-            config=CycloConfig.from_dict(data["config"]),
-            completed_passes=data["completed_passes"],
-            stall=data["stall"],
-            trace=CompactionTrace.from_dict(data["trace"]),
-            working_schedule=data["working_schedule"],
-            best_schedule=data["best_schedule"],
-            initial_schedule=data["initial_schedule"],
-            working_retiming=dict(data["working_retiming"]),
-            best_retiming=dict(data["best_retiming"]),
-        )
+        try:
+            return cls(
+                workload=data["workload"],
+                arch_name=data["arch_name"],
+                num_nodes=data["num_nodes"],
+                num_pes=data["num_pes"],
+                config=CycloConfig.from_dict(data["config"]),
+                completed_passes=data["completed_passes"],
+                stall=data["stall"],
+                trace=CompactionTrace.from_dict(data["trace"]),
+                working_schedule=data["working_schedule"],
+                best_schedule=data["best_schedule"],
+                initial_schedule=data["initial_schedule"],
+                working_retiming=dict(data["working_retiming"]),
+                best_retiming=dict(data["best_retiming"]),
+            )
+        except (KeyError, TypeError) as exc:
+            # a missing field (KeyError) or a config key this version
+            # does not know (TypeError from CycloConfig) names the key
+            raise CheckpointError(f"malformed checkpoint: {exc}") from exc
 
     def to_json(self, **dumps_kwargs) -> str:
         return json.dumps(self.to_dict(), **dumps_kwargs)
@@ -212,7 +218,9 @@ def resume_compaction(
             next_index=checkpoint.completed_passes + 1,
         )
         metrics.inc("cyclo.resumes")
-        result = _run_passes(state, graph, arch, cfg)
+        result = _run_passes(
+            state, graph, arch, cfg, comm=CommCostCache.for_graph(arch, graph)
+        )
         sp.add(
             resumed_at=checkpoint.completed_passes + 1,
             passes=len(result.trace.records),

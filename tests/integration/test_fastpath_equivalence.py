@@ -171,6 +171,33 @@ def test_wide_machines(graph_name, machine):
     _assert_equivalent(graph, arch, cfg)
 
 
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("machine", ["mesh8", "mesh20-minus-0-5"])
+def test_reference_never_reads_the_comm_cache(machine, validate, monkeypatch):
+    # the oracle prices every decision and every in-run check through
+    # arch.comm_cost: with cache rows made unbuildable it still returns
+    # the run it returned before
+    graph = make_workload("figure7")
+    arch = (
+        make_architecture("mesh", 8)
+        if machine == "mesh8"
+        else WIDE_MACHINES[machine]()
+    )
+    cfg = CycloConfig(max_iterations=8, validate_each_step=validate)
+    expected = reference_cyclo_compact(graph, arch, config=cfg)
+
+    def unbuildable(*args, **kwargs):
+        raise AssertionError("the reference engine built a comm-cache row")
+
+    monkeypatch.setattr(CommCostCache, "_build_row", unbuildable)
+    ref = reference_cyclo_compact(graph, arch, config=cfg)
+    assert ref.schedule.same_placements(expected.schedule)
+    assert ref.initial_schedule.same_placements(expected.initial_schedule)
+    assert ref.trace == expected.trace
+    assert ref.retiming == expected.retiming
+    assert ref.stop_reason == expected.stop_reason
+
+
 # ----------------------------------------------------------------------
 # start-up on its own
 # ----------------------------------------------------------------------

@@ -3,7 +3,9 @@ invariants on random instances."""
 
 from hypothesis import given, settings
 
+from repro.arch import LinearArray
 from repro.core import CycloConfig, cyclo_compact, start_up_schedule
+from repro.graph import random_csdfg
 from repro.schedule import collect_violations
 from repro.sim import buffer_requirements, simulate, simulate_contended
 
@@ -75,7 +77,25 @@ class TestPipelinedProperties:
 
     @given(csdfgs(max_nodes=8), architectures(max_pes=5))
     @settings(max_examples=20, deadline=None)
-    def test_pipelined_startup_never_longer_makespan(self, g, arch):
+    def test_plain_startup_is_legal_when_pipelined(self, g, arch):
+        # a plain placement blocks its PE for the task's whole run, a
+        # pipelined one for a single step, so every plain schedule is a
+        # legal pipelined one; the converse bound on makespans does not
+        # hold (see test_pipelined_startup_can_be_longer)
+        plain = start_up_schedule(g, arch)
+        assert collect_violations(g, arch, plain, pipelined_pes=True) == []
+
+    def test_pipelined_startup_can_be_longer(self):
+        # Graham's list-scheduling anomaly: freeing PEs earlier changes
+        # which ready node claims which PE, and here that lengthens the
+        # pipelined start-up schedule past the plain one
+        g = random_csdfg(
+            7, seed=231, edge_prob=0.3, back_edge_prob=0.1,
+            max_time=3, max_delay=3, max_volume=3,
+        )
+        arch = LinearArray(4)
         plain = start_up_schedule(g, arch)
         piped = start_up_schedule(g, arch, pipelined_pes=True)
-        assert piped.makespan <= plain.makespan
+        assert (plain.makespan, piped.makespan) == (3, 4)
+        assert (plain.length, piped.length) == (4, 6)
+        assert collect_violations(g, arch, plain, pipelined_pes=True) == []

@@ -171,48 +171,6 @@ class TestRulesFire:
         )
         assert found == [] and suppressed == 1
 
-    def test_rl108_for_loop_over_graph_walk(self):
-        src = "for v in graph.nodes():\n    use(v)\n"
-        found, _ = lint_source(src, module="repro.core.kernels")
-        assert codes(found) == ["RL108"]
-
-    def test_rl108_comprehension_over_graph_walk(self):
-        src = "vols = [e.volume for e in g.edges()]\n"
-        found, _ = lint_source(src, module="repro.core.kernels")
-        assert codes(found) == ["RL108"]
-        src = "vols = {e.volume for e in g.in_edges(v)}\n"
-        found, _ = lint_source(src, module="repro.core.kernels")
-        assert codes(found) == ["RL108"]
-
-    def test_rl108_only_in_batched_kernel_modules(self):
-        # the per-node gather is exactly what callers are *supposed*
-        # to do — remapping, psl, qa and everything else stay free
-        src = "for v in graph.nodes():\n    use(v)\n"
-        for module in ("repro.core.remapping", "repro.core.psl",
-                       "repro.qa.generate"):
-            found, _ = lint_source(src, module=module)
-            assert found == [], module
-
-    def test_rl108_plain_sequence_loops_are_fine(self):
-        src = "for x in rows:\n    use(x)\nout = [r[p] for p in pes]\n"
-        found, _ = lint_source(src, module="repro.core.kernels")
-        assert found == []
-
-    def test_rl108_suppressible(self):
-        found, suppressed = lint_source(
-            "for v in g.nodes():  # repro-lint: disable=RL108\n"
-            "    use(v)\n",
-            module="repro.core.kernels",
-        )
-        assert found == [] and suppressed == 1
-
-    def test_rl108_real_kernels_module_is_clean(self):
-        kernels = PACKAGE_DIR / "core" / "kernels.py"
-        found, _ = lint_source(
-            kernels.read_text(), module="repro.core.kernels"
-        )
-        assert [d for d in found if d.code == "RL108"] == []
-
     def test_syntax_error_is_analysis_error(self):
         with pytest.raises(AnalysisError, match="cannot parse"):
             lint_source("def f(:\n", module="repro.core.x")

@@ -1,5 +1,8 @@
 """Unit tests for the input-analyzer rules (RA1xx-RA3xx) and catalogue."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.analyze import (
@@ -52,10 +55,26 @@ class TestCatalogue:
             "RA301", "RA302", "RA303", "RA304", "RA305",
             "RA401", "RA402", "RA403", "RA404", "RA405",
             "RL101", "RL102", "RL103", "RL104", "RL105", "RL106",
-            "RL107", "RL108", "RL109",
+            "RL107", "RL109",
             "RD101", "RD102", "RD103", "RD104",
             "RC201", "RC202", "RC203",
         }
+
+    def test_rule_docs_match_the_catalogue(self):
+        # docs/analysis.md documents every live code in a table row and
+        # names every retired one on a "Retired:" line
+        doc = (
+            Path(__file__).resolve().parents[2] / "docs" / "analysis.md"
+        ).read_text()
+        rows = set(re.findall(r"^\| (R[A-Z]\d{3}) \|", doc, re.M))
+        retired = {
+            code
+            for line in re.findall(r"^Retired: .*$", doc, re.M)
+            for code in re.findall(r"\*\*(R[A-Z]\d{3})\*\*", line)
+        }
+        assert rows == set(RULES)
+        assert retired >= {"RC204", "RL108"}
+        assert not retired & set(RULES)
 
     def test_make_uses_catalogue_defaults(self):
         d = make("RA101", "boom")

@@ -1,15 +1,14 @@
-"""Unit tests for the anticipation function AN and the projected
-schedule length PSL."""
+"""Unit tests for the projected schedule length PSL.
+
+The anticipation function AN has no scalar form of its own: the
+remapping slot search computes it as the zero-delay floor
+(``kernels.fold_max``) plus the delayed in-edge bounds of the implied
+length, pinned by the fast-path equivalence suite."""
 
 import pytest
 
 from repro.arch import CompletelyConnected, LinearArray
-from repro.core import (
-    anticipated_start,
-    latest_finish,
-    projected_schedule_length,
-    psl_edge_bound,
-)
+from repro.core import projected_schedule_length, psl_edge_bound
 from repro.errors import InfeasibleScheduleError
 from repro.graph import CSDFG
 from repro.schedule import ScheduleTable
@@ -23,81 +22,6 @@ def pair_delayed():
     g.add_node("v", 1)
     g.add_edge("u", "v", 1, 2)
     return g
-
-
-class TestAnticipatedStart:
-    def test_derivation(self, pair_delayed):
-        arch = LinearArray(3)
-        s = ScheduleTable(3)
-        s.place("u", 0, 4, 1)  # CE(u) = 4
-        # AN(v, pe2) with L_target = 5: CE + M + 1 - d*L = 4 + 4 + 1 - 5 = 4
-        assert anticipated_start(pair_delayed, arch, s, "v", 2, 5) == 4
-
-    def test_clamped_to_one(self, pair_delayed):
-        arch = LinearArray(3)
-        s = ScheduleTable(3)
-        s.place("u", 0, 1, 1)
-        assert anticipated_start(pair_delayed, arch, s, "v", 0, 10) == 1
-
-    def test_same_pe_no_comm(self, pair_delayed):
-        arch = LinearArray(3)
-        s = ScheduleTable(3)
-        s.place("u", 0, 4, 1)
-        # same PE: M = 0 -> 4 + 0 + 1 - 5 = 0 -> clamp 1
-        assert anticipated_start(pair_delayed, arch, s, "v", 0, 5) == 1
-
-    def test_unplaced_producer_ignored(self, pair_delayed):
-        arch = LinearArray(3)
-        s = ScheduleTable(3)
-        assert anticipated_start(pair_delayed, arch, s, "v", 1, 5) == 1
-
-    def test_zero_delay_edge_dominates(self):
-        g = CSDFG("g")
-        g.add_node("u", 2)
-        g.add_node("v", 1)
-        g.add_edge("u", "v", 0, 3)
-        arch = LinearArray(2)
-        s = ScheduleTable(2)
-        s.place("u", 0, 1, 2)  # CE = 2
-        # cross-PE: 2 + 3 + 1 - 0 = 6 regardless of target length
-        assert anticipated_start(g, arch, s, "v", 1, 100) == 6
-
-    def test_decreases_with_target_length(self, pair_delayed):
-        arch = LinearArray(3)
-        s = ScheduleTable(3)
-        s.place("u", 0, 6, 1)
-        an5 = anticipated_start(pair_delayed, arch, s, "v", 2, 5)
-        an7 = anticipated_start(pair_delayed, arch, s, "v", 2, 7)
-        assert an7 <= an5
-
-
-class TestLatestFinish:
-    def test_bound_from_consumer(self):
-        g = CSDFG("g")
-        g.add_node("u", 1)
-        g.add_node("v", 1)
-        g.add_edge("v", "u", 0, 2)  # v produces for u in-iteration
-        arch = LinearArray(2)
-        s = ScheduleTable(2)
-        s.place("u", 1, 8, 1)  # CB(u) = 8
-        # CE(v) <= CB(u) + 0*L - M - 1 = 8 - 2 - 1 = 5 (cross-PE)
-        assert latest_finish(g, arch, s, "v", 0, 5) == 5
-        # same PE: 8 - 0 - 1 = 7
-        assert latest_finish(g, arch, s, "v", 1, 5) == 7
-
-    def test_unbounded_sentinel(self, pair_delayed):
-        arch = LinearArray(2)
-        s = ScheduleTable(2)
-        assert latest_finish(pair_delayed, arch, s, "u", 0, 5) > 10**9
-
-    def test_delayed_edges_suppressed(self, pair_delayed):
-        arch = LinearArray(2)
-        s = ScheduleTable(2)
-        s.place("v", 1, 1, 1)
-        bounded = latest_finish(pair_delayed, arch, s, "u", 0, 3)
-        assert bounded < 10**9
-        free = latest_finish(pair_delayed, arch, s, "u", 0, 3, unbounded={1})
-        assert free > 10**9
 
 
 class TestPsl:

@@ -96,3 +96,25 @@ class TestGuards:
         data["version"] = 99
         with pytest.raises(CheckpointError, match="version"):
             CompactionCheckpoint.from_dict(data)
+
+    def test_unknown_config_key_is_typed(self):
+        # checkpoints saved while CycloConfig still had a fast_path
+        # field carry it; loading one must fail by contract, naming it
+        graph = figure1_csdfg()
+        partial = cyclo_compact(graph, ARCH, config=PARTIAL)
+        data = CompactionCheckpoint.capture(
+            partial, graph, ARCH, PARTIAL
+        ).to_dict()
+        data["config"]["fast_path"] = True
+        with pytest.raises(CheckpointError, match="fast_path"):
+            CompactionCheckpoint.from_dict(data)
+
+    def test_missing_field_is_typed(self):
+        graph = figure1_csdfg()
+        partial = cyclo_compact(graph, ARCH, config=PARTIAL)
+        data = CompactionCheckpoint.capture(
+            partial, graph, ARCH, PARTIAL
+        ).to_dict()
+        del data["stall"]
+        with pytest.raises(CheckpointError, match="stall"):
+            CompactionCheckpoint.from_dict(data)
