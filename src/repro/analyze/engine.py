@@ -62,19 +62,23 @@ def analyze_inputs(
     graph-level rules still run.  ``schedule`` adds the RA4xx
     certificate check; ``target_length`` adds the RA301 infeasibility
     proof (RA305 reports the bound whenever an architecture is
-    present).
+    present and the graph has no zero-delay cycle).
     """
     if subject is None:
         subject = graph.name + (f" on {arch.name}" if arch is not None else "")
     report = AnalysisReport(subject=subject)
-    report.extend(check_graph(graph))
+    graph_findings = check_graph(graph)
+    report.extend(graph_findings)
     if config is not None:
         report.extend(check_config(config))
     if arch is not None:
         report.extend(check_arch(arch, graph))
-        report.extend(
-            check_target_length(graph, arch, config, target_length)
-        )
+        # a zero-delay cycle (RA101) has no finite iteration bound, so
+        # there is no length floor to prove a target against
+        if not any(d.code == "RA101" for d in graph_findings):
+            report.extend(
+                check_target_length(graph, arch, config, target_length)
+            )
         if schedule is not None:
             report.extend(certify_schedule(
                 graph,

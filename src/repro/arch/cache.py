@@ -253,6 +253,22 @@ class CommCostCache:
             base, self._occupancy.load_between(src, dst)
         )
 
+    def max_cost(self, volume: int) -> int:
+        """The dearest price a ``volume`` transfer can have here.
+
+        The cost model's price at some hop count up to the (surviving)
+        diameter, surcharged against the frozen snapshot's heaviest link
+        load when contended: every route's load is at most that, and
+        prices never fall as load grows.  Priced from the models
+        directly, so no row is built."""
+        model_cost = self.arch.comm_model.cost
+        hop_counts = range(self.arch.diameter + 1)
+        prices = [model_cost(hops, volume) for hops in hop_counts]
+        if self._contention is not None:
+            load = self._occupancy.max_load
+            prices = [self._contention.price(price, load) for price in prices]
+        return max(prices)
+
     def row_from(self, src: int, volume: int) -> list[int | None] | None:
         """Costs ``src -> p`` for every PE id ``p`` (``None`` entries
         for failed PEs), or ``None`` when the volume or source is not

@@ -50,7 +50,23 @@ from repro.graph.validation import topological_order_zero_delay
 from repro.obs import metrics, span
 from repro.schedule.table import ScheduleTable
 
-__all__ = ["start_up_schedule"]
+__all__ = ["start_up_schedule", "start_up_step_limit"]
+
+
+def start_up_step_limit(
+    graph: CSDFG, arch: Architecture, comm: CommCostCache
+) -> int:
+    """A control step by which start-up has placed every node.
+
+    Any list schedule fits in the total work run on the slowest PE plus
+    the dearest price ``comm`` can charge for every edge's transfer,
+    plus one.
+    """
+    slowest = max(arch.time_scales[pe] for pe in arch.processors)
+    volumes = {e.volume for e in graph.edges()}
+    dearest = {volume: comm.max_cost(volume) for volume in volumes}
+    max_comm = sum(dearest[e.volume] for e in graph.edges())
+    return graph.total_work() * slowest + max_comm + 1
 
 
 def start_up_schedule(
@@ -125,9 +141,7 @@ def start_up_schedule(
         seqs = count()
         remaining = graph.num_nodes
 
-        # any legal schedule fits in total work plus total possible comm
-        max_comm = arch.diameter * sum(e.volume for e in graph.edges())
-        cs_limit = graph.total_work() + max_comm + 1
+        cs_limit = start_up_step_limit(graph, arch, comm)
 
         deferrals = 0
 

@@ -1,4 +1,4 @@
-"""Cycle structure analysis: SCC decomposition and Karp's algorithm.
+"""Cycle structure analysis: SCC decomposition and a cycle-ratio oracle.
 
 Complements :mod:`repro.graph.properties` with the classical machinery
 for recursive data flow graphs:
@@ -8,10 +8,11 @@ for recursive data flow graphs:
   the throughput) from the feed-forward part (which retiming can
   pipeline arbitrarily),
 * :func:`scc_condensation` — the DAG of SCCs,
-* :func:`karp_maximum_cycle_ratio` — Karp-style maximum cycle ratio
-  (time over delay) per SCC, a third independent implementation of the
-  iteration bound used to cross-check
-  :func:`repro.graph.properties.iteration_bound` in the tests.
+* :func:`karp_maximum_cycle_ratio` — the maximum cycle ratio (time over
+  delay) by an exact per-SCC bisection, a polynomial oracle independent
+  of :func:`repro.graph.properties.iteration_bound` (Howard's policy
+  iteration) that the tests cross-check it against on graphs too large
+  for cycle enumeration.
 """
 
 from __future__ import annotations
@@ -118,16 +119,16 @@ def recursive_core(graph: CSDFG) -> list[list[Node]]:
 
 
 def karp_maximum_cycle_ratio(graph: CSDFG) -> Fraction:
-    """Maximum cycle ratio ``max_C (sum t / sum d)`` via a Karp-style
-    parametric formulation per SCC.
+    """Maximum cycle ratio ``max_C (sum t / sum d)`` by exact bisection
+    per SCC.
 
-    For each non-trivial SCC, runs the classical Karp recurrence on the
-    edge weights ``(time, delay)``: ``D_k(v)`` is the maximum of
-    ``time - lambda * delay`` over k-edge walks for the critical
-    ``lambda``; here we use the exact two-dimensional variant that
-    tracks (total time, total delay) pairs of best k-edge walks and
-    takes the max over cycles closed at level n.  Exponentially safer
-    than cycle enumeration and fully exact with Fractions.
+    For each non-trivial SCC, bisects the ratio ``lambda`` with exact
+    Bellman–Ford tests for a cycle of positive weight
+    ``t - lambda * d``, then snaps the bracket to the unique fraction
+    whose denominator is at most the SCC's total delay.  Slower than
+    :func:`repro.graph.properties.iteration_bound` but polynomial and
+    built on a different method, so it stays as the oracle for graphs
+    too large to enumerate (the name is historical).
 
     Raises :class:`GraphError` on a zero-delay cycle (illegal CSDFG).
     """

@@ -10,19 +10,18 @@ on:
 * The **iteration bound** — the maximum cycle ratio
   ``max over cycles C of (sum of t) / (sum of d)`` — which lower-bounds
   the initiation interval of *any* static schedule regardless of
-  processor count.  Two independent implementations are provided
-  (Lawler's parametric binary search and a brute-force cycle
-  enumeration) and cross-checked in the tests.
+  processor count.  :func:`iteration_bound` runs Howard's policy
+  iteration per strongly connected component; the brute-force cycle
+  enumeration :func:`iteration_bound_exact` is the test oracle.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterable
 
 from repro.errors import GraphError
 from repro.graph.csdfg import CSDFG, Node
+from repro.graph.cycles import recursive_core
 from repro.graph.validation import topological_order_zero_delay
 
 __all__ = [
@@ -128,41 +127,19 @@ def parallelism_profile(graph: CSDFG) -> list[int]:
 def iteration_bound(graph: CSDFG) -> Fraction:
     """Maximum cycle ratio ``max_C (sum t) / (sum d)`` as a Fraction.
 
-    Returns ``Fraction(0)`` for acyclic graphs.  Uses Lawler's
-    parametric shortest-path scheme: ratio ``r`` is feasible
-    (``r >= bound``) iff the edge weights ``t(u) - r * d(e)`` admit no
-    positive cycle; binary search over ``r`` on the Stern–Brocot-free
-    grid of candidate fractions is replaced by a numeric bisection
-    followed by an exact rational snap (denominators are bounded by the
-    total delay in the graph).
-    """
-    total_delay = sum(e.delay for e in graph.edges())
-    if total_delay == 0 or graph.num_nodes == 0:
-        return Fraction(0)
-    if not _has_cycle(graph):
-        return Fraction(0)
+    Returns ``Fraction(0)`` for acyclic graphs.  Only cycles bound the
+    ratio and every cycle lies inside one strongly connected component,
+    so the graph is split into its recursive core
+    (:func:`repro.graph.cycles.recursive_core`) and Howard's policy
+    iteration runs on each cyclic component in exact arithmetic
+    (Cochet-Terrasson et al. 1998; Dasdan 2004).
 
-    total_time = graph.total_work()
-    lo, hi = 0.0, float(total_time)  # bound <= sum of all times (cycle delay >= 1)
-    # Bisect until the interval isolates a single candidate fraction
-    # p / q with q <= total_delay; then verify exactly.
-    for _ in range(64):
-        mid = (lo + hi) / 2.0
-        if _has_positive_cycle(graph, mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1.0 / (2.0 * total_delay * total_delay):
-            break
-    candidate = _closest_fraction((lo + hi) / 2.0, total_delay)
-    # exact verification and (if needed) one-step correction
-    for probe in _fraction_neighbourhood(candidate, total_delay):
-        if not _has_positive_cycle_exact(graph, probe) and _has_zero_cycle_exact(
-            graph, probe
-        ):
-            return probe
-    # fall back to exact enumeration (small graphs only)
-    return iteration_bound_exact(graph)
+    Raises :class:`GraphError` on a zero-delay cycle (illegal CSDFG).
+    """
+    return max(
+        (_howard_cycle_ratio(graph, comp) for comp in recursive_core(graph)),
+        default=Fraction(0),
+    )
 
 
 def iteration_bound_exact(graph: CSDFG, max_cycles: int = 2_000_000) -> Fraction:
@@ -194,115 +171,80 @@ def iteration_bound_exact(graph: CSDFG, max_cycles: int = 2_000_000) -> Fraction
 
 
 # -- helpers -----------------------------------------------------------
-def _has_cycle(graph: CSDFG) -> bool:
-    import networkx as nx
+def _howard_cycle_ratio(graph: CSDFG, comp: list[Node]) -> Fraction:
+    """Maximum cycle ratio of one strongly connected component.
 
-    return not nx.is_directed_acyclic_graph(graph.to_networkx())
-
-
-def _iter_weighted_edges(graph: CSDFG) -> Iterable[tuple[Node, Node, int, int]]:
-    for e in graph.edges():
-        yield e.src, e.dst, graph.time(e.src), e.delay
-
-
-def _has_positive_cycle(graph: CSDFG, ratio: float) -> bool:
-    """Bellman–Ford longest-path: is there a cycle with w(e)=t-r*d > 0?"""
-    nodes = list(graph.nodes())
-    dist = {v: 0.0 for v in nodes}
-    edges = [(u, v, t - ratio * d) for u, v, t, d in _iter_weighted_edges(graph)]
-    for _ in range(len(nodes)):
-        changed = False
-        for u, v, w in edges:
-            cand = dist[u] + w
-            if cand > dist[v] + 1e-12:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            return False
-    return True
-
-
-def _has_positive_cycle_exact(graph: CSDFG, ratio: Fraction) -> bool:
-    nodes = list(graph.nodes())
-    dist = {v: Fraction(0) for v in nodes}
-    edges = [
-        (u, v, Fraction(t) - ratio * d) for u, v, t, d in _iter_weighted_edges(graph)
-    ]
-    for _ in range(len(nodes)):
-        changed = False
-        for u, v, w in edges:
-            cand = dist[u] + w
-            if cand > dist[v]:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            return False
-    return True
-
-
-def _has_zero_cycle_exact(graph: CSDFG, ratio: Fraction) -> bool:
-    """With weights t - r*d, is some cycle exactly critical (weight 0)?
-
-    True iff ``ratio`` equals the maximum cycle ratio, given that no
-    positive cycle exists at ``ratio``.
+    A *policy* keeps one out-edge per node, so its graph is cycles with
+    in-trees.  Each round values every node with the ratio ``eta`` of
+    the policy cycle it reaches and a potential
+    ``x(v) = t(v) - eta * d + x(succ)``, then moves nodes to a successor
+    of larger ``eta`` or, when no such move exists, of equal ``eta`` and
+    larger ``t(v) - eta * d + x(succ)``.  A policy cycle no move touched
+    keeps its potentials, so every round raises ``(eta, x)`` and the
+    iteration ends; with no move left ``eta`` is constant over the
+    component and no cycle beats it.  As every ``t(v) >= 1``, a
+    component with a zero-delay cycle keeps a move left until some
+    policy cycle has zero delay, which raises.
     """
-    # run longest path to fixpoint, then look for a tight edge cycle
-    nodes = list(graph.nodes())
-    dist = {v: Fraction(0) for v in nodes}
-    edges = [
-        (u, v, Fraction(t) - ratio * d) for u, v, t, d in _iter_weighted_edges(graph)
+    index = {v: i for i, v in enumerate(comp)}
+    n = len(comp)
+    time = [graph.time(v) for v in comp]
+    # out-edges inside the component, as (successor index, delay)
+    succs = [
+        [(index[e.dst], e.delay) for e in graph.out_edges(v) if e.dst in index]
+        for v in comp
     ]
-    for _ in range(len(nodes) + 1):
-        changed = False
-        for u, v, w in edges:
-            cand = dist[u] + w
-            if cand > dist[v]:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            break
-    # tight subgraph: edges with dist[v] == dist[u] + w
-    tight: dict[Node, list[Node]] = {v: [] for v in nodes}
-    for u, v, w in edges:
-        if dist[v] == dist[u] + w:
-            tight[u].append(v)
-    # cycle detection in the tight subgraph
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {v: WHITE for v in nodes}
-    for start in nodes:
-        if colour[start] != WHITE:
+    policy = [min(edges, key=lambda edge: edge[1]) for edges in succs]
+    eta: list[Fraction] = [Fraction(0)] * n
+    x: list[Fraction] = [Fraction(0)] * n
+    moved = [True] * n
+    while True:
+        # value determination: walk each node's policy path to a node
+        # already valued or to a new cycle, then value the path backwards
+        valued = [False] * n
+        on_path = [False] * n
+        for start in range(n):
+            path: list[int] = []
+            v = start
+            while not valued[v] and not on_path[v]:
+                on_path[v] = True
+                path.append(v)
+                v = policy[v][0]
+            if not valued[v]:  # the walk closed a new policy cycle at v
+                cycle = path[path.index(v):]
+                delay = sum(policy[u][1] for u in cycle)
+                if delay == 0:
+                    raise GraphError("illegal CSDFG: nonpositive-delay cycle")
+                eta[v] = Fraction(sum(time[u] for u in cycle), delay)
+                if any(moved[u] for u in cycle):
+                    x[v] = Fraction(0)
+                valued[v] = True
+                path.remove(v)
+            for u in reversed(path):
+                w, d = policy[u]
+                eta[u] = eta[w]
+                x[u] = time[u] - eta[w] * d + x[w]
+                valued[u] = True
+        # policy improvement
+        moved = [False] * n
+        for v, edges in enumerate(succs):
+            best = eta[v]
+            for edge in edges:
+                if eta[edge[0]] > best:
+                    best = eta[edge[0]]
+                    policy[v] = edge
+                    moved[v] = True
+        if any(moved):
             continue
-        stack = [(start, iter(tight[start]))]
-        colour[start] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if colour[nxt] == GREY:
-                    return True
-                if colour[nxt] == WHITE:
-                    colour[nxt] = GREY
-                    stack.append((nxt, iter(tight[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                colour[node] = BLACK
-                stack.pop()
-    return False
-
-
-def _closest_fraction(x: float, max_den: int) -> Fraction:
-    return Fraction(x).limit_denominator(max_den)
-
-
-def _fraction_neighbourhood(f: Fraction, max_den: int) -> list[Fraction]:
-    """Candidate fractions near ``f`` with denominator <= max_den."""
-    candidates = {f}
-    for den in range(1, max_den + 1):
-        num = round(float(f) * den)
-        for delta in (-1, 0, 1):
-            p = num + delta
-            if p >= 0:
-                candidates.add(Fraction(p, den))
-    eps = Fraction(1, max(1, max_den * max_den))
-    return sorted(c for c in candidates if abs(c - f) <= max(eps * 4, Fraction(1, max_den)))
+        for v, edges in enumerate(succs):
+            best = x[v]
+            for edge in edges:
+                w, d = edge
+                if eta[w] == eta[v]:
+                    value = time[v] - eta[v] * d + x[w]
+                    if value > best:
+                        best = value
+                        policy[v] = edge
+                        moved[v] = True
+        if not any(moved):
+            return eta[0]

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.arch.cache import CommCostCache
 from repro.arch.topology import Architecture
 from repro.core import cyclo as _cyclo_mod
 from repro.core import remapping as _remapping_mod
@@ -42,6 +43,7 @@ from repro.core.cyclo import CycloResult, cyclo_compact
 from repro.core.mobility import mobility_map
 from repro.core.priority import PriorityFn, paper_priority
 from repro.core.psl import projected_schedule_length
+from repro.core.startup import start_up_step_limit
 from repro.errors import (
     InfeasibleScheduleError,
     PlacementConflictError,
@@ -349,9 +351,9 @@ def reference_start_up_schedule(
         ready: list[Node] = [v for v, k in pending_preds.items() if k == 0]
         remaining = graph.num_nodes
 
-        # any legal schedule fits in total work plus total possible comm
-        max_comm = arch.diameter * sum(e.volume for e in graph.edges())
-        cs_limit = graph.total_work() + max_comm + 1
+        cs_limit = start_up_step_limit(
+            graph, arch, CommCostCache.for_graph(arch, graph)
+        )
 
         pf_evaluations = 0
         placements_made = 0

@@ -24,6 +24,11 @@ class TestBoundAgreement:
         exact = iteration_bound_exact(g)
         assert lawler == karp == exact
 
+    @given(csdfgs(max_nodes=40))
+    @settings(max_examples=12, deadline=None)
+    def test_agrees_with_karp_beyond_enumeration(self, g):
+        assert iteration_bound(g) == karp_maximum_cycle_ratio(g)
+
 
 class TestSccProperties:
     @given(csdfgs())

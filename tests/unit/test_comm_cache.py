@@ -11,6 +11,8 @@ import pytest
 
 from repro.arch import ARCHITECTURE_KINDS, make_architecture
 from repro.arch.cache import CommCostCache
+from repro.arch.comm import SerializedContention
+from repro.arch.contention import LinkOccupancy
 from repro.arch.degraded import DegradedTopology
 from repro.errors import DeadProcessorError
 from repro.qa import sample_graph
@@ -189,3 +191,42 @@ class TestFallbacks:
             assert [row[dst] for dst in arch.processors] == col_of
             for dst in arch.processors:
                 assert row[dst] == cache.cost(src, dst, 2)
+
+
+class TestMaxCost:
+    """``max_cost`` is the dearest price any lookup can return, found
+    without materialising a row."""
+
+    def _dearest(self, arch, cache, volume):
+        alive = arch.processors
+        return max(cache.cost(p, q, volume) for p in alive for q in alive)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_SIZES))
+    def test_is_the_dearest_lookup(self, kind):
+        arch = make_architecture(kind, KIND_SIZES[kind])
+        cache = CommCostCache(arch, VOLUMES)
+        limits = {vol: cache.max_cost(vol) for vol in VOLUMES}
+        assert cache.entries == 0
+        for volume in VOLUMES:
+            assert limits[volume] == self._dearest(arch, cache, volume)
+
+    def test_degraded_uses_survivors_diameter(self):
+        # ring6 minus pe0 is a five-PE path: diameter 4, not 3
+        arch = DegradedTopology(make_architecture("ring", 6), failed_pes=[0])
+        cache = CommCostCache(arch, (2,))
+        assert cache.max_cost(2) == 4 * 2 == self._dearest(arch, cache, 2)
+
+    def test_bounds_contended_prices(self):
+        arch = make_architecture("ring", 6)
+        occupancy = LinkOccupancy(arch)
+        occupancy.add(0, 2, 3)
+        occupancy.add(1, 2, 1)
+        cache = CommCostCache(
+            arch, VOLUMES, contention=SerializedContention(2),
+            occupancy=occupancy,
+        )
+        for volume in VOLUMES:
+            # base 3 * volume at the diameter, plus 2 per unit of load 4
+            assert cache.max_cost(volume) == 3 * volume + 2 * 4
+            assert cache.max_cost(volume) >= self._dearest(arch, cache, volume)
+

@@ -1,7 +1,11 @@
 """Unit tests for graph analytical properties."""
 
+import sys
 from fractions import Fraction
 
+import pytest
+
+from repro.errors import GraphError
 from repro.graph import (
     CSDFG,
     alap_times,
@@ -11,6 +15,8 @@ from repro.graph import (
     critical_path_nodes,
     iteration_bound,
     iteration_bound_exact,
+    karp_maximum_cycle_ratio,
+    layered_csdfg,
     parallelism_profile,
     ring_csdfg,
 )
@@ -87,3 +93,49 @@ class TestIterationBound:
         g.add_node("a", 4)
         g.add_edge("a", "a", 3)
         assert iteration_bound(g) == Fraction(4, 3)
+
+    def test_zero_delay_scc_raises(self):
+        # the only cycle a -> b -> a carries no delay
+        g = CSDFG()
+        g.add_nodes(["a", "b"])
+        g.add_edge("a", "b", 0)
+        g.add_edge("b", "a", 0)
+        for bound in (iteration_bound, iteration_bound_exact):
+            with pytest.raises(
+                GraphError, match="illegal CSDFG: nonpositive-delay cycle"
+            ):
+                bound(g)
+        with pytest.raises(GraphError):
+            karp_maximum_cycle_ratio(g)
+
+    def test_zero_delay_cycle_inside_delayed_scc_raises(self):
+        # a -> b -> a has no delay; a -> b -> c -> a carries one
+        g = CSDFG()
+        g.add_nodes(["a", "b", "c"])
+        g.add_edge("a", "b", 0)
+        g.add_edge("b", "a", 0)
+        g.add_edge("b", "c", 1)
+        g.add_edge("c", "a", 0)
+        for bound in (iteration_bound, iteration_bound_exact):
+            with pytest.raises(
+                GraphError, match="illegal CSDFG: nonpositive-delay cycle"
+            ):
+                bound(g)
+
+    def test_long_chain(self):
+        assert iteration_bound(chain_csdfg(10_000)) == Fraction(10_000)
+
+    def test_long_ring(self):
+        assert iteration_bound(ring_csdfg(5_000)) == Fraction(1)
+
+    def test_thousand_node_layered(self):
+        g = layered_csdfg([50] * 20, seed=11)
+        assert iteration_bound(g) == Fraction(18)
+
+    def test_needs_no_networkx(self, monkeypatch):
+        from repro.workloads import make_workload, workload_names
+
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        for name in workload_names():
+            g = make_workload(name)
+            assert iteration_bound(g) == karp_maximum_cycle_ratio(g), name

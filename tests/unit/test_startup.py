@@ -3,10 +3,14 @@
 import pytest
 
 from repro.arch import CompletelyConnected, LinearArray, Mesh2D
+from repro.arch.cache import CommCostCache
+from repro.arch.comm import ConstantLatencyModel
 from repro.core import start_up_schedule
+from repro.core.startup import start_up_step_limit
 from repro.core.priority import fifo_priority
 from repro.errors import SchedulingError
 from repro.graph import CSDFG
+from repro.perf.reference import reference_start_up_schedule
 from repro.schedule import is_valid_schedule, validate_schedule
 
 
@@ -94,6 +98,35 @@ class TestGeneralBehaviour:
         # B occupies two consecutive cells on its PE
         pe = s.processor("B")
         assert s.cell(pe, 2) == "B" and s.cell(pe, 3) == "B"
+
+
+class TestStepLimit:
+    """The start-up step limit covers the prices the run really pays."""
+
+    @pytest.mark.parametrize(
+        "schedule", [start_up_schedule, reference_start_up_schedule]
+    )
+    def test_latency_above_hops_times_volume(self, schedule):
+        # a and b start on different PEs, so c waits 10 steps for data:
+        # a limit of work + diameter * volume (6) gave up before cs 12
+        g = CSDFG()
+        g.add_nodes(["a", "b", "c"])
+        g.add_edge("a", "c", 0)
+        g.add_edge("b", "c", 0)
+        arch = CompletelyConnected(2, comm_model=ConstantLatencyModel(10))
+        comm = CommCostCache.for_graph(arch, g)
+        assert start_up_step_limit(g, arch, comm) == 3 + 2 * 10 + 1
+        s = schedule(g, arch)
+        assert s.start("c") == 12
+        assert is_valid_schedule(g, arch, s)
+
+    def test_slowest_pe_runs_all_work(self):
+        g = CSDFG()
+        g.add_nodes(["a", "b"], time=3)
+        g.add_edge("a", "b", 0, 2)
+        arch = LinearArray(3).with_time_scales([1, 2, 4])
+        comm = CommCostCache.for_graph(arch, g)
+        assert start_up_step_limit(g, arch, comm) == 6 * 4 + 2 * 2 + 1
 
 
 class TestCounters:
