@@ -42,7 +42,7 @@ from repro.core.startup import start_up_schedule
 from repro.core.trace import CompactionTrace, IterationRecord
 from repro.errors import ScheduleValidationError, SchedulingError
 from repro.obs import metrics, span
-from repro.graph.csdfg import CSDFG, Node
+from repro.graph.csdfg import CSDFG, Edge, Node
 from repro.graph.validation import topological_order_zero_delay
 from repro.retiming.basic import apply_retiming
 from repro.schedule.table import ScheduleTable
@@ -122,71 +122,108 @@ class _LoopState:
     next_index: int = 1
 
 
-def _zero_delay_flipped(graph: CSDFG, rotated: list[Node]) -> bool:
-    """Whether the last rotation changed the zero-delay subgraph.
-
-    Rotation draws one delay from each edge entering the rotated set
-    and pushes one onto each edge leaving it (edges internal to the
-    set are untouched), so the zero-delay structure changed iff some
-    entering edge just reached delay 0 or some leaving edge sits at
-    delay 1 now (0 before).
-    """
-    rot = set(rotated)
-    pred, succ = graph._pred, graph._succ
-    for v in rotated:
-        for e in pred[v].values():
-            if e.delay == 0 and e.src not in rot:
-                return True
-        for e in succ[v].values():
-            if e.delay == 1 and e.dst not in rot:
-                return True
-    return False
-
-
 class _TopoRankCache:
-    """Cross-pass cache of the zero-delay topological ranks feeding
-    :func:`remap_nodes`'s placement order.
+    """Zero-delay Kahn ranks of the rotated sets, from an integer
+    adjacency kept for one run.
 
-    Kahn's walk over the full graph is O(V + E) *per pass*; on
-    thousand-node graphs it dominated everything the remapping fast
-    path had saved.  The placement order only depends on the zero-delay
-    subgraph, which a rotation leaves untouched unless it flips some
-    edge's zero-delay status — so the ranks are rebuilt exactly on a
-    flip (and dropped when a rollback reverts one) and reused
-    otherwise.  Rank uniqueness makes the cached full-graph order sort
-    identically to the per-pass restricted order it replaces.
+    :func:`remap_nodes` re-places a rotated set in the order of
+    :func:`topological_order_zero_delay` (the slot tie-break), which
+    depends only on the zero-delay subgraph.  Nodes are indexed by
+    position in ``graph._time`` (the walk's seed order); each row holds
+    a node's zero-delay successor indices in ``graph._succ`` order,
+    which ``set_delay`` never reorders.  A rotation or its undo only
+    changes edges incident to the rotated set, so a pass rebuilds just
+    the rows of the rotated nodes and of their in-edge sources, and the
+    ranks are walked again only when a row changed.  The walk runs
+    LIFO over indices exactly like the dict walk, so the order is the
+    same.  Nothing is built until a set of two or more nodes needs
+    ranks: single-node runs never pay for the adjacency.
     """
 
-    __slots__ = ("_rank", "_fresh")
+    __slots__ = ("_index", "_rows", "_indeg", "_pos")
 
     def __init__(self) -> None:
-        self._rank: dict[Node, int] | None = None
-        self._fresh = False
+        self._index: dict[Node, int] = {}
+        self._rows: list[list[int]] = []
+        self._indeg: list[int] = []
+        self._pos: list[int] | None = None  # index -> rank; None = stale
 
     def ranks(self, graph: CSDFG, rotated: list[Node]) -> dict[Node, int] | None:
-        """Ranks valid for ``graph`` as rotated; ``None`` only when the
-        remap cannot need them (fewer than two rotated nodes)."""
-        if self._rank is not None and _zero_delay_flipped(graph, rotated):
-            self._rank = None
-        self._fresh = False
+        """Ranks of the ``rotated`` nodes in ``graph`` as rotated;
+        ``None`` when the remap cannot need them (fewer than two
+        rotated nodes)."""
+        if self._index:
+            self._resync(graph, rotated)
         if len(rotated) <= 1:
-            return self._rank
-        if self._rank is None:
+            return None
+        if not self._index:
+            self._build(graph)
+        if self._pos is None:
             metrics.inc("remap.toporank_rebuilds")
-            self._rank = {
-                v: i
-                for i, v in enumerate(topological_order_zero_delay(graph))
-            }
-            self._fresh = True
+            self._pos = self._walk(graph)
         else:
             metrics.inc("remap.toporank_reuses")
-        return self._rank
+        pos, index = self._pos, self._index
+        return {v: pos[index[v]] for v in rotated}
 
-    def note_rollback(self) -> None:
-        """A rejected pass undid its rotation: ranks built from the
-        rotated graph no longer match the restored one."""
-        if self._fresh:
-            self._rank = None
+    def note_rollback(self, graph: CSDFG, rotated: list[Node]) -> None:
+        """A rejected pass undid the rotation of ``rotated``."""
+        if self._index:
+            self._resync(graph, rotated)
+
+    def _row(self, succ: dict[Node, Edge]) -> list[int]:
+        index = self._index
+        return [index[d] for d, e in succ.items() if e.delay == 0]
+
+    def _build(self, graph: CSDFG) -> None:
+        self._index = {v: i for i, v in enumerate(graph._time)}
+        succ = graph._succ
+        self._rows = [self._row(succ[v]) for v in graph._time]
+        indeg = self._indeg = [0] * len(self._rows)
+        for row in self._rows:
+            for w in row:
+                indeg[w] += 1
+
+    def _resync(self, graph: CSDFG, rotated: list[Node]) -> None:
+        succ, pred = graph._succ, graph._pred
+        touched = set(rotated)
+        for v in rotated:
+            touched.update(pred[v])
+        index, rows, indeg = self._index, self._rows, self._indeg
+        for u in touched:
+            i = index[u]
+            row = self._row(succ[u])
+            if row != rows[i]:
+                for w in rows[i]:
+                    indeg[w] -= 1
+                for w in row:
+                    indeg[w] += 1
+                rows[i] = row
+                self._pos = None
+
+    def _walk(self, graph: CSDFG) -> list[int]:
+        rows = self._rows
+        indeg = self._indeg.copy()
+        stack = [i for i, k in enumerate(indeg) if k == 0]
+        pop, push = stack.pop, stack.append
+        pos = [0] * len(rows)
+        rank = 0
+        while stack:
+            u = pop()
+            pos[u] = rank
+            rank += 1
+            for w in rows[u]:
+                k = indeg[w] - 1
+                indeg[w] = k
+                if k == 0:
+                    push(w)
+        if rank != len(rows):
+            # a zero-delay cycle: the dict walk names it in its error
+            topological_order_zero_delay(graph)
+            raise SchedulingError(  # pragma: no cover - defensive
+                "zero-delay adjacency out of sync"
+            )
+        return pos
 
 
 def cyclo_compact(
@@ -388,10 +425,10 @@ def _one_pass(
         if not outcome.accepted:
             metrics.inc("cyclo.rejected")
             metrics.inc("cyclo.rollbacks")
-            topo_cache.note_rollback()
             undo_rotation(
                 working, schedule, rotated, old_placements, previous_length
             )
+            topo_cache.note_rollback(working, rotated)
             for node in rotated:
                 retiming[node] -= 1
             state.trace.records.append(

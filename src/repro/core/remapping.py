@@ -48,9 +48,9 @@ tables:
   whole PE; the scan then walks the interval index's gap skip-list
   (:meth:`~repro.schedule.table.ScheduleTable.free_gaps`) instead of
   every free cell — O(1) candidates instead of O(free cells);
-* callers that already hold the zero-delay topological ranks (the
-  compaction loop caches them across passes) pass them via
-  ``topo_rank`` and skip the per-pass full-graph Kahn walk.
+* callers that already hold the rotated set's zero-delay Kahn ranks
+  (the compaction loop keeps an integer zero-delay adjacency across
+  passes) pass them via ``topo_rank`` and skip the per-pass dict walk.
 
 As with the earlier prunings these change only scan-size metrics,
 never the chosen placement.
@@ -125,16 +125,24 @@ def remap_nodes(
     :class:`~repro.arch.cache.CommCostCache` for ``graph`` when
     omitted); ``psl`` supplies incremental projected-schedule-length
     bounds (its edge snapshot is restored on every rejected pass, so
-    the tracker always reflects the schedule the caller sees).  ``topo_rank`` optionally supplies the
-    full-graph zero-delay topological ranks (node -> position) so the
-    placement order need not re-run Kahn's algorithm — it must match
-    the graph's *current* delays.  ``debug_check=True`` cross-checks
-    the incremental length against the full rescan and raises
-    :class:`SchedulingError` on divergence.
+    the tracker always reflects the schedule the caller sees).
+    ``topo_rank`` optionally supplies, for each node of ``nodes``, its
+    position in the full-graph zero-delay Kahn order under the graph's
+    *current* delays, so the placement order need not re-run Kahn's
+    algorithm.  ``debug_check=True`` cross-checks that order against a
+    fresh walk and the incremental length against the full rescan, and
+    raises :class:`SchedulingError` on divergence.
     """
     if comm is None:
         comm = CommCostCache.for_graph(arch, graph)
     ordered = _placement_order(graph, nodes, topo_rank)
+    if debug_check and topo_rank is not None:
+        walked = _placement_order(graph, nodes)
+        if walked != ordered:
+            raise SchedulingError(
+                f"cached placement order {list(map(str, ordered))} != "
+                f"Kahn order {list(map(str, walked))}"
+            )
     placed: list[Node] = []
     outcome = RemapOutcome(accepted=True, new_length=previous_length)
     cap = None if relaxation else previous_length
@@ -212,23 +220,20 @@ def _placement_order(
     For a *rotated* set it is not — after a rotation no rotated node
     has a zero-delay out-edge (edges leaving the set gain a delay and
     internal edges already carry one), so the order is only a
-    deterministic tie-break taken from the cached full-graph Kahn
-    ranks.  It still decides which node claims a contested slot first,
-    so the ranks must stay to keep schedules identical.
+    deterministic tie-break.  It still decides which node claims a
+    contested slot first, so it must stay to keep schedules identical.
 
-    Ranks are unique per node, so sorting by the full-graph rank and by
-    the set-restricted rank produce the same list — which is what lets
-    the compaction loop cache ``topo_rank`` across passes (the
-    secondary time/name keys are kept for signature stability; unique
-    ranks mean they never decide)."""
+    ``topo_rank`` holds each node's position in the full-graph Kahn
+    order (:func:`topological_order_zero_delay`); when omitted the walk
+    runs here.  Positions are unique, so they alone decide the sort.
+    """
     if len(nodes) <= 1:
         return list(nodes)
     if topo_rank is None:
         topo_rank = {
             v: i for i, v in enumerate(topological_order_zero_delay(graph))
         }
-    rank = topo_rank
-    return sorted(nodes, key=lambda v: (rank[v], -graph.time(v), str(v)))
+    return sorted(nodes, key=topo_rank.__getitem__)
 
 
 def _find_spot(

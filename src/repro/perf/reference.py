@@ -17,7 +17,8 @@ implementations that the fast-path engine replaced:
   the above, pricing every transfer through ``arch.comm_cost`` (no
   communication-cost cache) and recomputing the projected schedule
   length by a full ``projected_schedule_length`` rescan after every
-  pass (no incremental tracker).
+  pass (no incremental tracker) and ordering each rotated set by a
+  fresh zero-delay Kahn walk (no rank cache).
 
 The behaviour contract: for identical inputs the reference engine and
 the fast path produce **identical schedules** — same lengths, same
@@ -526,6 +527,19 @@ class _RescanPSL:
             return None
 
 
+class _KahnRanks:
+    """Stand-in for the compaction loop's zero-delay rank cache: it
+    hands out no ranks, so :func:`~repro.core.remapping.remap_nodes`
+    runs a fresh full-graph Kahn walk on every pass that rotates two or
+    more nodes."""
+
+    def ranks(self, graph: CSDFG, rotated: list[Node]) -> None:
+        return None
+
+    def note_rollback(self, graph: CSDFG, rotated: list[Node]) -> None:
+        pass
+
+
 def reference_cyclo_compact(
     graph: CSDFG,
     arch: Architecture,
@@ -539,15 +553,18 @@ def reference_cyclo_compact(
     ``arch.comm_cost`` (:class:`_UncachedComm` stands in for the comm
     cache), and the projected schedule length is rescanned in full
     after every pass (:class:`_RescanPSL` stands in for the
-    incremental tracker).  The reference start-up scheduler (which
+    incremental tracker).  The placement order of a rotated set comes
+    from a fresh Kahn walk every pass (:class:`_KahnRanks` stands in
+    for the rank cache).  The reference start-up scheduler (which
     builds a :class:`ReferenceScheduleTable`) and slot search are
-    swapped in with the tracker on the module attributes the optimiser
-    looks them up from; all three are restored on exit, so concurrent
-    use from other threads is not supported.
+    swapped in with the tracker and the ranks on the module attributes
+    the optimiser looks them up from; all four are restored on exit,
+    so concurrent use from other threads is not supported.
     """
     swaps = [
         (_cyclo_mod, "start_up_schedule", reference_start_up_schedule),
         (_cyclo_mod, "PSLTracker", _RescanPSL),
+        (_cyclo_mod, "_TopoRankCache", _KahnRanks),
         (_remapping_mod, "_find_spot", reference_find_spot),
     ]
     saved = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in swaps]

@@ -5,15 +5,21 @@
   (Theorem 4.4),
 * the final length never exceeds the start-up length and never beats
   the iteration bound,
-* the cumulative retiming exactly reproduces the final graph.
+* the cumulative retiming exactly reproduces the final graph,
+* the rank cache orders every rotated set like a fresh Kahn walk.
 """
 
 import math
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import CycloConfig, cyclo_compact
+from repro.core import CycloConfig, cyclo_compact, start_up_schedule
+from repro.core.cyclo import _TopoRankCache
+from repro.core.remapping import remap_nodes
+from repro.core.rotation import rotate_schedule, undo_rotation
 from repro.graph import iteration_bound
+from repro.graph.validation import topological_order_zero_delay
 from repro.retiming import apply_retiming, normalize_retiming
 from repro.schedule import collect_violations
 
@@ -80,3 +86,49 @@ class TestRetimingBookkeeping:
         snapshot = g.copy()
         cyclo_compact(g, arch, config=FAST_RELAX)
         assert g.structurally_equal(snapshot)
+
+
+class TestPlacementRanks:
+    @given(
+        csdfgs(max_nodes=12),
+        architectures(max_pes=8),
+        st.lists(st.booleans(), min_size=1, max_size=25),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cache_matches_fresh_walk(self, g, arch, undo_steps):
+        # the calls _one_pass makes, except that a rolled-back step
+        # does not end the sequence
+        working = g.copy()
+        schedule = start_up_schedule(working, arch)
+        cache = _TopoRankCache()
+
+        def check(rotated, rank):
+            if rank is not None:
+                members = set(rotated)
+                assert sorted(rotated, key=rank.__getitem__) == [
+                    v for v in topological_order_zero_delay(working)
+                    if v in members
+                ]
+            if cache._index:
+                fresh = _TopoRankCache()
+                fresh._build(working)
+                assert cache._rows == fresh._rows
+                assert cache._indeg == fresh._indeg
+
+        for undo in undo_steps:
+            previous_length = schedule.length
+            rotated, old_placements = rotate_schedule(working, schedule)
+            rank = cache.ranks(working, rotated)
+            check(rotated, rank)
+            if undo:
+                undo_rotation(
+                    working, schedule, rotated, old_placements, previous_length
+                )
+                cache.note_rollback(working, rotated)
+                check(rotated, None)
+            else:
+                remap_nodes(
+                    working, arch, schedule, rotated,
+                    previous_length=previous_length, relaxation=True,
+                    topo_rank=rank, debug_check=True,
+                )

@@ -2,9 +2,18 @@
 
 import pytest
 
-from repro.arch import CompletelyConnected, LinearArray
+from repro.arch import CompletelyConnected, LinearArray, Ring
 from repro.core import CycloConfig, cyclo_compact, start_up_schedule
-from repro.errors import ScheduleValidationError, SchedulingError
+from repro.core import cyclo as cyclo_mod
+from repro.core import remapping as remapping_mod
+from repro.errors import (
+    GraphValidationError,
+    ScheduleValidationError,
+    SchedulingError,
+)
+from repro.graph import CSDFG, chain_csdfg
+from repro.graph.validation import topological_order_zero_delay
+from repro.obs import InMemorySink, metrics, sink_installed
 from repro.retiming import apply_retiming
 from repro.schedule import ScheduleTable, is_valid_schedule
 
@@ -100,3 +109,66 @@ class TestTrace:
         assert result.trace.improvement() == (
             result.initial_length - result.final_length
         )
+
+
+class TestPlacementRanks:
+    def test_zero_delay_cycle_raises_the_walk_error(self):
+        g = CSDFG("zcycle")
+        g.add_nodes(["a", "b", "c"])
+        g.add_edge("a", "b", 0)
+        g.add_edge("b", "c", 0)
+        g.add_edge("c", "a", 0)
+        with pytest.raises(GraphValidationError) as walked:
+            topological_order_zero_delay(g)
+        with pytest.raises(GraphValidationError) as cached:
+            cyclo_mod._TopoRankCache().ranks(g, ["a", "b"])
+        assert str(cached.value) == str(walked.value)
+        assert cached.value.issues == walked.value.issues
+
+    def test_single_node_rotations_never_build_the_adjacency(self, monkeypatch):
+        builds = []
+        real_build = cyclo_mod._TopoRankCache._build
+        monkeypatch.setattr(
+            cyclo_mod._TopoRankCache, "_build",
+            lambda self, graph: builds.append(graph) or real_build(self, graph),
+        )
+        cfg = CycloConfig(max_iterations=20, validate_each_step=False)
+        with sink_installed(InMemorySink()):
+            result = cyclo_compact(
+                chain_csdfg(40, loop_delay=2), Ring(4), config=cfg
+            )
+        assert len(result.trace.records) > 1
+        assert all(len(r.rotated) == 1 for r in result.trace.records)
+        counters = metrics.snapshot()["counters"]
+        assert counters.get("remap.toporank_rebuilds", 0) == 0
+        assert builds == []
+
+    @staticmethod
+    def _reversed_ranks(monkeypatch):
+        real_ranks = cyclo_mod._TopoRankCache.ranks
+
+        def reversed_ranks(self, graph, rotated):
+            rank = real_ranks(self, graph, rotated)
+            return None if rank is None else {v: -r for v, r in rank.items()}
+
+        monkeypatch.setattr(cyclo_mod._TopoRankCache, "ranks", reversed_ranks)
+
+    def test_validate_each_step_catches_a_wrong_order(self, figure7, monkeypatch):
+        self._reversed_ranks(monkeypatch)
+        cfg = CycloConfig(max_iterations=20, validate_each_step=True)
+        with pytest.raises(SchedulingError, match="cached placement order"):
+            cyclo_compact(figure7, LinearArray(4), config=cfg)
+
+    def test_order_check_off_without_validate_each_step(
+        self, figure7, monkeypatch
+    ):
+        self._reversed_ranks(monkeypatch)
+        walks = []
+        monkeypatch.setattr(
+            remapping_mod, "topological_order_zero_delay",
+            lambda graph: walks.append(graph) or topological_order_zero_delay(graph),
+        )
+        cfg = CycloConfig(max_iterations=20, validate_each_step=False)
+        result = cyclo_compact(figure7, LinearArray(4), config=cfg)
+        assert any(len(r.rotated) > 1 for r in result.trace.records)
+        assert walks == []
