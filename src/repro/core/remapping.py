@@ -1,8 +1,8 @@
 """The remapping phase (Definition 4.2): re-place rotated nodes.
 
-Each rotated node is re-placed by scanning every free (processor,
-control-step) slot and scoring it with the **implied schedule length**
-— the smallest ``L`` at which that placement satisfies every dependence
+Each rotated node is re-placed by scoring every free (processor,
+control-step) slot with its **implied schedule length** — the smallest
+``L`` at which that placement satisfies every dependence
 incident to already-placed neighbours::
 
     in-edge  u -> v, dr = 0 :  cb >= CE(u) + M + 1          (feasibility)
@@ -25,35 +25,49 @@ schedule seen, per Definition 4.2).
 
 Fast path
 ---------
-The slot search hoists all communication costs out of the inner loop:
-for each constraint the full per-candidate-PE cost row is fetched once
-from a :class:`~repro.arch.cache.CommCostCache`, each candidate PE
-folds the rows into scalar floor/ceiling/delayed-bound constants, and
-the per-slot work reduces to a handful of integer ceil-divisions.  Zero-delay *in* constraints are
-enforced entirely by the floor (every scanned slot satisfies them by
-construction); zero-delay *out* constraints give a start-step ceiling
-past which the PE's scan stops early — later slots can only violate
-them.  The pruning changes the ``remap.candidate_slots`` metric (fewer
-doomed slots are visited) but never the chosen placement.
+The slot search hoists all communication costs out of the per-slot
+work: for each constraint the full per-candidate-PE cost row is fetched
+once from a :class:`~repro.arch.cache.CommCostCache`, and each candidate
+PE folds the rows into scalar floor/ceiling/delayed-bound constants.
+Zero-delay *in* constraints are enforced entirely by the floor (every
+start at or past it satisfies them); zero-delay *out* constraints give
+a start-step ceiling past which every start violates one.
 
-Three scale-tier refinements keep the search cheap on thousand-node
-tables:
+On one PE the search never walks free cells.  Write a start ``cb``'s
+implied length as ``f(cb) = max(D(cb), U(cb))``, where ``D`` is the
+delayed in-edges' bound ``max ceil((need - cb) / dr)`` (non-increasing
+in ``cb``) and ``U`` is the finish ``ce``, the self-loop bound and the
+delayed out-edges' bound ``max ceil((cb + base) / dr)`` (non-decreasing).
+So ``f`` falls and then rises, and with the key ``(implied, ce, cb,
+pe)`` a PE's best free start is one of two:
 
-* the per-PE floor/ceiling folds run once per node through
-  :func:`repro.core.kernels.fold_max` / ``fold_min`` over all
-  candidate PEs, before the per-PE scan;
-* when the node has **no delayed in-edges**, every component of the
-  slot key (implied length, ``ce``, ``cb``) is non-decreasing along
-  the slot walk, so the first admissible start on a PE decides the
-  whole PE; the scan then walks the interval index's gap skip-list
-  (:meth:`~repro.schedule.table.ScheduleTable.free_gaps`) instead of
-  every free cell — O(1) candidates instead of O(free cells);
-* callers that already hold the rotated set's zero-delay Kahn ranks
-  (the compaction loop keeps an integer zero-delay adjacency across
-  passes) pass them via ``topo_rank`` and skip the per-pass dict walk.
+* right of the crossing ``c0`` (the first start with ``D <= U``, a
+  binary search on plain integers) ``f = U`` is non-decreasing, so the
+  earliest free start at or past ``c0`` wins there;
+* left of it ``f = D`` is non-increasing, so the latest free start
+  before ``c0`` (:meth:`~repro.schedule.table.ScheduleTable.last_free_start`)
+  scores best there, and ``D``'s plateaus (``dr >= 2``) hand the tie
+  to the earliest free start with the same score.
 
-As with the earlier prunings these change only scan-size metrics,
-never the chosen placement.
+The left candidate wins ties (it starts earlier); the cap then accepts
+or rejects the PE's winner, which has the PE's smallest implied length.
+With no delayed in-edges ``c0`` is the floor and one
+:meth:`~repro.schedule.table.ScheduleTable.earliest_slot` query decides
+the PE.  ``first-fit`` keeps the earliest free start whose implied
+length fits the cap; ``{f <= cap}`` is an integer interval whose ends
+are closed forms, so that is one query too.  The search range also
+ends where the incumbent from earlier PEs provably wins (every key
+starts with ``implied >= ce``, or ``cb`` for first-fit).  The
+``remap.candidate_slots`` metric counts the starts scored: at most two
+per PE searched.  ``repro.perf.reference.reference_find_spot`` still
+walks every free cell and is the oracle for all of this.
+
+The per-PE floor/ceiling folds run once per node through
+:func:`repro.core.kernels.fold_max` / ``fold_min`` over all candidate
+PEs, and callers that already hold the rotated set's zero-delay Kahn
+ranks (the compaction loop keeps an integer zero-delay adjacency
+across passes) pass them via ``topo_rank`` and skip the per-pass dict
+walk.
 
 An optional :class:`~repro.core.psl.PSLTracker` replaces the full
 ``projected_schedule_length`` rescan after the placements with an
@@ -62,6 +76,7 @@ incremental update over edges incident to the remapped set.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.arch.cache import CommCostCache
@@ -250,11 +265,12 @@ def _find_spot(
     """Best ``(pe, cb, duration)`` slot for ``node``, priced by ``comm``
     (which must cover the graph's edge volumes).
 
-    ``strategy="implied"`` scans every free slot up to the horizon and
-    minimises the implied schedule length; ``strategy="first-fit"``
-    takes the earliest available slot at or after the anticipation
-    bound, minimised across processors (the paper's procedure) — the
-    cap still enforces the paper's ``PSL <= length(S)`` side condition.
+    ``strategy="implied"`` minimises the implied schedule length over
+    every free slot up to the horizon (found per PE by the closed-form
+    search of the module docstring); ``strategy="first-fit"`` takes the
+    earliest available slot at or after the anticipation bound,
+    minimised across processors (the paper's procedure) — the cap still
+    enforces the paper's ``PSL <= length(S)`` side condition.
     Returns ``None`` when no admissible slot fits under ``cap``.  The
     duration is the node's execution time on the chosen PE
     (heterogeneous machines scale it).
@@ -325,10 +341,7 @@ def _find_spot(
         # earliest start admissible w.r.t. zero-delay producers; every
         # slot at or past the floor satisfies all zero-delay in-edges
         floor = floors[j] if floors is not None else 1
-        # latest start admissible w.r.t. zero-delay consumers: beyond
-        # the ceiling every later slot violates some zero-delay out-edge
-        ceiling = ceilings[j] - duration if ceilings is not None else None
-        # with a cap, slots beyond it are pointless; without one, scan
+        # with a cap, slots beyond it are pointless; without one, search
         # far enough past the tail (and past the floor) that a free
         # slot is guaranteed on every PE
         horizon = (
@@ -336,18 +349,20 @@ def _find_spot(
             if cap is not None
             else (tail if tail > floor else floor) + duration
         )
-        if floor > horizon - occupancy + 1 or (
-            ceiling is not None and ceiling < floor
-        ):
-            # no admissible start on this PE: the slot walk would yield
-            # nothing (or break at its first slot before counting it)
-            continue
+        last = horizon - occupancy + 1
+        if ceilings is not None:
+            # latest start admissible w.r.t. zero-delay consumers
+            ceiling = ceilings[j] - duration
+            if ceiling < last:
+                last = ceiling
         if best is not None:
-            # every slot's key starts with implied >= ce (or cb for
-            # first-fit), both increasing in cb: when even the first
-            # admissible start loses to the incumbent, the PE cannot win
-            if (floor if first_fit else floor + duration - 1) > best[0]:
-                continue
+            # every key starts with implied >= ce (or cb for first-fit),
+            # both increasing in cb: later starts lose to the incumbent
+            prune = best[0] if first_fit else best[0] - duration + 1
+            if prune < last:
+                last = prune
+        if last < floor:
+            continue
         # delayed bounds reduce to ceil((const ± cb) / dr) per slot
         in_del = (
             [(ce_u + row[pe] + 1, dr) for row, ce_u, dr in in_delayed]
@@ -359,54 +374,72 @@ def _find_spot(
             if out_delayed
             else ()
         )
-        if in_del:
-            slots = schedule.free_slots(pe, floor, occupancy, horizon)
-        else:
-            # gap skip-list fast path: with no delayed in-edges every
-            # key component (implied, ce, cb) is non-decreasing along
-            # the slot walk, so the first reachable start decides the
-            # whole PE — walk maximal gaps instead of free cells
-            slots = (
-                first
-                for first, _last in schedule.free_gaps(
-                    pe, floor, occupancy, horizon
-                )
-            )
-        for cb in slots:
-            if ceiling is not None and cb > ceiling:
-                break
-            ce = cb + duration - 1
-            if best is not None and (cb if first_fit else ce) > best[0]:
-                # keys are (implied, ...) with implied >= ce, or
-                # (cb, ...) for first-fit; both components only grow
-                # along the slot walk, so no later slot can win either
-                break
+        if first_fit:
+            # the earliest free start whose implied length fits the cap;
+            # {cb : f(cb) <= cap} is the interval [t1, t2]
+            lo, hi = floor, last
+            if cap is not None:
+                if self_loop_bound > cap:
+                    continue
+                if in_del:
+                    t1 = _down_reaches(cap, in_del)
+                    if t1 > lo:
+                        lo = t1
+                t2 = _up_reaches(cap, duration, out_del)
+                if t2 < hi:
+                    hi = t2
+                if hi < lo:
+                    continue
+            cb = schedule.earliest_slot(pe, lo, occupancy, hi + occupancy - 1)
+            if cb is None:
+                continue
             slots_scanned += 1
-            implied = ce if ce > self_loop_bound else self_loop_bound
-            for need, dr in in_del:
-                bound = -(-(need - cb) // dr)
-                if bound > implied:
-                    implied = bound
-            for base_slack, dr in out_del:
-                bound = -(-(cb + base_slack) // dr)
-                if bound > implied:
-                    implied = bound
-            if cap is None or implied <= cap:
-                if first_fit:
-                    key = (cb, ce, 0, pe, duration)
-                else:
-                    key = (implied, ce, cb, pe, duration)
-                if best is None or key < best:
-                    best = key
-                if first_fit or implied == ce:
-                    # first-fit keeps the earliest admissible slot
-                    # per PE; implied-scoring stops once no later
-                    # slot on this PE can score better
-                    break
-            if not in_del:
-                # monotone keys again: whether this slot was admissible
-                # or capped out, every later slot repeats or worsens it
-                break
+            key = (cb, cb + duration - 1, 0, pe, duration)
+        else:
+            # f = max(D, U) falls then rises: the earliest free start at
+            # or past the crossing c0 is the best right of it, the latest
+            # free start before c0 the best left of it
+            c0 = (
+                _crossing(
+                    floor, last, in_del, duration, self_loop_bound, out_del
+                )
+                if in_del
+                else floor
+            )
+            key = None
+            if c0 <= last:
+                cb = schedule.earliest_slot(
+                    pe, c0, occupancy, last + occupancy - 1
+                )
+                if cb is not None:
+                    slots_scanned += 1
+                    key = (
+                        _up(cb, duration, self_loop_bound, out_del),
+                        cb + duration - 1,
+                        cb,
+                        pe,
+                        duration,
+                    )
+            if c0 > floor:
+                cb = schedule.last_free_start(pe, floor, occupancy, c0 - 1)
+                if cb is not None:
+                    slots_scanned += 1
+                    implied = _down(cb, in_del)
+                    if key is None or implied <= key[0]:
+                        # D has plateaus when dr >= 2: the earliest free
+                        # start with the same score wins the tie
+                        t = _down_reaches(implied, in_del)
+                        cb = schedule.earliest_slot(
+                            pe,
+                            t if t > floor else floor,
+                            occupancy,
+                            cb + occupancy - 1,
+                        )
+                        key = (implied, cb + duration - 1, cb, pe, duration)
+            if key is None or (cap is not None and key[0] > cap):
+                continue
+        if best is None or key < best:
+            best = key
     metrics.inc("remap.candidate_pes", pes_scanned)
     metrics.inc("remap.candidate_slots", slots_scanned)
     if best is None:
@@ -414,6 +447,79 @@ def _find_spot(
     if first_fit:
         return best[3], best[0], best[4]
     return best[3], best[2], best[4]
+
+
+def _down(cb: int, in_del: Sequence[tuple[int, int]]) -> int:
+    """D(cb): the implied length the delayed in-edges force on start
+    ``cb`` (non-increasing in ``cb``); ``in_del`` must be non-empty."""
+    return max(-(-(need - cb) // dr) for need, dr in in_del)
+
+
+def _up(
+    cb: int,
+    duration: int,
+    self_loop_bound: int,
+    out_del: Sequence[tuple[int, int]],
+) -> int:
+    """U(cb): the finish, the self-loop bound and the delayed out-edges'
+    implied length for start ``cb`` (non-decreasing in ``cb``)."""
+    implied = cb + duration - 1
+    if self_loop_bound > implied:
+        implied = self_loop_bound
+    for base_slack, dr in out_del:
+        bound = -(-(cb + base_slack) // dr)
+        if bound > implied:
+            implied = bound
+    return implied
+
+
+def _down_reaches(value: int, in_del: Sequence[tuple[int, int]]) -> int:
+    """Smallest start ``cb`` with ``D(cb) <= value``.
+
+    ``ceil((need - cb) / dr) <= value`` holds exactly when
+    ``cb >= need - value * dr``."""
+    return max(need - value * dr for need, dr in in_del)
+
+
+def _up_reaches(
+    value: int, duration: int, out_del: Sequence[tuple[int, int]]
+) -> int:
+    """Largest start ``cb`` with ``U(cb) <= value``, ignoring the
+    start-independent self-loop bound.
+
+    ``ceil((cb + base) / dr) <= value`` holds exactly when
+    ``cb <= value * dr - base``."""
+    hi = value - duration + 1
+    for base_slack, dr in out_del:
+        t = value * dr - base_slack
+        if t < hi:
+            hi = t
+    return hi
+
+
+def _crossing(
+    lo: int,
+    hi: int,
+    in_del: Sequence[tuple[int, int]],
+    duration: int,
+    self_loop_bound: int,
+    out_del: Sequence[tuple[int, int]],
+) -> int:
+    """Smallest start in ``lo..hi`` with ``D(cb) <= U(cb)``, or
+    ``hi + 1`` when there is none.  ``D - U`` is non-increasing, so a
+    binary search on plain integers finds it (occupancy plays no part).
+    """
+    if _down(lo, in_del) <= _up(lo, duration, self_loop_bound, out_del):
+        return lo
+    lo += 1
+    hi += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _down(mid, in_del) <= _up(mid, duration, self_loop_bound, out_del):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _rollback(schedule: ScheduleTable, placed: list[Node]) -> None:

@@ -5,8 +5,9 @@ of the fast-path equivalence suite.  It keeps the original
 implementations that the fast-path engine replaced:
 
 * :class:`ReferenceScheduleTable` — the naive per-cell dict table
-  (``earliest_slot`` probes cell by cell, ``shift_all`` re-places every
-  task, ``busy_cells``/``row`` scan the whole cell dict);
+  (``earliest_slot`` and ``last_free_start`` probe cell by cell,
+  ``shift_all`` re-places every task, ``busy_cells``/``row`` scan the
+  whole cell dict);
 * :func:`reference_find_spot` — the remapping slot search that calls
   ``arch.comm_cost`` for every constraint of every scanned slot;
 * :func:`reference_start_up_schedule` — the per-control-step list
@@ -32,8 +33,6 @@ path prunes slots and probes the reference path makes and rejects.)
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from repro.arch.cache import CommCostCache
 from repro.arch.topology import Architecture
@@ -155,15 +154,18 @@ class ReferenceScheduleTable(ScheduleTable):
             cs = conflict + 1
         return None
 
-    def free_slots(
-        self, pe: int, not_before: int, duration: int, horizon: int
-    ) -> Iterator[int]:
-        # expressed through the reference earliest_slot so the naive
-        # semantics stay authoritative even for fast-path callers
-        cb = self.earliest_slot(pe, not_before, duration, horizon=horizon)
-        while cb is not None:
-            yield cb
-            cb = self.earliest_slot(pe, cb + 1, duration, horizon=horizon)
+    def last_free_start(
+        self, pe: int, not_before: int, duration: int, at_most: int
+    ) -> int | None:
+        # cell by cell, latest start first; the base class would answer
+        # from the interval index, which this table never fills
+        for cs in range(at_most, max(1, not_before) - 1, -1):
+            if all(
+                (pe, probe) not in self._cells
+                for probe in range(cs, cs + duration)
+            ):
+                return cs
+        return None
 
     def first_row(self) -> list[Node]:
         starters = [p for p in self._placements.values() if p.start == 1]

@@ -11,11 +11,12 @@ occupancy interval index**: for every processor a list of
 ``(start, busy_until, node)`` spans kept sorted by start.  Because
 spans on one processor never overlap, every occupancy question becomes
 a binary search — :meth:`cell` and :meth:`is_free` are ``O(log k)``,
-:meth:`earliest_slot` is a gap walk from the query point instead of a
-cell-by-cell probe, and :meth:`busy_cells` is a counter read.  The
-interval index replaces the earlier per-cell dict; the randomized
-equivalence suite in ``tests/unit/test_table_index.py`` pins this
-implementation cell-for-cell against the naive reference table
+:meth:`earliest_slot` and :meth:`last_free_start` are gap walks from
+the query point (forward and backward) instead of cell-by-cell probes,
+and :meth:`busy_cells` is a counter read.  The interval index
+replaces the earlier per-cell dict; the randomized equivalence suite
+in ``tests/unit/test_table_index.py`` pins this implementation
+cell-for-cell against the naive reference table
 (:class:`repro.perf.reference.ReferenceScheduleTable`).
 
 The table stores every step relative to an internal **origin**: the
@@ -445,90 +446,36 @@ class ScheduleTable:
             cs = next_until + 1
             idx += 1
 
-    def free_slots(
-        self, pe: int, not_before: int, duration: int, horizon: int
-    ) -> Iterator[int]:
-        """Yield every start ``cs >= not_before`` where ``duration``
-        consecutive cells on ``pe`` are free and the span ends by
-        ``horizon`` — ascending, exactly the sequence repeated
-        :meth:`earliest_slot` queries (each resuming at the previous
-        result + 1) would produce, but walking the interval index once.
-        """
-        cs = not_before if not_before > 1 else 1
-        last = horizon - duration + 1  # latest admissible start
-        if not (0 <= pe < self.num_pes):
-            while cs <= last:
-                yield cs
-                cs += 1
-            return
-        self.probes += 1
-        origin = self._origin
-        cs -= origin
-        last -= origin
-        starts = self._starts[pe]
-        intervals = self._intervals[pe]
-        idx = bisect_right(starts, cs) - 1
-        if idx >= 0 and intervals[idx][1] >= cs:
-            cs = intervals[idx][1] + 1
-        idx += 1
-        count = len(intervals)
-        while cs <= last:
-            if idx >= count:
-                yield cs + origin
-                cs += 1
-                continue
-            next_start, next_until, _node = intervals[idx]
-            if cs + duration - 1 < next_start:
-                yield cs + origin
-                cs += 1
-                continue
-            cs = next_until + 1
-            idx += 1
+    def last_free_start(
+        self, pe: int, not_before: int, duration: int, at_most: int
+    ) -> int | None:
+        """Last control step in ``not_before..at_most`` where ``duration``
+        consecutive cells on ``pe`` are free.  ``None`` when there is none.
 
-    def free_gaps(
-        self, pe: int, not_before: int, duration: int, horizon: int
-    ) -> Iterator[tuple[int, int]]:
-        """Yield ``(first, last)`` start ranges of the maximal free gaps
-        on ``pe``: every start in ``first..last`` fits ``duration``
-        consecutive free cells ending by ``horizon``, and ``first - 1``
-        does not (it is occupied, or before ``not_before``).
-
-        This is the gap skip-list view of the interval index: the
-        remapping slot search uses it to evaluate one candidate per gap
-        instead of walking every start :meth:`free_slots` would yield —
-        on tables with thousands of occupied intervals the scan cost
-        drops from O(free cells) to O(gaps).  Concatenating the ranges
-        reproduces :meth:`free_slots` exactly.
+        The backward mirror of :meth:`earliest_slot`: bisect to the span
+        covering the window's last cell, then step back over spans.
         """
-        cs = not_before if not_before > 1 else 1
-        last = horizon - duration + 1  # latest admissible start
+        first = not_before if not_before > 1 else 1
+        if at_most < first:
+            return None
         if not (0 <= pe < self.num_pes):
-            if cs <= last:
-                yield cs, last
-            return
+            return at_most
         self.probes += 1
+        # walk in stored steps; the result converts back
         origin = self._origin
-        cs -= origin
-        last -= origin
-        starts = self._starts[pe]
+        cs = at_most - origin
+        first -= origin
         intervals = self._intervals[pe]
-        idx = bisect_right(starts, cs) - 1
-        if idx >= 0 and intervals[idx][1] >= cs:
-            cs = intervals[idx][1] + 1
-        idx += 1
-        count = len(intervals)
-        while cs <= last:
-            if idx >= count:
-                yield cs + origin, last + origin
-                return
-            next_start, next_until, _node = intervals[idx]
-            gap_last = next_start - duration  # last start fitting the gap
-            if gap_last > last:
-                gap_last = last
-            if cs <= gap_last:
-                yield cs + origin, gap_last + origin
-            cs = next_until + 1
-            idx += 1
+        idx = bisect_right(self._starts[pe], cs + duration - 1) - 1
+        # spans never overlap, so only span ``idx`` can block the window
+        # ``cs..cs+duration-1``; moving the window to end just before it
+        # leaves span ``idx - 1`` as the next possible blocker
+        while idx >= 0 and intervals[idx][1] >= cs:
+            cs = intervals[idx][0] - duration
+            if cs < first:
+                return None
+            idx -= 1
+        return cs + origin
 
     def first_row(self) -> list[Node]:
         """Tasks starting at control step 1, by PE order (the set the

@@ -142,6 +142,26 @@ class TestSlotSearch:
         t.place("a", 0, 1, 1)
         assert t.earliest_slot(0, 100, 3) == 100
 
+    def test_last_free_start_steps_back_over_spans(self):
+        t = ScheduleTable(1)
+        t.place("a", 0, 3, 2)  # cells 3..4
+        t.place("b", 0, 6, 1)  # cell 6
+        assert t.last_free_start(0, 1, 1, 9) == 9
+        assert t.last_free_start(0, 1, 2, 6) == 1  # 5..6 and 2..3 blocked
+        assert t.last_free_start(0, 2, 2, 6) is None
+        assert t.last_free_start(0, 1, 1, 4) == 2
+        assert t.last_free_start(0, -3, 1, 2) == 2  # floored at step 1
+        assert t.last_free_start(0, 5, 1, 4) is None  # empty window
+        assert t.last_free_start(4, 1, 3, 7) == 7  # out-of-range PE: free
+
+    def test_last_free_start_at_nonzero_origin(self):
+        t = ScheduleTable(1)
+        t.place("a", 0, 5, 2)  # cells 5..6
+        t.shift_all(-2)  # now cells 3..4
+        assert t.last_free_start(0, 1, 2, 4) == 1
+        assert t.last_free_start(0, 1, 2, 5) == 5
+        assert t.last_free_start(0, 2, 2, 4) is None
+
 
 class TestRowsAndViews:
     def test_first_row_pe_order(self):
@@ -198,7 +218,7 @@ class TestInstrumentationTallies:
         t.cell(0, 1)
         t.is_free(0, 3, 1)
         t.earliest_slot(0, 1, 1)
-        list(t.free_slots(0, 1, 1, 5))
+        t.last_free_start(0, 1, 1, 5)
         assert t.probes == 4
         t.cell(9, 1)  # out-of-range PE: answered without an index probe
         assert t.probes == 4
