@@ -43,7 +43,7 @@ from repro.core.trace import CompactionTrace, IterationRecord
 from repro.errors import ScheduleValidationError, SchedulingError
 from repro.obs import metrics, span
 from repro.graph.csdfg import CSDFG, Edge, Node
-from repro.graph.validation import topological_order_zero_delay
+from repro.graph.validation import kahn_order, topological_order_zero_delay
 from repro.retiming.basic import apply_retiming
 from repro.schedule.table import ScheduleTable
 from repro.schedule.validate import collect_violations
@@ -202,22 +202,11 @@ class _TopoRankCache:
                 self._pos = None
 
     def _walk(self, graph: CSDFG) -> list[int]:
-        rows = self._rows
-        indeg = self._indeg.copy()
-        stack = [i for i, k in enumerate(indeg) if k == 0]
-        pop, push = stack.pop, stack.append
-        pos = [0] * len(rows)
-        rank = 0
-        while stack:
-            u = pop()
+        order = kahn_order(self._rows, self._indeg)
+        pos = [0] * len(self._rows)
+        for rank, u in enumerate(order):
             pos[u] = rank
-            rank += 1
-            for w in rows[u]:
-                k = indeg[w] - 1
-                indeg[w] = k
-                if k == 0:
-                    push(w)
-        if rank != len(rows):
+        if len(order) != len(pos):
             # a zero-delay cycle: the dict walk names it in its error
             topological_order_zero_delay(graph)
             raise SchedulingError(  # pragma: no cover - defensive

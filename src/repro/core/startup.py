@@ -20,12 +20,35 @@ The walk is event-driven; it places exactly what the step-by-step walk
   so a PE is free at ``cs`` exactly when its last task ends before
   ``cs``, whatever the new task's occupancy.  The sweep at ``cs`` stops
   as soon as no PE is free: every later probe would fail.
+* **Release heap.**  The last busy step of every busy PE sits in one
+  heap; a step pops the PEs that ended before it into the free count,
+  and a placement pushes its PE back.  The heap's head is the next
+  release ``cs`` can jump to when no PE is free.
 * **Wake-ups.**  A node's per-PE arrival bounds ``cm_p`` are fixed once
   it is ready, and PE release times only grow, so it cannot be placed
   before ``min_p max(cm_p, busy_p) + 1``.  It sleeps until then after a
   failed probe (until ``min_p cm_p + 1`` on becoming ready), and ``cs``
   jumps straight to the next step where some node is awake and some PE
   is free.
+* **Candidate orders.**  A probe tries the PEs by ``(duration, cm_p,
+  PE id)`` and takes the first that has the data and is free.  A
+  duration is the node's base time times the PE's time scale, so every
+  base time orders the PEs like their scales.  A node with one
+  zero-delay producer ``u`` has ``cm_p = CE(u) + M(PE(u), p; c)``,
+  and ``CE(u)`` shifts every entry alike, so its order depends only on
+  ``u``'s PE and the volume: it is sorted once per such pair and
+  shared, with the cost row, by every node that repeats it.  Root
+  nodes share one order; only nodes with several producers sort their
+  own.
+
+Nodes, PEs and producers live in integer-indexed lists.  One walk over
+the graph's adjacency builds the zero-delay successor rows, the
+producer lists, the ready counts, the edge-volume counts of the step
+limit and the same LIFO Kahn order as
+:func:`repro.graph.validation.topological_order_zero_delay`; ALAP runs
+on those rows.  PE state is indexed by position in ``arch.processors``
+(degraded machines have non-contiguous ids) and mapped back to the PE
+id when placing.
 
 Delayed (loop-carried) edges are invisible to the placement loop (the
 paper feeds the algorithm the graph "with no feedback edges") but still
@@ -37,7 +60,9 @@ empty control steps at the end of the table.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import count
+from itertools import count, repeat
+from operator import add, lt
+from typing import Mapping
 
 from repro.arch.cache import CommCostCache
 from repro.arch.topology import Architecture
@@ -45,12 +70,25 @@ from repro.core.priority import PriorityFn, paper_priority
 from repro.core.psl import projected_schedule_length
 from repro.errors import SchedulingError
 from repro.graph.csdfg import CSDFG, Node
-from repro.graph.properties import alap_times
-from repro.graph.validation import topological_order_zero_delay
+from repro.graph.properties import alap_indexed
+from repro.graph.validation import kahn_order, topological_order_zero_delay
 from repro.obs import metrics, span
 from repro.schedule.table import ScheduleTable
 
 __all__ = ["start_up_schedule", "start_up_step_limit"]
+
+
+def _step_limit(
+    arch: Architecture,
+    comm: CommCostCache,
+    total_work: int,
+    volumes: Mapping[int, int],
+) -> int:
+    """:func:`start_up_step_limit` from the graph's total work and its
+    edge count per volume."""
+    slowest = max(arch.time_scales[pe] for pe in arch.processors)
+    max_comm = sum(comm.max_cost(volume) * k for volume, k in volumes.items())
+    return total_work * slowest + max_comm + 1
 
 
 def start_up_step_limit(
@@ -62,11 +100,49 @@ def start_up_step_limit(
     the dearest price ``comm`` can charge for every edge's transfer,
     plus one.
     """
-    slowest = max(arch.time_scales[pe] for pe in arch.processors)
-    volumes = {e.volume for e in graph.edges()}
-    dearest = {volume: comm.max_cost(volume) for volume in volumes}
-    max_comm = sum(dearest[e.volume] for e in graph.edges())
-    return graph.total_work() * slowest + max_comm + 1
+    volumes: dict[int, int] = {}
+    for e in graph.edges():
+        volumes[e.volume] = volumes.get(e.volume, 0) + 1
+    return _step_limit(arch, comm, graph.total_work(), volumes)
+
+
+def _index_graph(graph: CSDFG):
+    """One walk over ``graph``'s adjacency.
+
+    Returns ``(nodes, times, rows, producers, volumes, order)``: node
+    ``i`` is the ``i``-th of ``graph.nodes()``, ``rows[i]`` its
+    zero-delay successor indices in adjacency order, ``producers[i]``
+    its ``(source index, volume)`` zero-delay in-edges, ``volumes`` the
+    edge count per volume over every edge, and ``order`` the zero-delay
+    topological order of the indices, the same LIFO Kahn walk as
+    :func:`topological_order_zero_delay`, which raises its usual error
+    when a zero-delay cycle leaves nodes out.
+    """
+    nodes = list(graph._time)
+    times = list(graph._time.values())
+    index = {v: i for i, v in enumerate(nodes)}
+    succ = graph._succ
+    rows: list[list[int]] = []
+    producers: list[list[tuple[int, int]]] = [[] for _ in nodes]
+    volumes: dict[int, int] = {}
+    for i, v in enumerate(nodes):
+        row = []
+        for dst, e in succ[v].items():
+            volume = e.volume
+            volumes[volume] = volumes.get(volume, 0) + 1
+            if e.delay == 0:
+                j = index[dst]
+                row.append(j)
+                producers[j].append((i, volume))
+        rows.append(row)
+    order = kahn_order(rows, [len(p) for p in producers])
+    if len(order) != len(nodes):
+        # a zero-delay cycle: the dict walk names it in its error
+        topological_order_zero_delay(graph)
+        raise SchedulingError(  # pragma: no cover - defensive
+            "zero-delay adjacency out of sync"
+        )
+    return nodes, times, rows, producers, volumes, order
 
 
 def start_up_schedule(
@@ -105,12 +181,12 @@ def start_up_schedule(
     if graph.num_nodes == 0:
         raise SchedulingError("cannot schedule an empty graph")
     # verifies legality (zero-delay subgraph acyclic) as a side effect
-    order = topological_order_zero_delay(graph)
+    nodes, times, rows, producers, volumes, order = _index_graph(graph)
 
     with span(
         "startup", workload=graph.name, arch=arch.name
     ) as startup_span:
-        alap = alap_times(graph, order=order)  # mobility_map(graph)
+        alap = dict(zip(nodes, alap_indexed(times, rows, order)))
         schedule = ScheduleTable(
             arch.num_pes, name=f"{graph.name}@{arch.name}:startup"
         )
@@ -118,73 +194,97 @@ def start_up_schedule(
             comm = CommCostCache.for_graph(arch, graph)
         cost = comm.cost
         processors = list(arch.processors)
-        # last control step each PE is busy, keyed by PE id (degraded
-        # machines have non-contiguous ids)
-        busy = dict.fromkeys(processors, 0)
-        # base execution time -> (duration on each processor, candidates
-        # of a node without zero-delay producers: every cm_p is 0)
-        by_time: dict[int, tuple[list[int], list[tuple[int, int, int]]]] = {}
-        # (source PE, volume) -> comm cost to each processor
-        rows: dict[tuple[int, int], list[int]] = {}
+        positions = range(len(processors))
+        zeros = [0] * len(processors)
+        # execution_time(pe, t) is t * time_scales[pe] with t >= 1, so
+        # every base time orders the PEs by duration like their scales
+        scales = [arch.time_scales[pe] for pe in processors]
+        # a stable sort of positions by cm alone breaks ties by PE id
+        # when the scales are equal and the ids ascend
+        by_cm = len(set(scales)) == 1 and all(
+            map(lt, processors, processors[1:])
+        )
+
+        def ranked(cms: list[int]) -> list[int]:
+            """Positions in probe order: by (duration, cm_p, PE id)."""
+            if by_cm:
+                return sorted(positions, key=cms.__getitem__)
+            return sorted(
+                positions, key=lambda p: (scales[p], cms[p], processors[p])
+            )
+
+        # every cm_p of a node without zero-delay producers is 0
+        root_ranking = ranked(zeros)
+        # last control step each PE is busy, by position
+        busy = list(zeros)
+        # base execution time -> duration on each PE
+        by_time: dict[int, list[int]] = {}
+        # (source position, volume) -> (comm cost to each PE, probe
+        # order of a node whose one zero-delay producer sits there, min
+        # cost)
+        transfers: dict[tuple[int, int], tuple[list[int], list[int], int]] = {}
         finish: dict[Node, int] = {}
-
-        pending_preds: dict[Node, int] = {
-            v: sum(1 for e in graph.in_edges(v) if e.delay == 0)
-            for v in order
-        }
-        # ready node -> (a, b, candidates sorted by (duration, cm, pe));
-        # dropped on placement
-        state: dict[Node, tuple[float, int, list[tuple[int, int, int]]]] = {}
-        # b -> [(-a, str(v), seq, v)]; seq keeps ties off the nodes
+        ends = [0] * len(nodes)  # finish step of each placed node
+        where = [0] * len(nodes)  # PE position of each placed node
+        names = [str(v) for v in nodes]
+        pending = [len(p) for p in producers]
+        keys: list[tuple[float, int]] = [(0.0, 0)] * len(nodes)
+        # ready node -> (cm offset, cm_p - offset by position, probe
+        # order, duration by position)
+        probes: list = [None] * len(nodes)
+        # b -> [(-a, str(v), seq, i)]; seq keeps ties off the indices
         heaps: dict[int, list] = {}
-        wake: list[tuple[int, int, Node]] = []  # (wake-up step, seq, v)
+        wake: list[tuple[int, int, int]] = []  # (wake-up step, seq, i)
+        released: list[int] = []  # last busy step of every busy PE
         seqs = count()
-        remaining = graph.num_nodes
+        remaining = len(nodes)
 
-        cs_limit = start_up_step_limit(graph, arch, comm)
+        cs_limit = _step_limit(arch, comm, sum(times), volumes)
 
         deferrals = 0
+        sweeps = 0
 
-        def sleep(node: Node, last_blocked: int) -> None:
-            heappush(wake, (last_blocked + 1, next(seqs), node))
+        def transfer(
+            src: int, volume: int
+        ) -> tuple[list[int], list[int], int]:
+            cached = transfers.get((src, volume))
+            if cached is None:
+                src_pe = processors[src]
+                row = [cost(src_pe, pe, volume) for pe in processors]
+                cached = transfers[src, volume] = (row, ranked(row), min(row))
+            return cached
 
-        def make_ready(node: Node) -> None:
-            a, b = priority(graph, alap, finish, node)
-            base_time = graph.time(node)
-            if base_time not in by_time:
-                per_pe = [
-                    arch.execution_time(pe, base_time) for pe in processors
+        def make_ready(i: int) -> None:
+            keys[i] = priority(graph, alap, finish, nodes[i])
+            durations = by_time.get(times[i])
+            if durations is None:
+                durations = by_time[times[i]] = [
+                    arch.execution_time(pe, times[i]) for pe in processors
                 ]
-                by_time[base_time] = (
-                    per_pe, sorted(zip(per_pe, [0] * len(per_pe), processors))
-                )
-            per_pe, candidates = by_time[base_time]
+            sources = producers[i]
             # per-PE data arrival bound cm_p, fixed from here on
-            cms = None
-            for e in graph.in_edges(node):
-                if e.delay != 0:
-                    continue
-                src_pe = schedule.processor(e.src)
-                row = rows.get((src_pe, e.volume))
-                if row is None:
-                    row = rows[src_pe, e.volume] = [
-                        cost(src_pe, pe, e.volume) for pe in processors
-                    ]
-                finish_u = finish[e.src]
-                arrivals = [finish_u + c for c in row]
-                if cms is not None:
-                    arrivals = list(map(max, cms, arrivals))
-                cms = arrivals
-            if cms is not None:
-                candidates = sorted(zip(per_pe, cms, processors))
-            state[node] = (a, b, candidates)
+            if not sources:
+                offset, cms, ranking, low = 0, zeros, root_ranking, 0
+            elif len(sources) == 1:
+                u, volume = sources[0]
+                offset = ends[u]
+                cms, ranking, low = transfer(where[u], volume)
+            else:
+                offset = 0
+                cms = list(map(max, *[
+                    map(add, transfer(where[u], volume)[0], repeat(ends[u]))
+                    for u, volume in sources
+                ]))
+                ranking, low = ranked(cms), min(cms)
+            probes[i] = (offset, cms, ranking, durations)
             # no PE has the data before min_p cm_p + 1
-            sleep(node, min(cms) if cms is not None else 0)
+            heappush(wake, (offset + low + 1, next(seqs), i))
 
-        for v, k in pending_preds.items():
-            if k == 0:
-                make_ready(v)
+        for i in order:
+            if pending[i] == 0:
+                make_ready(i)
 
+        free = len(processors)
         cs = 1
         last_placement = 0
         while remaining > 0:
@@ -192,13 +292,16 @@ def start_up_schedule(
                 raise SchedulingError(
                     f"start-up scheduling did not converge by cs {cs_limit}"
                 )
+            sweeps += 1
+            while released and released[0] < cs:
+                heappop(released)
+                free += 1
             while wake and wake[0][0] <= cs:
-                _, ready_seq, node = heappop(wake)
-                a, b, _ = state[node]
+                _, ready_seq, i = heappop(wake)
+                a, b = keys[i]
                 heappush(
-                    heaps.setdefault(b, []), (-a, str(node), ready_seq, node)
+                    heaps.setdefault(b, []), (-a, names[i], ready_seq, i)
                 )
-            free = sum(1 for last in busy.values() if last < cs)
             while free:
                 # merge the heap heads by (-score, str(v))
                 best_key = best_heap = None
@@ -210,40 +313,44 @@ def start_up_schedule(
                             best_key, best_heap = key, heap
                 if best_heap is None:
                     break
-                node = heappop(best_heap)[3]
-                candidates = state[node][2]
-                for duration, cm, pe in candidates:
-                    if cm < cs and busy[pe] < cs:
+                i = heappop(best_heap)[3]
+                offset, cms, ranking, durations = probes[i]
+                limit = cs - offset
+                for pos in ranking:
+                    if cms[pos] < limit and busy[pos] < cs:
                         break
                 else:
                     # no PE both has the data and is free before then
                     deferrals += 1
-                    sleep(node, min(
-                        cm if cm > busy[pe] else busy[pe]
-                        for _, cm, pe in candidates
-                    ))
+                    if offset:
+                        cms = map(add, cms, repeat(offset))
+                    blocked = min(map(max, cms, busy))
+                    heappush(wake, (blocked + 1, next(seqs), i))
                     continue
+                duration = durations[pos]
                 occupancy = 1 if pipelined_pes else duration
-                placement = schedule.place(node, pe, cs, duration, occupancy)
-                busy[pe] = placement.busy_until
+                schedule.place(
+                    nodes[i], processors[pos], cs, duration, occupancy
+                )
+                until = busy[pos] = cs + occupancy - 1
+                heappush(released, until)
                 free -= 1
-                finish[node] = placement.finish
-                del state[node]
+                ends[i] = finish[nodes[i]] = cs + duration - 1
+                where[i] = pos
+                probes[i] = None
                 remaining -= 1
                 last_placement = cs
-                for e in graph.out_edges(node):
-                    if e.delay == 0:
-                        pending_preds[e.dst] -= 1
-                        if pending_preds[e.dst] == 0:
-                            make_ready(e.dst)
+                for w in rows[i]:
+                    pending[w] -= 1
+                    if pending[w] == 0:
+                        make_ready(w)
             # jump to the next step where some node is awake and some PE
             # is free: no probe can succeed in between.  Awake nodes
             # left over mean the sweep ran out of free PEs.
-            release = min(busy.values()) + 1
             if any(heaps.values()):
-                cs = release
+                cs = released[0] + 1
             elif wake:
-                cs = max(wake[0][0], release)
+                cs = wake[0][0] if free else max(wake[0][0], released[0] + 1)
             else:
                 cs = cs_limit + 1
 
@@ -261,6 +368,7 @@ def start_up_schedule(
         metrics.inc("startup.deferrals", deferrals)
         metrics.inc("startup.pf_evaluations", pf_evaluations)
         metrics.inc("startup.control_steps", last_placement)
+        metrics.inc("startup.sweeps", sweeps)
         startup_span.add(
             length=schedule.length,
             placements=placements_made,

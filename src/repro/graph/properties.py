@@ -18,6 +18,8 @@ on:
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
+from typing import Iterable, Sequence
 
 from repro.errors import GraphError
 from repro.graph.csdfg import CSDFG, Node
@@ -27,12 +29,76 @@ from repro.graph.validation import topological_order_zero_delay
 __all__ = [
     "asap_times",
     "alap_times",
+    "alap_indexed",
     "critical_path_length",
     "critical_path_nodes",
     "iteration_bound",
     "iteration_bound_exact",
     "parallelism_profile",
 ]
+
+
+def _asap_indexed(
+    times: Sequence[int],
+    rows: Sequence[Sequence[int]],
+    order: Iterable[int],
+) -> list[int]:
+    """ASAP start control step of every node index (arguments as in
+    :func:`alap_indexed`); control steps start at 1."""
+    start = [1] * len(times)
+    for u in order:
+        ready = start[u] + times[u]
+        for w in rows[u]:
+            if start[w] < ready:
+                start[w] = ready
+    return start
+
+
+def alap_indexed(
+    times: Sequence[int],
+    rows: Sequence[Sequence[int]],
+    order: Sequence[int],
+    horizon: int | None = None,
+) -> list[int]:
+    """ALAP start control step of every node index w.r.t. ``horizon``.
+
+    ``times[i]`` is node ``i``'s execution time, ``rows[i]`` the indices
+    of its zero-delay successors and ``order`` a topological order of
+    the indices over the zero-delay sub-DAG.  ``horizon`` defaults to
+    the critical path length.
+    """
+    if horizon is None:
+        horizon = _latest_finish(times, _asap_indexed(times, rows, order))
+    start = [horizon - t + 1 for t in times]
+    for u in reversed(order):
+        t = times[u]
+        for w in rows[u]:
+            latest = start[w] - t
+            if start[u] > latest:
+                start[u] = latest
+    return start
+
+
+def _latest_finish(times: Sequence[int], starts: Sequence[int]) -> int:
+    """Last busy control step of tasks started at ``starts`` (0 when
+    there are none)."""
+    return max(map(add, starts, times), default=1) - 1
+
+
+def _indexed(
+    graph: CSDFG, order: list[Node] | None
+) -> tuple[list[Node], list[int], list[list[int]]]:
+    """``(nodes, times, rows)`` with nodes indexed by their position in
+    the zero-delay topological ``order``, so ``range(len(nodes))`` is
+    that order."""
+    if order is None:
+        order = topological_order_zero_delay(graph)
+    index = {v: i for i, v in enumerate(order)}
+    succ = graph._succ
+    rows = [
+        [index[w] for w, e in succ[v].items() if e.delay == 0] for v in order
+    ]
+    return order, [graph._time[v] for v in order], rows
 
 
 def asap_times(
@@ -45,15 +111,8 @@ def asap_times(
     convention).  ``order`` is the zero-delay topological order when
     the caller already has it.
     """
-    if order is None:
-        order = topological_order_zero_delay(graph)
-    start: dict[Node, int] = {v: 1 for v in order}
-    for node in order:
-        finish = start[node] + graph.time(node) - 1
-        for edge in graph.out_edges(node):
-            if edge.delay == 0 and start[edge.dst] < finish + 1:
-                start[edge.dst] = finish + 1
-    return start
+    nodes, times, rows = _indexed(graph, order)
+    return dict(zip(nodes, _asap_indexed(times, rows, range(len(nodes)))))
 
 
 def critical_path_length(
@@ -64,10 +123,8 @@ def critical_path_length(
     Equals the minimum possible schedule length with unlimited
     processors and free communication.
     """
-    if graph.num_nodes == 0:
-        return 0
-    starts = asap_times(graph, order=order)
-    return max(starts[v] + graph.time(v) - 1 for v in graph.nodes())
+    nodes, times, rows = _indexed(graph, order)
+    return _latest_finish(times, _asap_indexed(times, rows, range(len(nodes))))
 
 
 def alap_times(
@@ -82,20 +139,10 @@ def alap_times(
     critical path satisfy ``ASAP == ALAP``.  ``order`` is the zero-delay
     topological order when the caller already has it.
     """
-    if order is None:
-        order = topological_order_zero_delay(graph)
-    if horizon is None:
-        horizon = critical_path_length(graph, order=order)
-    start: dict[Node, int] = {
-        v: horizon - graph.time(v) + 1 for v in order
-    }
-    for node in reversed(order):
-        for edge in graph.out_edges(node):
-            if edge.delay == 0:
-                latest = start[edge.dst] - graph.time(node)
-                if start[node] > latest:
-                    start[node] = latest
-    return start
+    nodes, times, rows = _indexed(graph, order)
+    return dict(
+        zip(nodes, alap_indexed(times, rows, range(len(nodes)), horizon))
+    )
 
 
 def critical_path_nodes(graph: CSDFG) -> list[Node]:

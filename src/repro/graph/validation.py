@@ -9,11 +9,14 @@ enforce) and optional structural expectations such as connectivity.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.errors import GraphValidationError
 from repro.graph.csdfg import CSDFG, Node
 
 __all__ = [
     "find_zero_delay_cycle",
+    "kahn_order",
     "topological_order_zero_delay",
     "collect_issues",
     "validate_csdfg",
@@ -53,6 +56,34 @@ def topological_order_zero_delay(graph: CSDFG) -> list[Node]:
         raise GraphValidationError(
             [f"zero-delay cycle detected: {' -> '.join(map(str, cycle))}"]
         )
+    return order
+
+
+def kahn_order(
+    rows: Sequence[Sequence[int]], indeg: Sequence[int]
+) -> list[int]:
+    """The LIFO Kahn walk of :func:`topological_order_zero_delay` over
+    integer-indexed nodes.
+
+    ``rows[i]`` lists node ``i``'s zero-delay successors and ``indeg``
+    their in-degrees (left unchanged).  With nodes indexed by their
+    position in ``graph.nodes()`` and each row in adjacency order, the
+    result is that function's order.  It is shorter than ``rows`` when a
+    zero-delay cycle leaves nodes out.
+    """
+    left = list(indeg)
+    stack = [i for i, k in enumerate(left) if k == 0]
+    pop, push = stack.pop, stack.append
+    order: list[int] = []
+    append = order.append
+    while stack:
+        u = pop()
+        append(u)
+        for w in rows[u]:
+            k = left[w] - 1
+            left[w] = k
+            if k == 0:
+                push(w)
     return order
 
 

@@ -13,7 +13,8 @@ implementations that the fast-path engine replaced:
 * :func:`reference_start_up_schedule` — the per-control-step list
   scheduler: it re-sorts every ready node by its priority and re-probes
   every PE for it at every control step (with the placement-failure
-  memo for nodes without zero-delay producers);
+  memo for nodes without zero-delay producers), pricing through the
+  ``comm`` it is given, surcharged caches included;
 * :func:`reference_cyclo_compact` — cyclo-compaction wired to all of
   the above, pricing every transfer through ``arch.comm_cost`` (no
   communication-cost cache) and recomputing the projected schedule
@@ -318,16 +319,19 @@ def reference_start_up_schedule(
     priority: PriorityFn = paper_priority,
     pad_for_delayed_edges: bool = True,
     pipelined_pes: bool = False,
-    comm=None,  # accepted for signature compatibility; never cached here
+    comm=None,
 ) -> ScheduleTable:
     """The original start-up list scheduler on a
-    :class:`ReferenceScheduleTable`, pricing through ``arch.comm_cost``.
+    :class:`ReferenceScheduleTable`.
 
     Walks every control step ``cs = 1, 2, ...``, re-sorts the whole
     ready list by the priority's score ``a + b * cs`` at that step and
     probes every PE for every ready node; nodes that fit nowhere are
     deferred to the next step.  Same parameters and result as
-    :func:`repro.core.startup.start_up_schedule`.
+    :func:`repro.core.startup.start_up_schedule`.  Every price, the step
+    limit and the pad come from ``comm`` (its ``cost`` and
+    ``max_cost``); when omitted, prices are ``arch.comm_cost`` and the
+    step limit is a plain cache's.
     """
     if graph.num_nodes == 0:
         raise SchedulingError("cannot schedule an empty graph")
@@ -355,8 +359,10 @@ def reference_start_up_schedule(
         remaining = graph.num_nodes
 
         cs_limit = start_up_step_limit(
-            graph, arch, CommCostCache.for_graph(arch, graph)
+            graph, arch,
+            comm if comm is not None else CommCostCache.for_graph(arch, graph),
         )
+        cost = comm.cost if comm is not None else arch.comm_cost
 
         pf_evaluations = 0
         placements_made = 0
@@ -394,7 +400,8 @@ def reference_start_up_schedule(
                     deferrals += 1
                     continue
                 choice = _reference_best_processor(
-                    graph, arch, schedule, finish, node, cs, pipelined_pes
+                    graph, arch, schedule, finish, node, cs, pipelined_pes,
+                    cost,
                 )
                 if choice is None:
                     if memo_key is not None:
@@ -420,13 +427,15 @@ def reference_start_up_schedule(
         if pad_for_delayed_edges:
             schedule.set_length(
                 projected_schedule_length(
-                    graph, arch, schedule, pipelined_pes=pipelined_pes
+                    graph, arch, schedule, pipelined_pes=pipelined_pes,
+                    comm=comm,
                 )
             )
         metrics.inc("startup.placements", placements_made)
         metrics.inc("startup.deferrals", deferrals)
         metrics.inc("startup.pf_evaluations", pf_evaluations)
         metrics.inc("startup.control_steps", cs - 1)
+        metrics.inc("startup.sweeps", cs - 1)  # every step is visited
         startup_span.add(
             length=schedule.length,
             placements=placements_made,
@@ -444,13 +453,14 @@ def _reference_best_processor(
     node: Node,
     cs: int,
     pipelined_pes: bool,
+    cost,
 ) -> tuple[int, int] | None:
     """The ``(processor, duration)`` where ``node`` may start at ``cs``.
 
     Minimises the execution time on the PE (heterogeneous machines),
-    then the data-arrival bound ``cm``; ``None`` when no processor
+    then the data-arrival bound ``cm``, pricing every transfer with
+    ``cost(src, dst, volume)``; ``None`` when no processor
     qualifies."""
-    cost = arch.comm_cost
     zero_preds: list[tuple[int, int, int]] = []  # (src_pe, finish, volume)
     for e in graph.in_edges(node):
         if e.delay == 0:
@@ -486,10 +496,13 @@ def _reference_best_processor(
 class _UncachedComm:
     """What the compaction driver reads of its comm cache once start-up,
     the slot search and the PSL tracker are swapped out: every price is
-    ``arch.comm_cost`` and there are no tables, hence no tallies."""
+    ``arch.comm_cost`` and there are no tables, hence no tallies.  The
+    start-up step limit reads ``max_cost``, which prices from the models
+    alone, so an empty plain cache serves it."""
 
     def __init__(self, arch: Architecture):
         self.cost = arch.comm_cost
+        self.max_cost = CommCostCache(arch, ()).max_cost
 
     def publish_stats(self) -> None:
         pass

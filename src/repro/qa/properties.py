@@ -60,6 +60,14 @@ workloads:
     restart driver agrees with itself across repeated runs — the
     cross-process ``PYTHONHASHSEED``/``--jobs`` perturbation of the
     same contract lives in the CI sanitize smoke.
+``startup-equivalent``
+    The event-driven start-up scheduler
+    (:func:`repro.core.startup.start_up_schedule`) and the per-step
+    reference (:func:`repro.perf.reference.reference_start_up_schedule`)
+    agree on length, placements and typed errors under a priority drawn
+    from :mod:`repro.core.priority`, the sample's ``pipelined_pes`` and,
+    half the time, a contended cache frozen from a plain start-up
+    schedule.
 ``feasible-length-minimal``
     :func:`~repro.schedule.validate.minimum_feasible_length` meets its
     documented contract on the sample's start-up schedule and on seeded
@@ -95,11 +103,20 @@ from repro.baselines.sequential import sequential_schedule
 from repro.core.config import CycloConfig
 from repro.core.cyclo import CycloResult, cyclo_compact
 from repro.core.pipeline import contention_aware_schedule
+from repro.core.priority import (
+    fifo_priority,
+    mobility_only_priority,
+    paper_priority,
+    volume_only_priority,
+)
 from repro.core.startup import start_up_schedule
-from repro.errors import ArchitectureError, QAError, SchedulingError
+from repro.errors import ArchitectureError, QAError, ReproError, SchedulingError
 from repro.graph.csdfg import CSDFG
 from repro.graph.properties import iteration_bound
-from repro.perf.reference import reference_cyclo_compact
+from repro.perf.reference import (
+    reference_cyclo_compact,
+    reference_start_up_schedule,
+)
 from repro.retiming.basic import apply_retiming, is_legal_retiming
 from repro.schedule.table import ScheduleTable
 from repro.schedule.validate import collect_violations, minimum_feasible_length
@@ -577,10 +594,7 @@ def prop_contention_legal(
 ) -> list[str]:
     """Contention-aware scheduling stays legal and never loses to the
     contention-blind baseline on its own metric."""
-    if rng.random() < 0.7:
-        model = SerializedContention(weight=1 + rng.randrange(3))
-    else:
-        model = ScaledContention(weight=1 + rng.randrange(8))
+    model = _contention_model(rng)
     result = contention_aware_schedule(
         graph, arch, config=cfg, model=model, rounds=1
     )
@@ -609,6 +623,70 @@ def prop_contention_legal(
             f"[{model.name}] contended bill regressed: aware winner costs "
             f"{result.final_cost}, blind baseline {result.blind_cost}"
         )
+    return problems
+
+
+_STARTUP_PRIORITIES = {
+    "paper": paper_priority,
+    "mobility-only": mobility_only_priority,
+    "fifo": fifo_priority,
+    "volume-only": volume_only_priority,
+}
+
+
+def _contention_model(rng: random.Random) -> ContentionModel:
+    if rng.random() < 0.7:
+        return SerializedContention(weight=1 + rng.randrange(3))
+    return ScaledContention(weight=1 + rng.randrange(8))
+
+
+def prop_startup_equivalent(
+    graph: CSDFG, arch: Architecture, cfg: CycloConfig, rng: random.Random
+) -> list[str]:
+    """The event-driven start-up scheduler places exactly what the
+    per-step reference places, under a drawn priority and, half the
+    time, surcharged prices."""
+    name = rng.choice(sorted(_STARTUP_PRIORITIES))
+    kwargs = {
+        "priority": _STARTUP_PRIORITIES[name],
+        "pipelined_pes": cfg.pipelined_pes,
+        "comm": CommCostCache.for_graph(arch, graph),
+    }
+    prices = "plain"
+    if rng.random() < 0.5:
+        model = _contention_model(rng)
+        try:
+            seed = start_up_schedule(graph, arch, comm=kwargs["comm"])
+        except ReproError:
+            pass  # both engines meet the same error under plain prices
+        else:
+            occupancy = LinkOccupancy.from_assignment(
+                graph, arch, seed.processor_map()
+            )
+            kwargs["comm"] = CommCostCache.for_graph(
+                arch, graph, contention=model, occupancy=occupancy
+            )
+            prices = model.name
+    outcomes = []
+    for schedule in (start_up_schedule, reference_start_up_schedule):
+        try:
+            outcomes.append((schedule(graph, arch, **kwargs), None))
+        except ReproError as exc:
+            outcomes.append((None, exc))
+    (fast, fast_err), (ref, ref_err) = outcomes
+    label = f"{name} priority, {prices} prices"
+    if fast_err is not None or ref_err is not None:
+        if type(fast_err) is not type(ref_err) or str(fast_err) != str(ref_err):
+            return [f"{label}: errors differ: fast {fast_err!r}, "
+                    f"reference {ref_err!r}"]
+        return []
+    problems: list[str] = []
+    if fast.length != ref.length:
+        problems.append(
+            f"{label}: length fast {fast.length} != reference {ref.length}"
+        )
+    if not fast.same_placements(ref):
+        problems.append(f"{label}: placements differ between engines")
     return problems
 
 
@@ -839,6 +917,7 @@ PROPERTIES: dict[str, PropertyFn] = {
     "contention-legal": prop_contention_legal,
     "sanitizer-agrees": prop_sanitizer_agrees,
     "feasible-length-minimal": prop_feasible_length_minimal,
+    "startup-equivalent": prop_startup_equivalent,
 }
 
 

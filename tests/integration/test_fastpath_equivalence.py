@@ -336,3 +336,114 @@ def test_startup_typed_errors_agree():
     cyclic.add_edge("b", "c")
     cyclic.add_edge("c", "a")
     _assert_startup_equivalent(cyclic, make_architecture("ring", 4))
+
+
+# ----------------------------------------------------------------------
+# start-up code paths: release heap, cached single-producer orders,
+# positions that are not PE ids, surcharged prices
+# ----------------------------------------------------------------------
+def _single_producer_nodes(graph):
+    return [
+        v for v in graph.nodes()
+        if sum(1 for e in graph.in_edges(v) if e.delay == 0) == 1
+    ]
+
+
+@pytest.mark.parametrize("kind,pes", [("hypercube", 16), ("complete", 64)])
+def test_startup_wide_fan_out(kind, pes):
+    # one source feeding every chain: the shape with the most deferrals
+    arch = make_architecture(kind, pes)
+    for width, stages in ((150, 1), (60, 3)):
+        for seed in (1, 2):
+            graph = _reweighted(
+                fork_join_csdfg(width, stages=stages, loop_delay=2), seed
+            )
+            _assert_startup_equivalent(graph, arch)
+            _assert_startup_equivalent(graph, arch, pipelined_pes=True)
+
+
+def test_startup_degraded_single_producers():
+    # positions 0..8 map to PE ids 0, 2, 3, 5, 7, 8, 9, 11, 13: a cached
+    # order or a cost row indexed by id instead of position goes wrong
+    arch = DegradedTopology(
+        make_architecture("torus", 16), failed_pes=[1, 4, 6, 10, 12, 14, 15]
+    )
+    assert list(arch.processors) == [0, 2, 3, 5, 7, 8, 9, 11, 13]
+    for seed in (1, 2, 3):
+        for graph in (
+            _reweighted(chain_csdfg(60, loop_delay=2), seed),
+            _reweighted(fork_join_csdfg(20, stages=3, loop_delay=2), seed),
+            _reweighted(layered_csdfg([4, 6, 6, 4], seed=seed), seed),
+        ):
+            assert _single_producer_nodes(graph)
+            for name in ("paper", "fifo", "volume_only"):
+                _assert_startup_equivalent(
+                    graph, arch, priority=PRIORITIES[name]
+                )
+
+
+def test_startup_heterogeneous_cached_orders():
+    # cached PE orders are shared across base times: they must rank the
+    # PEs by time scale first, whatever the node's own time
+    arch = make_architecture("torus", 9).with_time_scales(
+        [1, 3, 2, 1, 2, 3, 1, 1, 2]
+    )
+    for seed in (1, 2, 3):
+        for graph in (
+            _reweighted(chain_csdfg(40, loop_delay=2), seed),
+            _reweighted(fork_join_csdfg(24, stages=2, loop_delay=2), seed),
+            _reweighted(layered_csdfg([3, 5, 5, 3], seed=seed), seed),
+        ):
+            times = {graph.time(v) for v in _single_producer_nodes(graph)}
+            assert len(times) > 1
+            _assert_startup_equivalent(graph, arch)
+            _assert_startup_equivalent(graph, arch, pipelined_pes=True)
+
+
+def test_startup_zero_delay_cycle_raises_the_validation_error():
+    from repro.errors import GraphValidationError
+    from repro.graph.validation import topological_order_zero_delay
+
+    graph = _reweighted(chain_csdfg(12, loop_delay=2), 1)
+    graph.add_node("x", 2)
+    graph.add_edge("n3", "x", 0, 2)
+    graph.add_edge("x", "n5", 0, 1)
+    graph.add_edge("n6", "x", 0, 1)  # x -> n5 -> n6 -> x, no delay
+    with pytest.raises(GraphValidationError) as expected:
+        topological_order_zero_delay(graph)
+    with pytest.raises(GraphValidationError) as got:
+        start_up_schedule(graph, make_architecture("ring", 4))
+    assert str(got.value) == str(expected.value)
+    _assert_startup_equivalent(graph, make_architecture("ring", 4))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_startup_under_a_contended_cache(seed):
+    # the pipeline's second phase: a serialized, weight-2 surcharge
+    # frozen from a phase-1 schedule prices every start-up placement
+    from repro.arch.comm import make_contention_model
+    from repro.arch.contention import LinkOccupancy
+
+    arch = make_architecture("circulant", 16)
+    graph = layered_csdfg([10] * 8, seed=seed)
+    blind = cyclo_compact(
+        graph, arch,
+        config=CycloConfig(max_iterations=4, validate_each_step=False),
+    )
+    occupancy = LinkOccupancy.from_assignment(
+        blind.graph, arch, blind.schedule.processor_map()
+    )
+    comm = CommCostCache.for_graph(
+        arch, graph,
+        contention=make_contention_model("serialized", weight=2),
+        occupancy=occupancy,
+    )
+    plain = start_up_schedule(graph, arch)
+    surcharged = start_up_schedule(graph, arch, comm=comm)
+    # the surcharge moves placements, so the prices are really exercised
+    assert not surcharged.same_placements(plain)
+    for name in ("paper", "mobility_only", "jittered1"):
+        _assert_startup_equivalent(
+            graph, arch, priority=PRIORITIES[name], comm=comm
+        )
+    _assert_startup_equivalent(graph, arch, pipelined_pes=True, comm=comm)

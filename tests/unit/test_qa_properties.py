@@ -14,6 +14,7 @@ from repro.baselines import etf_schedule
 from repro.core import CycloConfig, cyclo_compact
 from repro.errors import QAError
 from repro.graph import CSDFG
+from repro.graph.generators import layered_csdfg
 from repro.qa import (
     PROPERTIES,
     architecture_automorphism,
@@ -275,3 +276,43 @@ class TestFeasibleLengthMinimal:
             "feasible-length-minimal", figure1, mesh2x2, CFG, rng=0
         )
         assert found and all("minimum_feasible_length" in v for v in found)
+
+
+class TestStartupEquivalent:
+    def test_registered(self):
+        assert "startup-equivalent" in PROPERTIES
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_holds_on_fixed_seeds(self, seed):
+        from repro.qa import sample_arch_spec, sample_config, sample_graph
+
+        rng = random.Random(seed)
+        graph = sample_graph(rng)
+        arch = sample_arch_spec(rng, degraded_prob=0.3).build()
+        cfg = sample_config(rng)
+        assert check_property(
+            "startup-equivalent", graph, arch, cfg, rng=seed
+        ) == []
+
+    def test_fires_when_the_surcharge_is_ignored(self, monkeypatch):
+        # a start-up that prices plainly whatever cache it is handed
+        # agrees with the reference only until the surcharge matters
+        import repro.qa.properties as props
+
+        real = props.start_up_schedule
+
+        def plain_prices(graph, arch, **kw):
+            kw.pop("comm", None)
+            return real(graph, arch, **kw)
+
+        monkeypatch.setattr(props, "start_up_schedule", plain_prices)
+        graph = layered_csdfg([6] * 6, seed=3)
+        arch = make_architecture("circulant", 16)
+        found = [
+            v for seed in range(12)
+            for v in check_property(
+                "startup-equivalent", graph, arch, CFG, rng=seed
+            )
+        ]
+        assert found and all("prices" in v for v in found), found
+        assert all("plain prices" not in v for v in found), found

@@ -6,10 +6,13 @@ from repro.arch import CompletelyConnected, LinearArray, Mesh2D
 from repro.arch.cache import CommCostCache
 from repro.arch.comm import ConstantLatencyModel
 from repro.core import start_up_schedule
-from repro.core.startup import start_up_step_limit
+from repro.core.startup import _index_graph, _step_limit, start_up_step_limit
 from repro.core.priority import fifo_priority
 from repro.errors import SchedulingError
-from repro.graph import CSDFG
+from repro.graph import CSDFG, alap_times, asap_times, critical_path_length
+from repro.graph.generators import layered_csdfg, random_csdfg
+from repro.graph.properties import alap_indexed
+from repro.graph.validation import topological_order_zero_delay
 from repro.perf.reference import reference_start_up_schedule
 from repro.schedule import is_valid_schedule, validate_schedule
 
@@ -144,3 +147,88 @@ class TestCounters:
         assert counters["startup.control_steps"] == max(
             s.start(v) for v in figure7.nodes()
         )
+
+
+class TestPrologue:
+    """The one-walk prologue and the public helpers share one formula."""
+
+    @staticmethod
+    def _graphs():
+        for seed in range(8):
+            yield random_csdfg(5 + 3 * seed, seed=seed, edge_prob=0.3)
+            yield layered_csdfg([3, 5, 4, 2], seed=seed, max_time=3,
+                                max_volume=3)
+
+    def test_matches_alap_times_and_step_limit(self):
+        arch = Mesh2D(2, 3).with_time_scales([1, 2, 1, 3, 1, 2])
+        for graph in self._graphs():
+            nodes, times, rows, producers, volumes, order = _index_graph(
+                graph
+            )
+            assert [nodes[i] for i in order] == (
+                topological_order_zero_delay(graph)
+            )
+            assert dict(zip(nodes, alap_indexed(times, rows, order))) == (
+                alap_times(graph)
+            )
+            for j, v in enumerate(nodes):
+                assert sorted((nodes[i], m) for i, m in producers[j]) == (
+                    sorted((e.src, e.volume) for e in graph.in_edges(v)
+                           if e.delay == 0)
+                )
+            comm = CommCostCache.for_graph(arch, graph)
+            assert _step_limit(arch, comm, sum(times), volumes) == (
+                start_up_step_limit(graph, arch, comm)
+            )
+
+    def test_levels_match_longest_paths(self):
+        # ASAP = 1 + longest zero-delay path into v; ALAP = horizon + 1 -
+        # longest zero-delay path out of v, both counted in node times
+        for graph in self._graphs():
+            order = topological_order_zero_delay(graph)
+            into = {}
+            for v in order:
+                into[v] = max(
+                    (into[e.src] + graph.time(e.src)
+                     for e in graph.in_edges(v) if e.delay == 0),
+                    default=0,
+                )
+            out = {}
+            for v in reversed(order):
+                out[v] = graph.time(v) + max(
+                    (out[e.dst] for e in graph.out_edges(v) if e.delay == 0),
+                    default=0,
+                )
+            horizon = max(out.values())
+            assert critical_path_length(graph) == horizon
+            assert asap_times(graph) == {v: into[v] + 1 for v in order}
+            assert alap_times(graph) == {
+                v: horizon + 1 - out[v] for v in order
+            }
+            assert alap_times(graph, horizon + 4) == {
+                v: horizon + 5 - out[v] for v in order
+            }
+
+
+class TestSweeps:
+    def test_sweeps_count_visited_steps(self, figure7):
+        from repro.obs import InMemorySink, metrics, sink_installed
+
+        arch = Mesh2D(2, 2)
+        keys = ("startup.sweeps", "startup.control_steps")
+        counts = {}
+        with sink_installed(InMemorySink()):
+            for schedule in (start_up_schedule, reference_start_up_schedule):
+                before = metrics.snapshot()["counters"]
+                schedule(figure7, arch)
+                after = metrics.snapshot()["counters"]
+                counts[schedule] = [
+                    after[k] - before.get(k, 0) for k in keys
+                ]
+        fast_sweeps, fast_steps = counts[start_up_schedule]
+        ref_sweeps, ref_steps = counts[reference_start_up_schedule]
+        # the event-driven walk jumps over steps where nothing can be
+        # placed; the reference visits every step up to the last
+        assert fast_steps == ref_steps
+        assert ref_sweeps == ref_steps
+        assert 1 <= fast_sweeps < fast_steps
