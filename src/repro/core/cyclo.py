@@ -42,8 +42,13 @@ from repro.core.startup import start_up_schedule
 from repro.core.trace import CompactionTrace, IterationRecord
 from repro.errors import ScheduleValidationError, SchedulingError
 from repro.obs import metrics, span
-from repro.graph.csdfg import CSDFG, Edge, Node
-from repro.graph.validation import kahn_order, topological_order_zero_delay
+from repro.graph.csdfg import CSDFG, Node
+from repro.graph.validation import (
+    kahn_order,
+    topological_order_zero_delay,
+    zero_delay_row,
+    zero_delay_rows,
+)
 from repro.retiming.basic import apply_retiming
 from repro.schedule.table import ScheduleTable
 from repro.schedule.validate import collect_violations
@@ -171,14 +176,9 @@ class _TopoRankCache:
         if self._index:
             self._resync(graph, rotated)
 
-    def _row(self, succ: dict[Node, Edge]) -> list[int]:
-        index = self._index
-        return [index[d] for d, e in succ.items() if e.delay == 0]
-
     def _build(self, graph: CSDFG) -> None:
-        self._index = {v: i for i, v in enumerate(graph._time)}
-        succ = graph._succ
-        self._rows = [self._row(succ[v]) for v in graph._time]
+        nodes, self._rows = zero_delay_rows(graph)
+        self._index = {v: i for i, v in enumerate(nodes)}
         indeg = self._indeg = [0] * len(self._rows)
         for row in self._rows:
             for w in row:
@@ -192,7 +192,7 @@ class _TopoRankCache:
         index, rows, indeg = self._index, self._rows, self._indeg
         for u in touched:
             i = index[u]
-            row = self._row(succ[u])
+            row = zero_delay_row(succ[u], index)
             if row != rows[i]:
                 for w in rows[i]:
                     indeg[w] -= 1

@@ -41,14 +41,13 @@ The walk is event-driven; it places exactly what the step-by-step walk
   nodes share one order; only nodes with several producers sort their
   own.
 
-Nodes, PEs and producers live in integer-indexed lists.  One walk over
-the graph's adjacency builds the zero-delay successor rows, the
-producer lists, the ready counts, the edge-volume counts of the step
-limit and the same LIFO Kahn order as
-:func:`repro.graph.validation.topological_order_zero_delay`; ALAP runs
-on those rows.  PE state is indexed by position in ``arch.processors``
-(degraded machines have non-contiguous ids) and mapped back to the PE
-id when placing.
+Nodes, PEs and producers live in integer-indexed lists.  The
+zero-delay successor rows and the same LIFO Kahn order as
+:func:`repro.graph.validation.topological_order_zero_delay` come from
+:func:`repro.graph.validation.zero_delay_order`, which ASAP/ALAP share;
+ALAP runs on those rows and the producer lists are read off them.  PE
+state is indexed by position in ``arch.processors`` (degraded machines
+have non-contiguous ids) and mapped back to the PE id when placing.
 
 Delayed (loop-carried) edges are invisible to the placement loop (the
 paper feeds the algorithm the graph "with no feedback edges") but still
@@ -59,10 +58,10 @@ empty control steps at the end of the table.
 
 from __future__ import annotations
 
+from collections import Counter
 from heapq import heappop, heappush
 from itertools import count, repeat
-from operator import add, lt
-from typing import Mapping
+from operator import add
 
 from repro.arch.cache import CommCostCache
 from repro.arch.topology import Architecture
@@ -71,24 +70,11 @@ from repro.core.psl import projected_schedule_length
 from repro.errors import SchedulingError
 from repro.graph.csdfg import CSDFG, Node
 from repro.graph.properties import alap_indexed
-from repro.graph.validation import kahn_order, topological_order_zero_delay
+from repro.graph.validation import zero_delay_order
 from repro.obs import metrics, span
 from repro.schedule.table import ScheduleTable
 
 __all__ = ["start_up_schedule", "start_up_step_limit"]
-
-
-def _step_limit(
-    arch: Architecture,
-    comm: CommCostCache,
-    total_work: int,
-    volumes: Mapping[int, int],
-) -> int:
-    """:func:`start_up_step_limit` from the graph's total work and its
-    edge count per volume."""
-    slowest = max(arch.time_scales[pe] for pe in arch.processors)
-    max_comm = sum(comm.max_cost(volume) * k for volume, k in volumes.items())
-    return total_work * slowest + max_comm + 1
 
 
 def start_up_step_limit(
@@ -100,49 +86,29 @@ def start_up_step_limit(
     the dearest price ``comm`` can charge for every edge's transfer,
     plus one.
     """
-    volumes: dict[int, int] = {}
-    for e in graph.edges():
-        volumes[e.volume] = volumes.get(e.volume, 0) + 1
-    return _step_limit(arch, comm, graph.total_work(), volumes)
+    slowest = max(arch.time_scales[pe] for pe in arch.processors)
+    volumes = Counter(e.volume for e in graph.edges())
+    max_comm = sum(comm.max_cost(volume) * k for volume, k in volumes.items())
+    return graph.total_work() * slowest + max_comm + 1
 
 
 def _index_graph(graph: CSDFG):
-    """One walk over ``graph``'s adjacency.
+    """The zero-delay adjacency of ``graph`` on node indices.
 
-    Returns ``(nodes, times, rows, producers, volumes, order)``: node
-    ``i`` is the ``i``-th of ``graph.nodes()``, ``rows[i]`` its
-    zero-delay successor indices in adjacency order, ``producers[i]``
-    its ``(source index, volume)`` zero-delay in-edges, ``volumes`` the
-    edge count per volume over every edge, and ``order`` the zero-delay
-    topological order of the indices, the same LIFO Kahn walk as
-    :func:`topological_order_zero_delay`, which raises its usual error
-    when a zero-delay cycle leaves nodes out.
+    Returns ``(nodes, times, rows, producers, order)``: ``nodes``,
+    ``rows`` and ``order`` as from :func:`zero_delay_order`, which
+    raises on a zero-delay cycle, ``times[i]`` node ``i``'s execution
+    time and ``producers[i]`` its ``(source index, volume)`` zero-delay
+    in-edges.
     """
-    nodes = list(graph._time)
-    times = list(graph._time.values())
-    index = {v: i for i, v in enumerate(nodes)}
+    nodes, rows, order = zero_delay_order(graph)
     succ = graph._succ
-    rows: list[list[int]] = []
     producers: list[list[tuple[int, int]]] = [[] for _ in nodes]
-    volumes: dict[int, int] = {}
     for i, v in enumerate(nodes):
-        row = []
-        for dst, e in succ[v].items():
-            volume = e.volume
-            volumes[volume] = volumes.get(volume, 0) + 1
-            if e.delay == 0:
-                j = index[dst]
-                row.append(j)
-                producers[j].append((i, volume))
-        rows.append(row)
-    order = kahn_order(rows, [len(p) for p in producers])
-    if len(order) != len(nodes):
-        # a zero-delay cycle: the dict walk names it in its error
-        topological_order_zero_delay(graph)
-        raise SchedulingError(  # pragma: no cover - defensive
-            "zero-delay adjacency out of sync"
-        )
-    return nodes, times, rows, producers, volumes, order
+        adj = succ[v]
+        for j in rows[i]:
+            producers[j].append((i, adj[nodes[j]].volume))
+    return nodes, list(graph._time.values()), rows, producers, order
 
 
 def start_up_schedule(
@@ -181,7 +147,7 @@ def start_up_schedule(
     if graph.num_nodes == 0:
         raise SchedulingError("cannot schedule an empty graph")
     # verifies legality (zero-delay subgraph acyclic) as a side effect
-    nodes, times, rows, producers, volumes, order = _index_graph(graph)
+    nodes, times, rows, producers, order = _index_graph(graph)
 
     with span(
         "startup", workload=graph.name, arch=arch.name
@@ -199,18 +165,13 @@ def start_up_schedule(
         # execution_time(pe, t) is t * time_scales[pe] with t >= 1, so
         # every base time orders the PEs by duration like their scales
         scales = [arch.time_scales[pe] for pe in processors]
-        # a stable sort of positions by cm alone breaks ties by PE id
-        # when the scales are equal and the ids ascend
-        by_cm = len(set(scales)) == 1 and all(
-            map(lt, processors, processors[1:])
-        )
+        by_id = sorted(positions, key=processors.__getitem__)
 
         def ranked(cms: list[int]) -> list[int]:
-            """Positions in probe order: by (duration, cm_p, PE id)."""
-            if by_cm:
-                return sorted(positions, key=cms.__getitem__)
+            """Positions in probe order: by (duration, cm_p, PE id), as
+            stable sorts of the positions in PE-id order."""
             return sorted(
-                positions, key=lambda p: (scales[p], cms[p], processors[p])
+                sorted(by_id, key=cms.__getitem__), key=scales.__getitem__
             )
 
         # every cm_p of a node without zero-delay producers is 0
@@ -239,7 +200,7 @@ def start_up_schedule(
         seqs = count()
         remaining = len(nodes)
 
-        cs_limit = _step_limit(arch, comm, sum(times), volumes)
+        cs_limit = start_up_step_limit(graph, arch, comm)
 
         deferrals = 0
         sweeps = 0

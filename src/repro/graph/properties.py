@@ -24,7 +24,10 @@ from typing import Iterable, Sequence
 from repro.errors import GraphError
 from repro.graph.csdfg import CSDFG, Node
 from repro.graph.cycles import recursive_core
-from repro.graph.validation import topological_order_zero_delay
+from repro.graph.validation import (
+    topological_order_zero_delay,
+    zero_delay_order,
+)
 
 __all__ = [
     "asap_times",
@@ -85,64 +88,43 @@ def _latest_finish(times: Sequence[int], starts: Sequence[int]) -> int:
     return max(map(add, starts, times), default=1) - 1
 
 
-def _indexed(
-    graph: CSDFG, order: list[Node] | None
-) -> tuple[list[Node], list[int], list[list[int]]]:
-    """``(nodes, times, rows)`` with nodes indexed by their position in
-    the zero-delay topological ``order``, so ``range(len(nodes))`` is
-    that order."""
-    if order is None:
-        order = topological_order_zero_delay(graph)
-    index = {v: i for i, v in enumerate(order)}
-    succ = graph._succ
-    rows = [
-        [index[w] for w, e in succ[v].items() if e.delay == 0] for v in order
-    ]
-    return order, [graph._time[v] for v in order], rows
+def _levels(
+    graph: CSDFG,
+) -> tuple[list[Node], list[int], list[list[int]], list[int]]:
+    """``(nodes, times, rows, order)`` over :func:`zero_delay_order`."""
+    nodes, rows, order = zero_delay_order(graph)
+    return nodes, list(graph._time.values()), rows, order
 
 
-def asap_times(
-    graph: CSDFG, *, order: list[Node] | None = None
-) -> dict[Node, int]:
+def asap_times(graph: CSDFG) -> dict[Node, int]:
     """As-soon-as-possible start control step of every node.
 
     Computed over the zero-delay sub-DAG with unlimited processors and
     zero communication cost; control steps start at 1 (paper
-    convention).  ``order`` is the zero-delay topological order when
-    the caller already has it.
+    convention).
     """
-    nodes, times, rows = _indexed(graph, order)
-    return dict(zip(nodes, _asap_indexed(times, rows, range(len(nodes)))))
+    nodes, times, rows, order = _levels(graph)
+    return dict(zip(nodes, _asap_indexed(times, rows, order)))
 
 
-def critical_path_length(
-    graph: CSDFG, *, order: list[Node] | None = None
-) -> int:
+def critical_path_length(graph: CSDFG) -> int:
     """Length (in control steps) of the longest zero-delay path.
 
     Equals the minimum possible schedule length with unlimited
     processors and free communication.
     """
-    nodes, times, rows = _indexed(graph, order)
-    return _latest_finish(times, _asap_indexed(times, rows, range(len(nodes))))
+    _nodes, times, rows, order = _levels(graph)
+    return _latest_finish(times, _asap_indexed(times, rows, order))
 
 
-def alap_times(
-    graph: CSDFG,
-    horizon: int | None = None,
-    *,
-    order: list[Node] | None = None,
-) -> dict[Node, int]:
+def alap_times(graph: CSDFG, horizon: int | None = None) -> dict[Node, int]:
     """As-late-as-possible start control steps w.r.t. ``horizon``.
 
     ``horizon`` defaults to the critical path length, so nodes on the
-    critical path satisfy ``ASAP == ALAP``.  ``order`` is the zero-delay
-    topological order when the caller already has it.
+    critical path satisfy ``ASAP == ALAP``.
     """
-    nodes, times, rows = _indexed(graph, order)
-    return dict(
-        zip(nodes, alap_indexed(times, rows, range(len(nodes)), horizon))
-    )
+    nodes, times, rows, order = _levels(graph)
+    return dict(zip(nodes, alap_indexed(times, rows, order, horizon)))
 
 
 def critical_path_nodes(graph: CSDFG) -> list[Node]:

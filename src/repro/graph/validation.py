@@ -9,15 +9,19 @@ enforce) and optional structural expectations such as connectivity.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain
+from typing import Mapping, Sequence
 
-from repro.errors import GraphValidationError
-from repro.graph.csdfg import CSDFG, Node
+from repro.errors import GraphError, GraphValidationError
+from repro.graph.csdfg import CSDFG, Edge, Node
 
 __all__ = [
     "find_zero_delay_cycle",
     "kahn_order",
     "topological_order_zero_delay",
+    "zero_delay_order",
+    "zero_delay_row",
+    "zero_delay_rows",
     "collect_issues",
     "validate_csdfg",
     "is_legal",
@@ -66,8 +70,7 @@ def kahn_order(
     integer-indexed nodes.
 
     ``rows[i]`` lists node ``i``'s zero-delay successors and ``indeg``
-    their in-degrees (left unchanged).  With nodes indexed by their
-    position in ``graph.nodes()`` and each row in adjacency order, the
+    their in-degrees (left unchanged).  Over :func:`zero_delay_rows` the
     result is that function's order.  It is shorter than ``rows`` when a
     zero-delay cycle leaves nodes out.
     """
@@ -85,6 +88,47 @@ def kahn_order(
             if k == 0:
                 push(w)
     return order
+
+
+def zero_delay_row(
+    adjacency: Mapping[Node, Edge], index: Mapping[Node, int]
+) -> list[int]:
+    """Indices of the zero-delay successors in one ``graph._succ``
+    entry, in adjacency order."""
+    return [index[dst] for dst, e in adjacency.items() if e.delay == 0]
+
+
+def zero_delay_rows(graph: CSDFG) -> tuple[list[Node], list[list[int]]]:
+    """``(nodes, rows)``: node ``i`` is the ``i``-th of
+    ``graph.nodes()`` and ``rows[i]`` its :func:`zero_delay_row`."""
+    nodes = list(graph._time)
+    index = {v: i for i, v in enumerate(nodes)}
+    succ = graph._succ
+    return nodes, [zero_delay_row(succ[v], index) for v in nodes]
+
+
+def zero_delay_order(
+    graph: CSDFG,
+) -> tuple[list[Node], list[list[int]], list[int]]:
+    """``(nodes, rows, order)``: :func:`zero_delay_rows` and the
+    :func:`kahn_order` over them, which indexes
+    :func:`topological_order_zero_delay`.
+
+    Raises that function's :class:`GraphValidationError` on a
+    zero-delay cycle.
+    """
+    nodes, rows = zero_delay_rows(graph)
+    indeg = [0] * len(rows)
+    for w in chain.from_iterable(rows):
+        indeg[w] += 1
+    order = kahn_order(rows, indeg)
+    if len(order) != len(nodes):
+        # a zero-delay cycle: the dict walk names it in its error
+        topological_order_zero_delay(graph)
+        raise GraphError(  # pragma: no cover - defensive
+            "zero-delay adjacency out of sync"
+        )
+    return nodes, rows, order
 
 
 def find_zero_delay_cycle(graph: CSDFG) -> list[Node]:

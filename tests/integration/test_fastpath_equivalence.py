@@ -382,6 +382,32 @@ def test_startup_degraded_single_producers():
                 )
 
 
+class _DescendingIds(DegradedTopology):
+    """Survivors listed in descending id order: a position's order is
+    then the reverse of its PE id's."""
+
+    @property
+    def processors(self):
+        return tuple(reversed(super().processors))
+
+
+def test_startup_breaks_ties_by_pe_id_not_position():
+    # the reference picks the lowest PE id among equal (duration, cm_p);
+    # with ids listed backwards a ranking by position picks the highest
+    for scales in (None, [1, 2, 1, 3, 2, 1, 1, 2, 1]):
+        base = make_architecture("torus", 9)
+        if scales is not None:
+            base = base.with_time_scales(scales)
+        arch = _DescendingIds(base, failed_pes=[4])
+        assert list(arch.processors) == [8, 7, 6, 5, 3, 2, 1, 0]
+        for seed in (1, 2):
+            for graph in (
+                _reweighted(fork_join_csdfg(12, stages=2, loop_delay=2), seed),
+                _reweighted(layered_csdfg([4, 6, 6, 4], seed=seed), seed),
+            ):
+                _assert_startup_equivalent(graph, arch)
+
+
 def test_startup_heterogeneous_cached_orders():
     # cached PE orders are shared across base times: they must rank the
     # PEs by time scale first, whatever the node's own time

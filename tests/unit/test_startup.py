@@ -6,7 +6,7 @@ from repro.arch import CompletelyConnected, LinearArray, Mesh2D
 from repro.arch.cache import CommCostCache
 from repro.arch.comm import ConstantLatencyModel
 from repro.core import start_up_schedule
-from repro.core.startup import _index_graph, _step_limit, start_up_step_limit
+from repro.core.startup import _index_graph, start_up_step_limit
 from repro.core.priority import fifo_priority
 from repro.errors import SchedulingError
 from repro.graph import CSDFG, alap_times, asap_times, critical_path_length
@@ -162,9 +162,7 @@ class TestPrologue:
     def test_matches_alap_times_and_step_limit(self):
         arch = Mesh2D(2, 3).with_time_scales([1, 2, 1, 3, 1, 2])
         for graph in self._graphs():
-            nodes, times, rows, producers, volumes, order = _index_graph(
-                graph
-            )
+            nodes, times, rows, producers, order = _index_graph(graph)
             assert [nodes[i] for i in order] == (
                 topological_order_zero_delay(graph)
             )
@@ -176,9 +174,11 @@ class TestPrologue:
                     sorted((e.src, e.volume) for e in graph.in_edges(v)
                            if e.delay == 0)
                 )
+            # the slowest PE runs every node, every edge at its dearest
             comm = CommCostCache.for_graph(arch, graph)
-            assert _step_limit(arch, comm, sum(times), volumes) == (
-                start_up_step_limit(graph, arch, comm)
+            assert start_up_step_limit(graph, arch, comm) == (
+                3 * graph.total_work()
+                + sum(comm.max_cost(e.volume) for e in graph.edges()) + 1
             )
 
     def test_levels_match_longest_paths(self):

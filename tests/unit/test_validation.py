@@ -11,6 +11,8 @@ from repro.graph import (
     topological_order_zero_delay,
     validate_csdfg,
 )
+from repro.graph.generators import random_csdfg
+from repro.graph.validation import zero_delay_order
 
 
 def make_zero_cycle():
@@ -59,6 +61,31 @@ class TestTopologicalOrder:
 
     def test_covers_all_nodes(self, figure7):
         assert len(topological_order_zero_delay(figure7)) == 19
+
+
+class TestZeroDelayOrder:
+    """The integer rows and Kahn order that start-up, ASAP/ALAP and the
+    rotated-set rank cache share."""
+
+    def test_indexes_the_dict_walk(self):
+        for seed in range(10):
+            g = random_csdfg(4 + 3 * seed, seed=seed, edge_prob=0.3)
+            nodes, rows, order = zero_delay_order(g)
+            assert nodes == list(g.nodes())
+            for v, row in zip(nodes, rows):
+                assert [nodes[j] for j in row] == [
+                    e.dst for e in g.out_edges(v) if e.delay == 0
+                ]
+            assert [nodes[i] for i in order] == (
+                topological_order_zero_delay(g)
+            )
+
+    def test_raises_the_dict_walks_error(self):
+        with pytest.raises(GraphValidationError) as expected:
+            topological_order_zero_delay(make_zero_cycle())
+        with pytest.raises(GraphValidationError) as got:
+            zero_delay_order(make_zero_cycle())
+        assert got.value.issues == expected.value.issues
 
 
 class TestCollectIssues:
