@@ -2,15 +2,15 @@
 
 The scheduling inner loops evaluate ``M(p_u, p_v; c(e))`` millions of
 times, and :meth:`Architecture.comm_cost` pays for two PE bound checks,
-a numpy scalar index and a cost-model call on every one of them.  A
+a hop-table index and a cost-model call on every one of them.  A
 :class:`CommCostCache` collapses all of that into a nested-list lookup
 keyed ``volume -> src PE -> dst PE``.
 
 Rows are built **lazily, one (source PE, volume) band at a time**: the
 cache starts empty and materialises a row the first time any lookup
 touches it, using the batched row kernel
-(:func:`repro.core.kernels.comm_cost_row`) over the architecture's
-dense ``distance_matrix``.  On large machines this avoids the
+(:func:`repro.core.kernels.comm_cost_row`) over one python-int row of
+the architecture's ``distance_matrix``.  On large machines this avoids the
 ``O(volumes * n^2)`` cold-start the old eager build paid before the
 first pass could run — a 10k-node graph on a 64-PE machine touches a
 few dozen rows, not all of them.  The cost model is still consulted at
@@ -196,8 +196,8 @@ class CommCostCache:
 
         from repro.core.kernels import comm_cost_row
 
-        dist = arch.distance_matrix
-        hops_row = dist[:, pe] if transposed else dist[pe]
+        # hop counts are symmetric: row ``pe`` serves both orientations
+        hops_row = arch.distance_matrix[pe]
         row = comm_cost_row(hops_row, self._alive, cost_of, arch.num_pes)
         if self._contention is not None:
             # surcharge the banded row against the frozen occupancy:

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.arch.topology import Architecture
 from repro.errors import (
     ArchitectureError,
@@ -179,17 +177,23 @@ class DegradedTopology(Architecture):
     def hops(self, src: int, dst: int) -> int:
         self._check_alive(src)
         self._check_alive(dst)
-        return int(self._distance[src, dst])
+        return self._distance[src][dst]
 
     def execution_time(self, pe: int, base_time: int) -> int:
         self._check_alive(pe)
         return base_time * self._time_scales[pe]
 
+    def _alive_rows(self):
+        """Each surviving PE's hop row, restricted to surviving PEs."""
+        alive = self._alive
+        for src in alive:
+            row = self._distance[src]
+            yield [row[dst] for dst in alive]
+
     @property
     def diameter(self) -> int:
         """Maximum hop distance over surviving PE pairs."""
-        alive = np.array(self._alive)
-        return int(self._distance[np.ix_(alive, alive)].max())
+        return max(map(max, self._alive_rows()))
 
     @property
     def average_distance(self) -> float:
@@ -197,8 +201,7 @@ class DegradedTopology(Architecture):
         n = len(self._alive)
         if n == 1:
             return 0.0
-        alive = np.array(self._alive)
-        return float(self._distance[np.ix_(alive, alive)].sum()) / (n * (n - 1))
+        return sum(map(sum, self._alive_rows())) / (n * (n - 1))
 
     # ------------------------------------------------------------------
     def degrade(

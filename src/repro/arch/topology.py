@@ -2,9 +2,9 @@
 
 An :class:`Architecture` is an undirected connected graph of processing
 elements (PEs).  Hop distances (shortest path link counts) are computed
-once with a vectorised multi-source BFS and cached in a dense numpy
-matrix — the scheduling inner loop calls :meth:`Architecture.hops`
-millions of times.
+once by a BFS from every PE and cached as a tuple of python-int rows;
+the communication-cost cache (:mod:`repro.arch.cache`) reads those rows
+directly, so no lookup pays for a conversion.
 
 Processor ids are 0-based integers internally; renderings add 1 to match
 the paper's ``pe1..peN`` convention.
@@ -13,8 +13,6 @@ the paper's ``pe1..peN`` convention.
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.arch.comm import CommModel, StoreAndForwardModel
 from repro.errors import ArchitectureError, UnknownProcessorError
@@ -85,7 +83,7 @@ class Architecture:
         )
         self._links: tuple[tuple[int, int], ...] = tuple(sorted(canonical))
         self._distance = self._all_pairs_hops()
-        if np.any(self._distance < 0):
+        if any(-1 in row for row in self._distance):
             raise ArchitectureError(f"architecture {name!r} is not connected")
 
     # ------------------------------------------------------------------
@@ -95,29 +93,35 @@ class Architecture:
                 f"PE {pe} outside 0..{self.num_pes - 1} of {self.name!r}"
             )
 
-    def _all_pairs_hops(self) -> np.ndarray:
+    def _all_pairs_hops(self) -> tuple[tuple[int, ...], ...]:
         """All-pairs hop counts via per-source BFS over the adjacency.
 
-        Returns an ``(n, n)`` int matrix; unreachable pairs are -1
-        (rejected by the constructor).
+        Returns one tuple of ints per source PE; unreachable pairs are
+        -1 (rejected by the constructor).  A BFS stops at the level
+        that reaches its last PE, so a dense machine never rescans the
+        links of its final frontier.
         """
         n = self.num_pes
-        dist = np.full((n, n), -1, dtype=np.int64)
+        adjacency = self._adjacency
+        rows = []
         for src in range(n):
-            row = dist[src]
+            row = [-1] * n
             row[src] = 0
+            left = n - 1
             frontier = [src]
             depth = 0
-            while frontier:
+            while left and frontier:
                 depth += 1
                 nxt: list[int] = []
                 for node in frontier:
-                    for nb in self._adjacency[node]:
+                    for nb in adjacency[node]:
                         if row[nb] < 0:
                             row[nb] = depth
                             nxt.append(nb)
+                left -= len(nxt)
                 frontier = nxt
-        return dist
+            rows.append(tuple(row))
+        return tuple(rows)
 
     # ------------------------------------------------------------------
     # queries
@@ -152,19 +156,20 @@ class Architecture:
         """Shortest-path link count between two PEs."""
         self._check_pe(src)
         self._check_pe(dst)
-        return int(self._distance[src, dst])
+        return self._distance[src][dst]
 
     @property
-    def distance_matrix(self) -> np.ndarray:
-        """Read-only ``(n, n)`` hop-count matrix."""
-        view = self._distance.view()
-        view.setflags(write=False)
-        return view
+    def distance_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Hop counts as one read-only row per PE: ``[src][dst]``.
+
+        Hop counts are symmetric, so row ``p`` is also column ``p``.
+        """
+        return self._distance
 
     @property
     def diameter(self) -> int:
         """Maximum hop distance over all PE pairs."""
-        return int(self._distance.max())
+        return max(map(max, self._distance))
 
     @property
     def average_distance(self) -> float:
@@ -172,7 +177,7 @@ class Architecture:
         n = self.num_pes
         if n == 1:
             return 0.0
-        return float(self._distance.sum()) / (n * (n - 1))
+        return sum(map(sum, self._distance)) / (n * (n - 1))
 
     def comm_cost(self, src: int, dst: int, volume: int) -> int:
         """The paper's ``M(p_src, p_dst)``: cost of shipping ``volume``

@@ -309,11 +309,21 @@ def start_up_schedule(
             # is free: no probe can succeed in between.  Awake nodes
             # left over mean the sweep ran out of free PEs.
             if any(heaps.values()):
-                cs = released[0] + 1
+                next_cs = released[0] + 1
             elif wake:
-                cs = wake[0][0] if free else max(wake[0][0], released[0] + 1)
+                next_cs = (
+                    wake[0][0] if free else max(wake[0][0], released[0] + 1)
+                )
             else:
-                cs = cs_limit + 1
+                next_cs = cs_limit + 1
+            if next_cs <= cs:
+                # every wake-up and release lies past the sweep's step,
+                # so this is a bookkeeping fault: fail, do not spin
+                raise SchedulingError(
+                    f"start-up scheduling made no progress at cs {cs}: "
+                    f"next step {next_cs}"
+                )
+            cs = next_cs
 
         schedule.trim()
         if pad_for_delayed_edges:

@@ -23,65 +23,76 @@ maximum total execution time along a zero-delay path —
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import RetimingError
 from repro.graph.csdfg import CSDFG, Node
 
 __all__ = ["wd_matrices", "feasible_retiming_for_period", "min_period_retiming"]
 
-_INF = np.iinfo(np.int64).max // 4
+#: "unreachable" sentinel; sums of two entries stay exact in 63 bits
+_INF = (2**63 - 1) // 4
 
 
-def wd_matrices(graph: CSDFG) -> tuple[dict, np.ndarray, np.ndarray]:
+def wd_matrices(
+    graph: CSDFG,
+) -> tuple[dict, list[list[int]], list[list[int]]]:
     """The W and D matrices of Leiserson–Saxe.
 
-    Returns ``(index, W, D)`` where ``index`` maps nodes to matrix rows.
-    ``W[i, j]`` is the minimum path delay from node i to node j
-    (``_INF``-like sentinel when unreachable) and ``D[i, j]`` the
-    maximum total computation time over those minimum-delay paths
-    (including both endpoints).
+    Returns ``(index, W, D)`` where ``index`` maps nodes to matrix rows
+    and ``W`` and ``D`` are lists of int rows.  ``W[i][j]`` is the
+    minimum path delay from node i to node j (``_INF``-like sentinel
+    when unreachable) and ``D[i][j]`` the maximum total computation
+    time over those minimum-delay paths (including both endpoints).
     """
     nodes = list(graph.nodes())
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
-    times = np.array([graph.time(v) for v in nodes], dtype=np.int64)
+    times = [graph.time(v) for v in nodes]
 
     # lexicographic weights: minimise (delay, -time-excluding-endpoint)
-    w = np.full((n, n), _INF, dtype=np.int64)
+    w = [[_INF] * n for _ in range(n)]
     # second component: for a path p, sum of t over nodes of p except dst;
     # stored negated so smaller == more computation
-    neg_t = np.full((n, n), _INF, dtype=np.int64)
+    neg_t = [[_INF] * n for _ in range(n)]
     for i in range(n):
-        w[i, i] = 0
-        neg_t[i, i] = 0  # empty path: no delay, no time before the endpoint
+        w[i][i] = 0
+        neg_t[i][i] = 0  # empty path: no delay, no time before the endpoint
     for e in graph.edges():
         i, j = index[e.src], index[e.dst]
         if i == j:
             continue  # a self-loop never lies on a simple u->v path
         cand_w, cand_t = e.delay, -times[i]
-        if (cand_w, cand_t) < (w[i, j], neg_t[i, j]):
-            w[i, j], neg_t[i, j] = cand_w, cand_t
+        if (cand_w, cand_t) < (w[i][j], neg_t[i][j]):
+            w[i][j], neg_t[i][j] = cand_w, cand_t
     # Floyd–Warshall on lexicographic pairs.  The invariant is
-    # neg_t[i, j] == -(max time over min-delay i->j paths, excluding j),
+    # neg_t[i][j] == -(max time over min-delay i->j paths, excluding j),
     # so concatenating i->k (excl. k) with k->j (incl. k, excl. j) is a
-    # plain sum of both components.
+    # plain sum of both components.  Only columns k reaches can
+    # improve, and relaxing through k never changes which those are.
     for k in range(n):
-        wk_out = w[k, :]
-        tk_out = neg_t[k, :]
+        wk, tk = w[k], neg_t[k]
+        reach = [j for j in range(n) if wk[j] < _INF]
         for i in range(n):
-            if w[i, k] >= _INF:
+            wik = w[i][k]
+            if wik >= _INF:
                 continue
-            cw = w[i, k] + wk_out
-            ct = neg_t[i, k] + tk_out
-            reach = wk_out < _INF
-            better = reach & (
-                (cw < w[i, :]) | ((cw == w[i, :]) & (ct < neg_t[i, :]))
-            )
-            w[i, better] = cw[better]
-            neg_t[i, better] = ct[better]
+            tik = neg_t[i][k]
+            wi, ti = w[i], neg_t[i]
+            for j in reach:
+                cw = wik + wk[j]
+                if cw < wi[j]:
+                    wi[j], ti[j] = cw, tik + tk[j]
+                elif cw == wi[j]:
+                    ct = tik + tk[j]
+                    if ct < ti[j]:
+                        ti[j] = ct
     # D includes both endpoints: path time = -neg_t + t(dst)
-    D = np.where(w < _INF, -neg_t + times[None, :], -_INF)
+    D = [
+        [
+            -t + times[j] if wij < _INF else -_INF
+            for j, (wij, t) in enumerate(zip(wi, ti))
+        ]
+        for wi, ti in zip(w, neg_t)
+    ]
     return index, w, D
 
 
@@ -93,7 +104,17 @@ def feasible_retiming_for_period(
     Solves the Leiserson–Saxe difference constraints with Bellman–Ford
     over a constraint graph with a virtual source.
     """
-    index, w, D = wd_matrices(graph)
+    return _feasible(graph, *wd_matrices(graph), period)
+
+
+def _feasible(
+    graph: CSDFG,
+    index: dict,
+    w: list[list[int]],
+    D: list[list[int]],
+    period: int,
+) -> dict[Node, int] | None:
+    """:func:`feasible_retiming_for_period` on precomputed W and D."""
     nodes = list(index)
     n = len(nodes)
     # constraints r(u) - r(v) <= bound  =>  edge v -> u with weight bound
@@ -106,11 +127,10 @@ def feasible_retiming_for_period(
 
     for e in graph.edges():
         add(index[e.src], index[e.dst], e.delay)
-    rows, cols = np.where(D > period)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if w[i, j] >= _INF:
-            continue
-        add(i, j, int(w[i, j]) - 1)
+    for i, (wi, Di) in enumerate(zip(w, D)):
+        for j, (wij, dij) in enumerate(zip(wi, Di)):
+            if dij > period and wij < _INF:
+                add(i, j, wij - 1)
 
     dist = [0] * n  # virtual source at distance 0 to all nodes
     edges = [(a, b, bound) for (a, b), bound in constraints.items()]
@@ -136,19 +156,20 @@ def feasible_retiming_for_period(
 def min_period_retiming(graph: CSDFG) -> tuple[int, dict[Node, int]]:
     """Minimum achievable clock period and a retiming realising it.
 
-    Binary-searches the sorted distinct entries of ``D``.  Raises
-    :class:`RetimingError` for empty graphs.
+    Binary-searches the sorted distinct entries of ``D``; every probe
+    shares one computation of W and D.  Raises :class:`RetimingError`
+    for empty graphs.
     """
     if graph.num_nodes == 0:
         raise RetimingError("cannot retime an empty graph")
-    _, w, D = wd_matrices(graph)
-    candidates = np.unique(D[D > -_INF])
+    wd = wd_matrices(graph)
+    candidates = sorted({d for row in wd[2] for d in row if d > -_INF})
     lo, hi = 0, len(candidates) - 1
     best: tuple[int, dict[Node, int]] | None = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        period = int(candidates[mid])
-        retiming = feasible_retiming_for_period(graph, period)
+        period = candidates[mid]
+        retiming = _feasible(graph, *wd, period)
         if retiming is not None:
             best = (period, retiming)
             hi = mid - 1

@@ -5,11 +5,12 @@ the once-per-hop-count cost memo, dead PEs left ``None``, integer
 ceil division with negative slack, the zero-delay short-circuit,
 empty inputs and degraded rows holding ``None``.
 
-The kernels take flat sequences, and the engine hands them two kinds:
-plain python lists (cache rows, PSL gathers) and numpy rows (the
+The kernels take any flat sequence of ints.  The engine hands them
+python lists and tuples (cache rows, PSL gathers, the
 ``arch.distance_matrix`` row behind every communication-cost row).
-Every case runs once per kind — ``[python]`` feeds lists, ``[numpy]``
-feeds numpy arrays — and must give the same answer.
+Every case runs once on lists (``[python]``) and once on numpy arrays
+(``[numpy]``), a container whose items are not python ints, and must
+give the same answer.
 """
 
 import numpy as np

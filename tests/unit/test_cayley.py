@@ -102,9 +102,9 @@ class TestVertexTransitivity:
         # vertex-transitivity in hops terms: every row of the distance
         # matrix is a permutation of every other row
         dist = arch.distance_matrix
-        profile = sorted(dist[0].tolist())
+        profile = sorted(dist[0])
         for pe in range(1, arch.num_pes):
-            assert sorted(dist[pe].tolist()) == profile
+            assert sorted(dist[pe]) == profile
 
 
 class TestClassicalRebuildsUnchanged:

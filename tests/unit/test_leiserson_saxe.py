@@ -41,28 +41,28 @@ class TestWD:
     def test_diagonal(self, figure1):
         index, w, D = wd_matrices(figure1)
         for node, i in index.items():
-            assert w[i, i] == 0
-            assert D[i, i] == figure1.time(node)
+            assert w[i][i] == 0
+            assert D[i][i] == figure1.time(node)
 
     def test_simple_path(self, figure1):
         index, w, D = wd_matrices(figure1)
         a, b, d = index["A"], index["B"], index["D"]
-        assert w[a, b] == 0
-        assert D[a, b] == 3  # t(A) + t(B)
-        assert w[a, d] == 0
-        assert D[a, d] == 4  # A + B + D
+        assert w[a][b] == 0
+        assert D[a][b] == 3  # t(A) + t(B)
+        assert w[a][d] == 0
+        assert D[a][d] == 4  # A + B + D
 
     def test_min_delay_wins(self, figure1):
         index, w, D = wd_matrices(figure1)
         d, a = index["D"], index["A"]
-        assert w[d, a] == 3  # only path is the feedback edge
+        assert w[d][a] == 3  # only path is the feedback edge
 
     def test_unreachable_pair(self):
         g = CSDFG("two")
         g.add_nodes("ab")
         g.add_edge("a", "b", 0, 1)
         index, w, D = wd_matrices(g)
-        assert w[index["b"], index["a"]] > 10**9  # sentinel
+        assert w[index["b"]][index["a"]] > 10**9  # sentinel
 
 
 class TestFeasibility:

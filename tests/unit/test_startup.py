@@ -232,3 +232,40 @@ class TestSweeps:
         assert fast_steps == ref_steps
         assert ref_sweeps == ref_steps
         assert 1 <= fast_sweeps < fast_steps
+
+
+class TestProgress:
+    """Every sweep moves ``cs`` forward, or start-up raises."""
+
+    def test_non_advancing_step_raises_within_a_second(self, monkeypatch):
+        import itertools
+        import signal
+        import time
+
+        import repro.core.startup as startup_module
+
+        # drop the producer's finish offset from every deferral's wake
+        # bound (``repeat(offset)``): the wake-up then lands at or
+        # before the step that deferred the node, which once made the
+        # main loop spin forever
+        monkeypatch.setattr(
+            startup_module, "repeat", lambda _offset: itertools.repeat(0)
+        )
+        g = CSDFG()
+        g.add_nodes(["a", "b", "c", "d"])
+        for child in "bcd":
+            g.add_edge("a", child, 0, 2)
+
+        def hang(_signum, _frame):
+            raise AssertionError("start-up made no progress and did not raise")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            began = time.perf_counter()
+            with pytest.raises(SchedulingError, match="no progress at cs"):
+                start_up_schedule(g, Mesh2D(2, 2))
+            assert time.perf_counter() - began < 1.0
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)

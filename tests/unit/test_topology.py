@@ -1,6 +1,5 @@
 """Unit tests for the Architecture base class."""
 
-import numpy as np
 import pytest
 
 from repro.arch import Architecture, ZeroCommModel
@@ -52,12 +51,14 @@ class TestDistances:
 
     def test_distance_matrix_readonly(self):
         arch = path3()
-        with pytest.raises(ValueError):
-            arch.distance_matrix[0, 0] = 5
+        with pytest.raises(TypeError):
+            arch.distance_matrix[0][0] = 5
+        with pytest.raises(TypeError):
+            arch.distance_matrix[0] = (5, 5, 5)
 
     def test_matrix_symmetric(self):
-        arch = path3()
-        assert np.array_equal(arch.distance_matrix, arch.distance_matrix.T)
+        dist = path3().distance_matrix
+        assert [list(row) for row in dist] == [list(col) for col in zip(*dist)]
 
     def test_diameter_and_average(self):
         arch = path3()
