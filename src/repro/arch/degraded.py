@@ -20,6 +20,7 @@ both of which here reflect the surviving network.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from repro.arch.topology import Architecture
@@ -190,12 +191,12 @@ class DegradedTopology(Architecture):
             row = self._distance[src]
             yield [row[dst] for dst in alive]
 
-    @property
+    @cached_property
     def diameter(self) -> int:
         """Maximum hop distance over surviving PE pairs."""
         return max(map(max, self._alive_rows()))
 
-    @property
+    @cached_property
     def average_distance(self) -> float:
         """Mean hop distance over ordered distinct surviving pairs."""
         n = len(self._alive)

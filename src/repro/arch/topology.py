@@ -12,6 +12,7 @@ the paper's ``pe1..peN`` convention.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from repro.arch.comm import CommModel, StoreAndForwardModel
@@ -166,12 +167,13 @@ class Architecture:
         """
         return self._distance
 
-    @property
+    @cached_property
     def diameter(self) -> int:
-        """Maximum hop distance over all PE pairs."""
+        """Maximum hop distance over all PE pairs (computed once, like
+        :attr:`average_distance`: the hop table never changes)."""
         return max(map(max, self._distance))
 
-    @property
+    @cached_property
     def average_distance(self) -> float:
         """Mean hop distance over ordered distinct PE pairs."""
         n = self.num_pes

@@ -32,9 +32,7 @@ __all__ = ["wd_matrices", "feasible_retiming_for_period", "min_period_retiming"]
 _INF = (2**63 - 1) // 4
 
 
-def wd_matrices(
-    graph: CSDFG,
-) -> tuple[dict, list[list[int]], list[list[int]]]:
+def wd_matrices(graph: CSDFG) -> tuple[dict, list, list]:
     """The W and D matrices of Leiserson–Saxe.
 
     Returns ``(index, W, D)`` where ``index`` maps nodes to matrix rows
@@ -87,10 +85,7 @@ def wd_matrices(
                         ti[j] = ct
     # D includes both endpoints: path time = -neg_t + t(dst)
     D = [
-        [
-            -t + times[j] if wij < _INF else -_INF
-            for j, (wij, t) in enumerate(zip(wi, ti))
-        ]
+        [tj - t if wij < _INF else -_INF for wij, t, tj in zip(wi, ti, times)]
         for wi, ti in zip(w, neg_t)
     ]
     return index, w, D
@@ -108,11 +103,7 @@ def feasible_retiming_for_period(
 
 
 def _feasible(
-    graph: CSDFG,
-    index: dict,
-    w: list[list[int]],
-    D: list[list[int]],
-    period: int,
+    graph: CSDFG, index: dict, w: list, D: list, period: int
 ) -> dict[Node, int] | None:
     """:func:`feasible_retiming_for_period` on precomputed W and D."""
     nodes = list(index)
