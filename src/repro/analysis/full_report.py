@@ -37,9 +37,7 @@ def generate_full_report(
     *, compaction_passes: int = 80, include_table11: bool = True
 ) -> str:
     """Render the complete reproduction report as markdown."""
-    cfg = CycloConfig(
-        max_iterations=compaction_passes, validate_each_step=False
-    )
+    cfg = CycloConfig(max_iterations=compaction_passes)
     sections = [
         "# Reproduction report — cyclo-compaction scheduling (ICPP'95)",
         "",
@@ -90,7 +88,6 @@ def generate_full_report(
                 row_cfg = CycloConfig(
                     relaxation=relaxation,
                     max_iterations=compaction_passes,
-                    validate_each_step=False,
                 )
                 row = run_grid(
                     graph, archs, relaxation=relaxation, config=row_cfg

@@ -55,9 +55,7 @@ def recommend_architecture(
     """
     if candidates is None:
         candidates = paper_architectures(8)
-    cfg = config if config is not None else CycloConfig(
-        max_iterations=40, validate_each_step=False
-    )
+    cfg = config if config is not None else CycloConfig(max_iterations=40)
     scores: list[ArchitectureScore] = []
     for key, arch in candidates.items():
         result = cyclo_compact(graph, arch, config=cfg)

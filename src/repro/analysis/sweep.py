@@ -49,7 +49,7 @@ class SweepPoint:
 
 
 def _default_config() -> CycloConfig:
-    return CycloConfig(max_iterations=40, validate_each_step=False)
+    return CycloConfig(max_iterations=40)
 
 
 def _pe_point(params: tuple) -> SweepPoint:

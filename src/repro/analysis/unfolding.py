@@ -61,9 +61,7 @@ def unfolding_study(
     fractional bound.
     """
     bound = iteration_bound(graph)
-    cfg = config if config is not None else CycloConfig(
-        max_iterations=40, validate_each_step=False
-    )
+    cfg = config if config is not None else CycloConfig(max_iterations=40)
     points: list[UnfoldingPoint] = []
     for factor in factors:
         body = graph if factor == 1 else unfold(graph, factor)

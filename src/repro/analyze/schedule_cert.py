@@ -9,15 +9,20 @@ communication cost model —
 
     CB(v) + d(e) * L  >=  CE(u) + M(PE(u), PE(v); c(e)) + 1
 
-with ``CE(u) = CB(u) + duration(u) - 1`` and
+with ``CE(u) = CB(u) + duration(u) - 1`` and, by default,
 ``M = comm_model.cost(arch.hops(PE(u), PE(v)), c(e))``.  This is the
-third independent implementation of the criterion (after the validator
-and the qa design-criterion oracle), so a schedule that certifies here
-is legal by an implementation that shares no code with the pipeline
-that produced it.
+one oracle of the criterion: the production walk in
+:mod:`repro.schedule.validate` decides legality and the minimum length
+for the engine, and every independent check (the fuzz properties, the
+benchmark's certification) goes through here instead, so a schedule
+that certifies is legal by an implementation that shares no code with
+the pipeline that produced it.  Models beyond the paper's pricing
+(contention surcharges) plug in through ``price``.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.analyze.diagnostics import Diagnostic
 from repro.analyze.rules import make
@@ -34,6 +39,7 @@ def certify_schedule(
     schedule: ScheduleTable,
     *,
     pipelined_pes: bool = False,
+    price: Callable[[int, int, int], int] | None = None,
 ) -> list[Diagnostic]:
     """All RA4xx findings of ``schedule`` for ``graph`` on ``arch``.
 
@@ -41,7 +47,14 @@ def certify_schedule(
     clauses of the DESIGN §1 criterion at its recorded length.  A
     single RA405 *info* finding may accompany a clean certificate when
     the same placements stay legal at a smaller length.
+
+    ``price(pe_u, pe_v, volume)`` is the ``M`` of clause 2; it defaults
+    to ``arch.comm_model.cost(arch.hops(pe_u, pe_v), volume)``.
     """
+    if price is None:
+        def price(pe_u: int, pe_v: int, volume: int) -> int:
+            return arch.comm_model.cost(arch.hops(pe_u, pe_v), volume)  # repro-lint: disable=RL103 (independent re-derivation)
+
     out: list[Diagnostic] = []
 
     # completeness ------------------------------------------------------
@@ -113,7 +126,7 @@ def certify_schedule(
             else:
                 occupancy[(p.pe, cs)] = name
 
-    # clause 2: precedence + communication, M from hops + cost model ----
+    # clause 2: precedence + communication, M from ``price`` -----------
     L = schedule.length
     min_required = 1
     for edge in graph.edges():
@@ -122,7 +135,7 @@ def certify_schedule(
             continue
         pu, pv = placements[src], placements[dst]
         ce_u = pu.start + pu.duration - 1
-        m = arch.comm_model.cost(arch.hops(pu.pe, pv.pe), edge.volume)  # repro-lint: disable=RL103 (independent re-derivation)
+        m = price(pu.pe, pv.pe, edge.volume)
         if pv.start + edge.delay * L < ce_u + m + 1:
             out.append(make(
                 "RA403",

@@ -862,7 +862,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         relaxation=not args.no_relax,
         max_iterations=args.iterations,
         pipelined_pes=args.pipelined,
-        validate_each_step=False,
         contention_model=contention,
         contention_weight=args.contention_weight,
         contention_rounds=args.contention_rounds,
@@ -913,20 +912,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             result = optimize(graph, arch, config=cfg)
         else:
             result = cyclo_compact(graph, arch, config=cfg)
-        if session is not None:
-            # an explicit final legality check, so every traced run
-            # records a validate phase alongside startup/rotate/remap
-            from repro.schedule import collect_violations
-
-            final_violations = collect_violations(
-                result.graph, arch, result.schedule,
-                pipelined_pes=args.pipelined,
-                comm=contended.comm if contended is not None else None,
-            )
-            if final_violations:  # pragma: no cover - defensive
-                print("warning: final schedule is illegal:", file=sys.stderr)
-                for violation in final_violations:
-                    print(f"  {violation}", file=sys.stderr)
     finally:
         if session is not None:
             session.finish()
@@ -976,7 +961,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     graph, arch = _make_pair(args)
-    cfg = CycloConfig(max_iterations=40, validate_each_step=False)
+    cfg = CycloConfig(max_iterations=40)
     session = _obs_session(args)
     try:
         result = cyclo_compact(graph, arch, config=cfg)
@@ -1021,7 +1006,7 @@ def _print_load_summary(sim) -> None:
 
 def _cmd_codegen(args: argparse.Namespace) -> int:
     graph, arch = _make_pair(args)
-    cfg = CycloConfig(max_iterations=40, validate_each_step=False)
+    cfg = CycloConfig(max_iterations=40)
     result = cyclo_compact(graph, arch, config=cfg)
     program = generate_program(result.graph, arch, result.schedule)
     print(program.render())
@@ -1053,7 +1038,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    cfg = CycloConfig(max_iterations=args.iterations, validate_each_step=False)
+    cfg = CycloConfig(max_iterations=args.iterations)
     if args.name == "figure1":
         from repro.workloads import figure1_csdfg, figure1_mesh
 
@@ -1083,7 +1068,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             run_cfg = CycloConfig(
                 relaxation=relaxation,
                 max_iterations=args.iterations,
-                validate_each_step=False,
             )
             cells = run_grid(
                 graph,
@@ -1126,9 +1110,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ReproError("--values is empty")
 
     graph = make_workload(args.workload)
-    cfg = CycloConfig(
-        max_iterations=args.iterations, validate_each_step=False
-    )
+    cfg = CycloConfig(max_iterations=args.iterations)
     session = _obs_session(args)
     try:
         if args.param == "pes":
@@ -1517,7 +1499,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 def _compacted(args: argparse.Namespace):
     graph, arch = _make_pair(args)
-    cfg = CycloConfig(max_iterations=40, validate_each_step=False)
+    cfg = CycloConfig(max_iterations=40)
     return arch, cyclo_compact(graph, arch, config=cfg)
 
 

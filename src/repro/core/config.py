@@ -33,10 +33,11 @@ class CycloConfig:
         Stop early after this many consecutive passes without improving
         the best length.  ``None`` disables early stopping.
     validate_each_step:
-        Run the full schedule validator after every pass and
-        cross-check the incremental projected schedule length against
-        the full rescan (cheap for the paper-scale graphs; disable for
-        large sweeps).
+        Debug mode: run the full schedule validator after every
+        accepted pass and cross-check the incremental projected
+        schedule length and cached placement order against full
+        rescans.  Default false: the schedule a run *returns* is
+        certified either way (see :func:`repro.core.cyclo.cyclo_compact`).
     pipelined_pes:
         Schedule for pipelined processing elements (paper §2): a task
         blocks its processor for a single control step while its result
@@ -81,7 +82,7 @@ class CycloConfig:
     relaxation: bool = True
     max_iterations: int | None = None
     patience: int | None = None
-    validate_each_step: bool = True
+    validate_each_step: bool = False
     pipelined_pes: bool = False
     remap_strategy: str = "implied"
     deadline_seconds: float | None = None

@@ -241,7 +241,11 @@ def cyclo_compact(
         remapping, PSL, validation) prices through it, so the returned
         schedule is legal w.r.t. exactly this cache's cost function.
 
-    The input graph is copied, never mutated.
+    The returned schedule is always certified (one
+    :func:`~repro.schedule.validate.collect_violations` walk under
+    ``comm``, whatever ``validate_each_step`` and ``recover_on_error``
+    say); an illegal one raises :class:`ScheduleValidationError`.  The
+    input graph is copied, never mutated.
     """
     cfg = config if config is not None else CycloConfig()
     with span("cyclo_compact", workload=graph.name, arch=arch.name) as sp:
@@ -251,6 +255,15 @@ def cyclo_compact(
             comm = CommCostCache.for_graph(arch, graph)
         state = _initial_state(graph, arch, cfg, initial, comm=comm)
         result = _run_passes(state, graph, arch, cfg, comm=comm)
+        # certify what is returned, under the prices that steered the run
+        violations = collect_violations(
+            result.graph, arch, result.schedule,
+            pipelined_pes=cfg.pipelined_pes, comm=comm,
+        )
+        if violations:
+            raise ScheduleValidationError(
+                ["cyclo-compaction returned an illegal schedule"] + violations
+            )
         sp.add(
             initial_length=result.initial_length,
             final_length=result.final_length,

@@ -80,7 +80,7 @@ def optimize(
     compaction round (its ``pipelined_pes`` flag also drives the
     refiner).
     """
-    cfg = config if config is not None else CycloConfig(validate_each_step=False)
+    cfg = config if config is not None else CycloConfig()
 
     result = cyclo_compact(graph, arch, config=cfg)
     best_schedule = result.schedule
@@ -217,7 +217,7 @@ def contention_aware_schedule(
     guarantees hold verbatim — the winner is validator-legal under the
     returned ``comm`` cache.
     """
-    cfg = config if config is not None else CycloConfig(validate_each_step=False)
+    cfg = config if config is not None else CycloConfig()
     if model is None:
         model = cfg.resolve_contention()
     if model is None:

@@ -82,7 +82,7 @@ def run_gate_matrix(
     for workload, kind, pes, passes in matrix:
         graph = make_workload(workload)
         arch = make_architecture(kind, pes)
-        cfg = CycloConfig(max_iterations=passes, validate_each_step=False)
+        cfg = CycloConfig(max_iterations=passes)
         sink = InMemorySink()
         metrics_mod.reset()
         with sink_installed(sink):

@@ -8,7 +8,8 @@ The optimiser's phase structure (see the instrumentation in
       pass[i]
         rotate
         remap
-        validate         (when validate_each_step / final check)
+        validate         (only with validate_each_step)
+      validate           (once: the returned schedule is certified)
 
 :func:`phase_breakdown` charges each phase its **total** time across a
 recording, expresses it as a percentage of the root span(s), and adds

@@ -106,7 +106,6 @@ def run_scale_cell(cell: ScaleCell) -> dict:
     arch = make_architecture(cell.arch_kind, cell.num_pes)
     cfg = CycloConfig(
         max_iterations=cell.passes,
-        validate_each_step=False,
         contention_model="serialized" if cell.contention else None,
         contention_weight=cell.contention if cell.contention else 1,
         contention_rounds=1,

@@ -26,7 +26,6 @@ from repro.qa.properties import (
     architecture_automorphism,
     check_all,
     check_property,
-    design_criterion_violations,
 )
 from repro.qa.shrink import ShrinkResult, shrink_case
 
@@ -43,7 +42,6 @@ __all__ = [
     "architecture_automorphism",
     "check_all",
     "check_property",
-    "design_criterion_violations",
     "load_cases",
     "replay_case",
     "run_fuzz",

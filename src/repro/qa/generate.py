@@ -368,10 +368,10 @@ def sample_config(
 ) -> CycloConfig:
     """Draw optimiser options covering the modes the engines support.
 
-    ``validate_each_step`` stays off — the property suite runs the
-    validator itself (per-step validation would hide ordering bugs the
-    differential oracle is meant to catch, and doubles the cost of
-    every trial).
+    ``validate_each_step`` keeps its default (off) — the property suite
+    runs the validator itself (per-step validation would hide ordering
+    bugs the differential oracle is meant to catch, and doubles the
+    cost of every trial).
     """
     rng = _rng(seed_or_rng)
     return CycloConfig(
@@ -379,5 +379,4 @@ def sample_config(
         max_iterations=rng.randint(1, max_iterations),
         pipelined_pes=rng.random() < 0.25,
         remap_strategy=rng.choice(["implied", "implied", "first-fit"]),
-        validate_each_step=False,
     )

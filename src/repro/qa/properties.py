@@ -10,11 +10,12 @@ workloads:
     and reference engines), ETF, sequential — passes the ground-truth
     validator.
 ``design-criterion``
-    The DESIGN correctness criterion re-checked *verbatim and
-    independently* of the validator: for every edge,
+    The DESIGN correctness criterion re-checked by the one independent
+    oracle, :func:`~repro.analyze.schedule_cert.certify_schedule`:
+    exclusive occupancy and, for every edge,
     ``CB(v) + d·L >= CE(u) + M + 1`` with ``M`` recomputed from
     ``arch.hops`` and the cost model (oracle diversity: a bug in the
-    validator's edge walk cannot hide here).
+    validator's walk cannot hide here).
 ``engines-equivalent``
     The differential oracle: the fast-path engine and the verbatim
     reference engine must agree on lengths, placements, accept/reject
@@ -49,9 +50,10 @@ workloads:
     The two-phase contention pipeline
     (:func:`repro.core.pipeline.contention_aware_schedule`) with a
     sampled contention model: the winner validates under the contended
-    cache it carries, the DESIGN criterion holds with ``M`` re-derived
-    independently from hops x cost model x frozen occupancy, and the
-    contended bill never exceeds the contention-blind baseline's.
+    cache it carries, ``certify_schedule`` certifies it with ``M``
+    re-derived independently from hops x cost model x the frozen
+    occupancy's load along the route, and the contended bill never
+    exceeds the contention-blind baseline's.
 ``sanitizer-agrees``
     The in-process face of the dynamic determinism sanitizer
     (``repro sanitize``, :mod:`repro.analyze.sanitize`): running the
@@ -74,10 +76,11 @@ workloads:
     corruptions of it (a removed node, a foreign node, a task moved
     onto an occupied PE, a wrong duration, a failed PE, a zero-delay
     violation, a non-zero table origin, pipelined PEs): it returns the
-    smallest ``L >= max(makespan, 1)`` at which the validator finds
-    nothing, found here by trying every length up to a bound past which
-    no delayed edge can still constrain ``L``, and ``None`` when none
-    works.
+    smallest ``L >= max(makespan, 1)`` that ``certify_schedule`` (not
+    the walk ``minimum_feasible_length`` shares with the validator)
+    certifies, found here by trying every length up to a bound past
+    which no delayed edge can still constrain ``L``, and ``None`` when
+    none works.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ import random
 from fractions import Fraction
 from typing import Callable
 
+from repro.analyze.schedule_cert import certify_schedule
 from repro.arch.comm import (
     ContentionModel,
     ScaledContention,
@@ -126,7 +130,6 @@ __all__ = [
     "PropertyFn",
     "check_property",
     "check_all",
-    "design_criterion_violations",
     "architecture_automorphism",
 ]
 
@@ -142,37 +145,6 @@ def _compact(
     graph: CSDFG, arch: Architecture, cfg: CycloConfig
 ) -> CycloResult:
     return cyclo_compact(graph, arch, config=cfg)
-
-
-def design_criterion_violations(
-    graph: CSDFG, arch: Architecture, schedule: ScheduleTable
-) -> list[str]:
-    """The DESIGN criterion, verbatim: ``CB(v) + d·L >= CE(u) + M + 1``.
-
-    Deliberately *not* implemented via the validator: ``M`` comes
-    straight from ``arch.hops`` and the cost model, ``CE`` from
-    ``CB + t - 1``, so this is an independent oracle for the
-    precedence/communication inequality.
-    """
-    problems: list[str] = []
-    L = schedule.length
-    for edge in graph.edges():
-        if edge.src not in schedule or edge.dst not in schedule:
-            problems.append(
-                f"edge ({edge.src!r}, {edge.dst!r}): endpoint unscheduled"
-            )
-            continue
-        pu = schedule.placement(edge.src)
-        pv = schedule.placement(edge.dst)
-        cb_v = pv.start
-        ce_u = pu.start + pu.duration - 1
-        m = arch.comm_model.cost(arch.hops(pu.pe, pv.pe), edge.volume)  # repro-lint: disable=RL103 (independent oracle)
-        if cb_v + edge.delay * L < ce_u + m + 1:
-            problems.append(
-                f"design criterion: CB({edge.dst!r})={cb_v} + "
-                f"{edge.delay}*{L} < CE({edge.src!r})={ce_u} + M={m} + 1"
-            )
-    return problems
 
 
 def architecture_automorphism(
@@ -256,6 +228,23 @@ def prop_schedules_legal(
     return problems
 
 
+def _certificate_errors(
+    graph: CSDFG,
+    arch: Architecture,
+    schedule: ScheduleTable,
+    pipelined: bool,
+    price: Callable[[int, int, int], int] | None = None,
+) -> list[str]:
+    """The error findings of the independent oracle, as messages."""
+    return [
+        f"{d.code} {d.message}"
+        for d in certify_schedule(
+            graph, arch, schedule, pipelined_pes=pipelined, price=price
+        )
+        if d.severity == "error"
+    ]
+
+
 def prop_design_criterion(
     graph: CSDFG, arch: Architecture, cfg: CycloConfig, rng: random.Random
 ) -> list[str]:
@@ -265,7 +254,7 @@ def prop_design_criterion(
         ("startup", graph, result.initial_schedule),
         ("compacted", result.graph, result.schedule),
     ):
-        for v in design_criterion_violations(g, arch, schedule):
+        for v in _certificate_errors(g, arch, schedule, cfg.pipelined_pes):
             problems.append(f"{label}: {v}")
     return problems
 
@@ -481,7 +470,7 @@ def prop_analyzer_agrees(
     must reach the validator's verdict on it.  Analyzer-error: the
     pipeline must refuse, and with a typed error.
     """
-    from repro.analyze import analyze_inputs, certify_schedule
+    from repro.analyze import analyze_inputs
     from repro.errors import ReproError
 
     report = analyze_inputs(graph, arch, config=cfg)
@@ -537,53 +526,31 @@ def prop_analyzer_agrees(
     return problems
 
 
-def contended_design_criterion_violations(
-    graph: CSDFG,
-    arch: Architecture,
-    schedule: ScheduleTable,
-    model: ContentionModel,
-    occupancy: LinkOccupancy | None,
-) -> list[str]:
-    """The DESIGN criterion under contended pricing, re-derived
-    independently of the cache: ``M = price(base, load)`` with ``base``
-    straight from ``arch.hops`` x the cost model and ``load`` read off
-    the frozen occupancy's per-link ledger along the deterministic
-    route.  ``occupancy=None`` degrades to the contention-free oracle.
-    """
-    if occupancy is None:
-        return design_criterion_violations(graph, arch, schedule)
+def _route_load_price(
+    arch: Architecture, model: ContentionModel, occupancy: LinkOccupancy
+) -> Callable[[int, int, int], int]:
+    """Contended ``M``, re-derived independently of the cache:
+    ``model.price(base, load)`` with ``base`` straight from
+    ``arch.hops`` x the cost model and ``load`` the heaviest per-link
+    ledger entry of the frozen occupancy along the deterministic
+    route."""
     loads = occupancy.loads
-    problems: list[str] = []
-    L = schedule.length
-    for edge in graph.edges():
-        if edge.src not in schedule or edge.dst not in schedule:
-            problems.append(
-                f"edge ({edge.src!r}, {edge.dst!r}): endpoint unscheduled"
-            )
-            continue
-        pu = schedule.placement(edge.src)
-        pv = schedule.placement(edge.dst)
-        cb_v = pv.start
-        ce_u = pu.start + pu.duration - 1
-        base = arch.comm_model.cost(arch.hops(pu.pe, pv.pe), edge.volume)  # repro-lint: disable=RL103 (independent oracle)
+
+    def price(pe_u: int, pe_v: int, volume: int) -> int:
+        base = arch.comm_model.cost(arch.hops(pe_u, pe_v), volume)  # repro-lint: disable=RL103 (independent oracle)
         if base == 0:
-            m = 0
-        else:
-            path = _route(arch, pu.pe, pv.pe)
-            load = max(
-                (
-                    loads.get((min(a, b), max(a, b)), 0)
-                    for a, b in zip(path, path[1:])
-                ),
-                default=0,
-            )
-            m = model.price(base, load)
-        if cb_v + edge.delay * L < ce_u + m + 1:
-            problems.append(
-                f"contended design criterion: CB({edge.dst!r})={cb_v} + "
-                f"{edge.delay}*{L} < CE({edge.src!r})={ce_u} + M={m} + 1"
-            )
-    return problems
+            return 0
+        path = _route(arch, pe_u, pe_v)
+        load = max(
+            (
+                loads.get((min(a, b), max(a, b)), 0)
+                for a, b in zip(path, path[1:])
+            ),
+            default=0,
+        )
+        return model.price(base, load)
+
+    return price
 
 
 def prop_contention_legal(
@@ -610,12 +577,17 @@ def prop_contention_legal(
     ):
         problems.append(f"[{model.name}] contended validator: {violation}")
 
-    # DESIGN criterion with M re-derived independently of the cache
+    # the oracle, with M re-derived independently of the cache (plain
+    # prices when the blind baseline won)
     occupancy = result.comm.occupancy if result.comm is not None else None
-    for violation in contended_design_criterion_violations(
-        result.graph, arch, result.schedule, model, occupancy
+    price = (
+        None if occupancy is None
+        else _route_load_price(arch, model, occupancy)
+    )
+    for violation in _certificate_errors(
+        result.graph, arch, result.schedule, cfg.pipelined_pes, price
     ):
-        problems.append(f"[{model.name}] {violation}")
+        problems.append(f"[{model.name}] certificate: {violation}")
 
     # the baseline competes, so the winner can never bill higher
     if result.final_cost > result.blind_cost:
@@ -736,13 +708,10 @@ def prop_sanitizer_agrees(
 
 
 def _smallest_legal_length(
-    graph: CSDFG,
-    arch: Architecture,
-    schedule: ScheduleTable,
-    pipelined: bool,
-    comm: CommCostCache | None,
+    graph: CSDFG, arch: Architecture, schedule: ScheduleTable, pipelined: bool
 ) -> int | None:
-    """The contract of ``minimum_feasible_length``, by search.
+    """The contract of ``minimum_feasible_length``, by search with the
+    independent oracle.
 
     Tries every ``L`` from ``max(makespan, 1)`` upwards, like the
     start-up scheduler's ``cs_limit``.  From ``makespan + M_max`` on
@@ -752,20 +721,20 @@ def _smallest_legal_length(
     fails there fails for a length-independent reason and the search
     stops.
     """
-    cost = comm.cost if comm is not None else arch.comm_cost
     alive = list(arch.processors)
     volumes = {e.volume for e in graph.edges()}
     m_max = max(
-        (cost(p, q, vol) for vol in volumes for p in alive for q in alive),
+        (
+            arch.comm_cost(p, q, vol)
+            for vol in volumes for p in alive for q in alive
+        ),
         default=0,
     )
     low = max(schedule.makespan, 1)
     probe = schedule.copy()
     for length in range(low, low + m_max + 1):
         probe.set_length(length)
-        if not collect_violations(
-            graph, arch, probe, pipelined_pes=pipelined, comm=comm
-        ):
+        if not _certificate_errors(graph, arch, probe, pipelined):
             return length
     return None
 
@@ -887,12 +856,10 @@ def prop_feasible_length_minimal(
     for label, machine, schedule, pipelined, cache in _feasible_length_cases(
         graph, arch, cfg, rng
     ):
+        want = _smallest_legal_length(graph, machine, schedule, pipelined)
         for comm in (None, cache):
             got = minimum_feasible_length(
                 graph, machine, schedule, pipelined_pes=pipelined, comm=comm
-            )
-            want = _smallest_legal_length(
-                graph, machine, schedule, pipelined, comm
             )
             if got != want:
                 problems.append(

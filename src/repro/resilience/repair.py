@@ -470,50 +470,27 @@ def _reoptimize(
     ``None`` when it cannot produce a legal schedule.
 
     Under contention this is the two-phase flow in miniature: a blind
-    compaction seeds a frozen occupancy snapshot, a second compaction
-    runs under the surcharged cache, and the result is certified
-    against that same cache (delayed-edge shortfalls are absorbed by
-    padding to the contended :func:`minimum_feasible_length`)."""
+    compaction seeds a frozen occupancy snapshot and a second
+    compaction runs under the surcharged cache.  Either compaction
+    certifies what it returns under the prices it ran with, so an
+    illegal result surfaces as its :class:`ReproError`."""
     cfg = config if config is not None else CycloConfig(
-        pipelined_pes=pipelined_pes, validate_each_step=False
+        pipelined_pes=pipelined_pes
     )
     try:
         result = cyclo_compact(graph, degraded, config=cfg)
     except ReproError:
         metrics.inc("resilience.repair.reoptimize_failures")
         return None
-    schedule = result.schedule
-    comm = _contended_cache(result.graph, degraded, schedule, contention)
+    comm = _contended_cache(
+        result.graph, degraded, result.schedule, contention
+    )
     if comm is not None:
         # two-phase: freeze the blind run's occupancy, then compact
-        # again under the surcharged prices — the engine schedules
-        # against the contended cache, so the result is legal under it
-        # by construction
+        # again under the surcharged prices
         try:
-            aware = cyclo_compact(graph, degraded, config=cfg, comm=comm)
+            result = cyclo_compact(graph, degraded, config=cfg, comm=comm)
         except ReproError:
             metrics.inc("resilience.repair.reoptimize_failures")
             return None
-        result = aware
-        schedule = aware.schedule
-        if collect_violations(
-            result.graph, degraded, schedule,
-            pipelined_pes=cfg.pipelined_pes, comm=comm,
-        ):
-            # delayed-edge shortfall under the carried prices: pad
-            feasible = minimum_feasible_length(
-                result.graph, degraded, schedule,
-                pipelined_pes=cfg.pipelined_pes, comm=comm,
-            )
-            if feasible is None:
-                metrics.inc("resilience.repair.reoptimize_failures")
-                return None
-            schedule = schedule.copy()
-            schedule.set_length(max(feasible, schedule.length))
-    if collect_violations(
-        result.graph, degraded, schedule,
-        pipelined_pes=cfg.pipelined_pes, comm=comm,
-    ):
-        metrics.inc("resilience.repair.reoptimize_failures")
-        return None
-    return schedule, result.graph, comm
+    return result.schedule, result.graph, comm

@@ -6,8 +6,8 @@ derived from the paper's execution model (§2, §3):
 * **Completeness** — every graph node is placed exactly once with the
   right duration.
 * **Resource exclusivity** — a processor executes at most one task per
-  control step (recomputed from placements, independent of the table's
-  own cell index).
+  control step (recomputed from placements by sorting each processor's
+  spans, independent of the table's own cell index).
 * **Precedence + communication** — for every edge ``u -> v`` with delay
   ``d`` in a schedule of length ``L``::
 
@@ -17,9 +17,12 @@ derived from the paper's execution model (§2, §3):
   iteration ``j - d`` has finished and its data has crossed the
   interconnect; ``M = 0`` on the same processor).
 
-The same inequality, solved for ``L``, yields the **projected schedule
-length** of the paper's Lemma 4.3 (see :mod:`repro.core.psl`), so the
-optimiser and the validator can never disagree.
+One walk decides both legality and the minimum length: a pass over the
+placements and a pass over the edges yield the violations at the
+recorded length *and*, from the same inequality solved for ``L``, the
+smallest length at which the placements are legal — the **projected
+schedule length** of the paper's Lemma 4.3 (see :mod:`repro.core.psl`),
+so the optimiser and the validator can never disagree.
 """
 
 from __future__ import annotations
@@ -43,6 +46,136 @@ __all__ = [
 ]
 
 
+def _walk(
+    graph: CSDFG,
+    arch: Architecture,
+    schedule: ScheduleTable,
+    pipelined_pes: bool,
+    comm: "CommCostCache | None",
+) -> tuple[list[str], int | None]:
+    """The violations at the recorded length, and the smallest length
+    legal for these placements (``None`` when no length is).
+
+    Works on the stored records: every rule compares two starts of one
+    table (``CE(u) - CB(v)``, overlaps on one PE), so the origin cancels
+    and is added back only to the steps a message names.
+    """
+    cost = comm.cost if comm is not None else arch.comm_cost
+    placements, origin = schedule.stored_placements()
+    times = graph.times()
+    num_pes = arch.num_pes
+    L = schedule.length
+    violations = [
+        f"node {v} is not scheduled"
+        for v in sorted(str(v) for v in times if v not in placements)
+    ]
+    violations += [
+        f"scheduled node {v} is not in the graph"
+        for v in sorted(str(v) for v in placements if v not in times)
+    ]
+    # length-independent rules broken so far: no length can repair them
+    illegal = bool(violations)
+    unroutable = set()  # off the machine or on a failed PE
+    # (PE, t) -> the duration a task of time t takes there; None on an
+    # out-of-range or failed PE, where no placement can be legal
+    durations: dict[tuple[int, int], int | None] = {}
+    spans: dict[int, list[tuple[int, int, int, object]]] = {}
+    for i, (node, p) in enumerate(placements.items()):
+        base_time = times.get(node)
+        if base_time is None:
+            continue  # reported above
+        pe, start = p.pe, p.start
+        key = (pe, base_time)
+        if key in durations:
+            duration = durations[key]
+        else:
+            duration = durations[key] = (
+                arch.execution_time(pe, base_time)
+                if pe < num_pes and arch.is_alive(pe)
+                else None
+            )
+        if duration is None:
+            illegal = True
+            unroutable.add(node)
+            violations.append(
+                f"node {node!r}: PE {pe} outside architecture "
+                f"{arch.name!r} ({num_pes} PEs)"
+                if pe >= num_pes
+                else f"node {node!r}: placed on failed pe{pe + 1} of "
+                f"{arch.name!r}"
+            )
+            continue
+        if p.duration != duration:
+            illegal = True
+            violations.append(
+                f"node {node!r}: duration {p.duration} != {duration} "
+                f"(t = {base_time} on pe{pe + 1} of {arch.name!r})"
+            )
+        finish = start + p.duration - 1
+        if finish + origin > L:
+            violations.append(
+                f"node {node!r}: finishes at cs {finish + origin} on "
+                f"pe{pe + 1} beyond length {L}"
+            )
+        # i breaks ties, so the sort never compares two nodes
+        spans.setdefault(pe, []).append(
+            (start, start if pipelined_pes else finish, i, node)
+        )
+
+    # resource exclusivity: each span against the furthest-reaching
+    # earlier span on its PE
+    for pe, pe_spans in spans.items():
+        pe_spans.sort()
+        busy_until, holder = pe_spans[0][0] - 1, None
+        for start, end, _i, node in pe_spans:
+            if start <= busy_until:
+                illegal = True
+                violations.append(
+                    f"resource conflict on pe{pe + 1} cs{start + origin}: "
+                    f"{holder!r} vs {node!r}"
+                )
+            if end > busy_until:
+                busy_until, holder = end, node
+
+    # precedence + communication; edges touching a node on an
+    # out-of-range or failed PE are skipped: that placement is already
+    # reported above and cannot be priced
+    routable = (
+        {v: p for v, p in placements.items() if v not in unroutable}
+        if unroutable
+        else placements
+    )
+    required = max(schedule.makespan, 1)
+    for edge in graph.edges():
+        try:
+            pu, pv = routable[edge.src], routable[edge.dst]
+        except KeyError:
+            continue  # an endpoint is unscheduled or unroutable
+        m = cost(pu.pe, pv.pe, edge.volume)
+        # CE(u) + M + 1 - CB(v): what d·L must cover
+        slack_needed = pu.start + pu.duration + m - pv.start
+        delay = edge.delay
+        if slack_needed > delay * L:
+            cb_v = pv.start + origin
+            ce_u = pu.start + pu.duration - 1 + origin
+            violations.append(
+                f"dependence edge ({edge.src!r}, {edge.dst!r}) "
+                f"(d={delay}, c={edge.volume}) "
+                f"pe{pu.pe + 1}->pe{pv.pe + 1}: "
+                f"CB({edge.dst!r})={cb_v} + "
+                f"{delay}*{L} = {cb_v + delay * L} < CE({edge.src!r})={ce_u} "
+                f"+ M={m} + 1 = {ce_u + m + 1}"
+            )
+        if delay == 0:
+            if slack_needed > 0:
+                illegal = True
+        else:
+            need = -(-slack_needed // delay)  # ceil division
+            if need > required:
+                required = need
+    return violations, None if illegal else required
+
+
 def collect_violations(
     graph: CSDFG,
     arch: Architecture,
@@ -63,100 +196,10 @@ def collect_violations(
     schedule against the surcharged prices instead.
     """
     with span("validate", nodes=graph.num_nodes) as validate_span:
-        violations = _collect_violations(
-            graph, arch, schedule, pipelined_pes=pipelined_pes, comm=comm
-        )
+        violations = _walk(graph, arch, schedule, pipelined_pes, comm)[0]
         metrics.inc("validate.calls")
         metrics.inc("validate.violations", len(violations))
         validate_span.add(violations=len(violations))
-    return violations
-
-
-def _collect_violations(
-    graph: CSDFG,
-    arch: Architecture,
-    schedule: ScheduleTable,
-    *,
-    pipelined_pes: bool = False,
-    comm: "CommCostCache | None" = None,
-) -> list[str]:
-    cost = comm.cost if comm is not None else arch.comm_cost
-    violations: list[str] = []
-
-    # completeness ------------------------------------------------------
-    scheduled = set(schedule.nodes())
-    expected = set(graph.nodes())
-    for missing in sorted(map(str, expected - scheduled)):
-        violations.append(f"node {missing} is not scheduled")
-    for extra in sorted(map(str, scheduled - expected)):
-        violations.append(f"scheduled node {extra} is not in the graph")
-
-    placed = expected & scheduled
-    routable = set()  # placed on an in-range, alive PE: safe to price
-    for node in placed:
-        p = schedule.placement(node)
-        if p.pe >= arch.num_pes:
-            violations.append(
-                f"node {node!r}: PE {p.pe} outside architecture "
-                f"{arch.name!r} ({arch.num_pes} PEs)"
-            )
-            continue
-        if not arch.is_alive(p.pe):
-            violations.append(
-                f"node {node!r}: placed on failed pe{p.pe + 1} of "
-                f"{arch.name!r}"
-            )
-            continue
-        routable.add(node)
-        expected_duration = arch.execution_time(p.pe, graph.time(node))
-        if p.duration != expected_duration:
-            violations.append(
-                f"node {node!r}: duration {p.duration} != "
-                f"{expected_duration} (t = {graph.time(node)} on pe{p.pe + 1} "
-                f"of {arch.name!r})"
-            )
-        if p.finish > schedule.length:
-            violations.append(
-                f"node {node!r}: finishes at cs {p.finish} on pe{p.pe + 1} "
-                f"beyond length {schedule.length}"
-            )
-
-    # resource exclusivity (recomputed, not trusting the cell index) ----
-    occupancy: dict[tuple[int, int], object] = {}
-    for node in sorted(placed, key=str):
-        p = schedule.placement(node)
-        span_end = p.start if pipelined_pes else p.finish
-        for cs in range(p.start, span_end + 1):
-            other = occupancy.get((p.pe, cs))
-            if other is not None:
-                violations.append(
-                    f"resource conflict on pe{p.pe + 1} cs{cs}: "
-                    f"{other!r} vs {node!r}"
-                )
-            else:
-                occupancy[(p.pe, cs)] = node
-
-    # precedence + communication ----------------------------------------
-    # edges touching a node on an out-of-range or failed PE are skipped:
-    # that placement is already reported above and cannot be priced
-    L = schedule.length
-    for edge in graph.edges():
-        if edge.src not in routable or edge.dst not in routable:
-            continue
-        pu = schedule.placement(edge.src)
-        pv = schedule.placement(edge.dst)
-        m = cost(pu.pe, pv.pe, edge.volume)
-        lhs = pv.start + edge.delay * L
-        rhs = pu.finish + m + 1
-        if lhs < rhs:
-            violations.append(
-                f"dependence edge ({edge.src!r}, {edge.dst!r}) "
-                f"(d={edge.delay}, c={edge.volume}) "
-                f"pe{pu.pe + 1}->pe{pv.pe + 1}: "
-                f"CB({edge.dst!r})={pv.start} + "
-                f"{edge.delay}*{L} = {lhs} < CE({edge.src!r})={pu.finish} + "
-                f"M={m} + 1 = {rhs}"
-            )
     return violations
 
 
@@ -207,66 +250,10 @@ def minimum_feasible_length(
     Keeps every ``(CB, PE)`` fixed and returns the smallest
     ``L >= max(makespan, 1)`` at which :func:`collect_violations` finds
     nothing, or ``None`` when no length works.  The length-independent
-    rules are checked once: completeness, PE in range and alive,
-    duration, and resource exclusivity (recomputed from each PE's
-    spans, not from the table's cell index), and every zero-delay edge
-    must hold as placed.  Each delayed edge then demands
-    ``L >= ceil((CE(u) + M + 1 - CB(v)) / d)``; at the maximum of those
-    bounds and the makespan every precedence inequality holds, so one
-    pass over the placements and one over the edges decide the answer.
+    rules (completeness, PE in range and alive, duration, resource
+    exclusivity, every zero-delay edge as placed) must hold; each
+    delayed edge then demands ``L >= ceil((CE(u) + M + 1 - CB(v)) / d)``,
+    and at the maximum of those bounds and the makespan every
+    precedence inequality holds.
     """
-    cost = comm.cost if comm is not None else arch.comm_cost
-    # stored records: every rule below compares two starts of one table
-    # (CE(u) - CB(v), overlaps on one PE), so the origin cancels
-    placements = schedule.stored_placements()[0]
-    times = graph.times()
-    if len(placements) != len(times):
-        return None
-    num_pes = arch.num_pes
-    # (PE, t) -> the duration a task of time t takes there; None on an
-    # out-of-range or failed PE, where no placement can be legal
-    durations: dict[tuple[int, int], int | None] = {}
-    spans: dict[int, list[tuple[int, int]]] = {}
-    for node, p in placements.items():
-        base_time = times.get(node)
-        if base_time is None:
-            return None  # scheduled node not in the graph
-        pe = p.pe
-        key = (pe, base_time)
-        if key in durations:
-            duration = durations[key]
-        else:
-            duration = durations[key] = (
-                arch.execution_time(pe, base_time)
-                if pe < num_pes and arch.is_alive(pe)
-                else None
-            )
-        if p.duration != duration:
-            return None
-        start = p.start
-        end = start if pipelined_pes else start + p.duration - 1
-        spans.setdefault(pe, []).append((start, end))
-    for pe_spans in spans.values():
-        pe_spans.sort()
-        busy_until = pe_spans[0][0] - 1
-        for start, end in pe_spans:
-            if start <= busy_until:
-                return None
-            if end > busy_until:
-                busy_until = end
-
-    required = max(schedule.makespan, 1)
-    for edge in graph.edges():
-        pu = placements[edge.src]
-        pv = placements[edge.dst]
-        slack_needed = (
-            pu.start + pu.duration + cost(pu.pe, pv.pe, edge.volume) - pv.start
-        )
-        if edge.delay == 0:
-            if slack_needed > 0:
-                return None
-        else:
-            need = -(-slack_needed // edge.delay)  # ceil division
-            if need > required:
-                required = need
-    return required
+    return _walk(graph, arch, schedule, pipelined_pes, comm)[1]

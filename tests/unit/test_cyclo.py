@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.arch import CompletelyConnected, LinearArray, Ring
+from repro.arch import (
+    CompletelyConnected,
+    LinearArray,
+    Ring,
+    make_architecture,
+)
 from repro.core import CycloConfig, cyclo_compact, start_up_schedule
 from repro.core import cyclo as cyclo_mod
 from repro.core import remapping as remapping_mod
@@ -172,3 +177,41 @@ class TestPlacementRanks:
         result = cyclo_compact(figure7, LinearArray(4), config=cfg)
         assert any(len(r.rotated) > 1 for r in result.trace.records)
         assert walks == []
+
+
+class TestReturnedScheduleCertified:
+    """Every schedule ``cyclo_compact`` returns is certified under the
+    prices of the run, whatever the debug and recovery options say."""
+
+    @staticmethod
+    def _under_reporting_psl(monkeypatch):
+        # the incremental PSL claims one step less than the truth, so
+        # the engine shortens the schedule past what its edges allow
+        real_update = cyclo_mod.PSLTracker.update_nodes
+
+        def update_nodes(self, nodes):
+            length = real_update(self, nodes)
+            return None if length is None else length - 1
+
+        monkeypatch.setattr(cyclo_mod.PSLTracker, "update_nodes", update_nodes)
+
+    @pytest.mark.parametrize("recover", [False, True])
+    def test_psl_under_report_is_caught(self, figure7, monkeypatch, recover):
+        self._under_reporting_psl(monkeypatch)
+        cfg = CycloConfig(
+            max_iterations=20,
+            validate_each_step=False,
+            recover_on_error=recover,
+        )
+        with pytest.raises(ScheduleValidationError, match=r"\('S', 'A'\)"):
+            cyclo_compact(figure7, make_architecture("mesh", 4), config=cfg)
+
+    def test_one_validate_span_per_run(self, figure7):
+        sink = InMemorySink()
+        with sink_installed(sink):
+            cyclo_compact(
+                figure7, make_architecture("mesh", 4),
+                config=CycloConfig(max_iterations=20),
+            )
+        names = [e["name"] for e in sink.spans()]
+        assert names.count("validate") == 1

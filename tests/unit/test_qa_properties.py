@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.analyze import certify_schedule
 from repro.arch import make_architecture
 from repro.baselines import etf_schedule
 from repro.core import CycloConfig, cyclo_compact
@@ -20,7 +21,6 @@ from repro.qa import (
     architecture_automorphism,
     check_all,
     check_property,
-    design_criterion_violations,
 )
 from repro.schedule import ScheduleTable
 
@@ -47,11 +47,19 @@ class TestPropertiesHold:
 
 
 class TestDesignCriterionOracle:
+    """The one oracle of the criterion, ``certify_schedule``, on the
+    cases the qa re-derivations used to pin."""
+
+    @staticmethod
+    def errors(graph, arch, schedule, **kwargs):
+        return [
+            d for d in certify_schedule(graph, arch, schedule, **kwargs)
+            if d.severity == "error"
+        ]
+
     def test_holds_on_a_real_compaction(self, figure1, mesh2x2):
         result = cyclo_compact(figure1, mesh2x2, config=CFG)
-        assert design_criterion_violations(
-            result.graph, mesh2x2, result.schedule
-        ) == []
+        assert self.errors(result.graph, mesh2x2, result.schedule) == []
 
     def test_fires_on_a_corrupted_schedule(self, tiny_loop):
         # a -> b with zero delay across one hop: starting both at cs 1
@@ -61,15 +69,34 @@ class TestDesignCriterionOracle:
         broken.place("a", 0, 1, 1)
         broken.place("b", 1, 1, 1)
         broken.set_length(2)
-        problems = design_criterion_violations(tiny_loop, arch, broken)
-        assert problems and "design criterion" in problems[0]
+        problems = self.errors(tiny_loop, arch, broken)
+        assert problems and problems[0].code == "RA403"
+        assert problems[0].edge == ("a", "b")
 
     def test_fires_on_unscheduled_endpoint(self, tiny_loop):
         arch = make_architecture("linear", 2)
         empty = ScheduleTable(2, name="empty")
         empty.set_length(1)
-        problems = design_criterion_violations(tiny_loop, arch, empty)
-        assert problems and "unscheduled" in problems[0]
+        problems = self.errors(tiny_loop, arch, empty)
+        assert problems and {d.code for d in problems} == {"RA401"}
+        assert "is not scheduled" in problems[0].message
+
+    def test_contended_price_decides_the_edge(self, tiny_loop):
+        # legal under the plain price (M = 1 over one hop), illegal once
+        # a surcharge doubles every cross-PE transfer
+        arch = make_architecture("linear", 2)
+        schedule = ScheduleTable(2, name="priced")
+        schedule.place("a", 0, 1, 1)
+        schedule.place("b", 1, 1 + 1 + arch.comm_cost(0, 1, 1), 1)
+        schedule.set_length(schedule.makespan + 4)
+        assert self.errors(tiny_loop, arch, schedule) == []
+
+        def surcharged(pe_u, pe_v, volume):
+            return 2 * arch.comm_cost(pe_u, pe_v, volume)
+
+        problems = self.errors(tiny_loop, arch, schedule, price=surcharged)
+        assert [d.code for d in problems] == ["RA403"]
+        assert problems[0].edge == ("a", "b")
 
 
 class TestArchitectureAutomorphism:
