@@ -255,15 +255,6 @@ def cyclo_compact(
             comm = CommCostCache.for_graph(arch, graph)
         state = _initial_state(graph, arch, cfg, initial, comm=comm)
         result = _run_passes(state, graph, arch, cfg, comm=comm)
-        # certify what is returned, under the prices that steered the run
-        violations = collect_violations(
-            result.graph, arch, result.schedule,
-            pipelined_pes=cfg.pipelined_pes, comm=comm,
-        )
-        if violations:
-            raise ScheduleValidationError(
-                ["cyclo-compaction returned an illegal schedule"] + violations
-            )
         sp.add(
             initial_length=result.initial_length,
             final_length=result.final_length,
@@ -322,7 +313,9 @@ def _run_passes(
     *,
     comm: CommCostCache,
 ) -> CycloResult:
-    """Drive passes ``state.next_index .. z``, honouring every budget."""
+    """Drive passes ``state.next_index .. z``, honouring every budget,
+    and certify the best schedule before returning it (the one check
+    shared by a fresh run and a resumed checkpoint)."""
     started = time.monotonic()  # repro-lint: disable=RL102,RD103 (deadline budget, result-neutral)
     stop_reason = "completed"
     total = cfg.iterations_for(state.working.num_nodes)
@@ -374,6 +367,15 @@ def _run_passes(
         # (same name the eager working.copy() used to carry)
         best_graph = apply_retiming(
             graph, state.best_retiming, name=graph.name
+        )
+    # certify what is returned, under the prices that steered the run
+    violations = collect_violations(
+        best_graph, arch, state.best_schedule,
+        pipelined_pes=cfg.pipelined_pes, comm=comm,
+    )
+    if violations:
+        raise ScheduleValidationError(
+            ["cyclo-compaction returned an illegal schedule"] + violations
         )
     return CycloResult(
         schedule=state.best_schedule,

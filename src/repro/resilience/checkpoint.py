@@ -179,7 +179,10 @@ def resume_compaction(
     ``config`` defaults to the checkpointed config *minus its
     deadline* — resuming with the deadline that killed the original
     run would stop again immediately.  Returns the same
-    :class:`CycloResult` the uninterrupted run would have produced.
+    :class:`CycloResult` the uninterrupted run would have produced,
+    certified the same way: an illegal best schedule, whether found by
+    the resumed passes or read from the checkpoint, raises
+    :class:`~repro.errors.ScheduleValidationError`.
     """
     _verify(graph, arch, checkpoint)
     cfg = config if config is not None else CycloConfig.from_dict(

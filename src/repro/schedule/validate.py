@@ -52,29 +52,35 @@ def _walk(
     schedule: ScheduleTable,
     pipelined_pes: bool,
     comm: "CommCostCache | None",
-) -> tuple[list[str], int | None]:
-    """The violations at the recorded length, and the smallest length
-    legal for these placements (``None`` when no length is).
+) -> tuple[list[str], list[tuple], list[tuple], int | None]:
+    """One pass over the placements and one over the edges.
+
+    Returns ``(faults, overruns, broken, required)``: the messages of
+    the rules no length can repair; the raw facts of the rules broken
+    at the recorded length — ``(node, pe, finish)`` for a task running
+    past it, ``(edge, pe_u, pe_v, M, CB(v), CE(u))`` for a violated
+    precedence inequality — left for :func:`collect_violations` to
+    word, so the length search formats nothing; and the smallest
+    length legal for these placements (``None`` when no length is).
 
     Works on the stored records: every rule compares two starts of one
     table (``CE(u) - CB(v)``, overlaps on one PE), so the origin cancels
-    and is added back only to the steps a message names.
+    and is added back only to the steps a fact names.
     """
     cost = comm.cost if comm is not None else arch.comm_cost
     placements, origin = schedule.stored_placements()
     times = graph.times()
     num_pes = arch.num_pes
     L = schedule.length
-    violations = [
+    faults = [
         f"node {v} is not scheduled"
         for v in sorted(str(v) for v in times if v not in placements)
     ]
-    violations += [
+    faults += [
         f"scheduled node {v} is not in the graph"
         for v in sorted(str(v) for v in placements if v not in times)
     ]
-    # length-independent rules broken so far: no length can repair them
-    illegal = bool(violations)
+    overruns: list[tuple] = []
     unroutable = set()  # off the machine or on a failed PE
     # (PE, t) -> the duration a task of time t takes there; None on an
     # out-of-range or failed PE, where no placement can be legal
@@ -95,9 +101,8 @@ def _walk(
                 else None
             )
         if duration is None:
-            illegal = True
             unroutable.add(node)
-            violations.append(
+            faults.append(
                 f"node {node!r}: PE {pe} outside architecture "
                 f"{arch.name!r} ({num_pes} PEs)"
                 if pe >= num_pes
@@ -106,17 +111,13 @@ def _walk(
             )
             continue
         if p.duration != duration:
-            illegal = True
-            violations.append(
+            faults.append(
                 f"node {node!r}: duration {p.duration} != {duration} "
                 f"(t = {base_time} on pe{pe + 1} of {arch.name!r})"
             )
         finish = start + p.duration - 1
         if finish + origin > L:
-            violations.append(
-                f"node {node!r}: finishes at cs {finish + origin} on "
-                f"pe{pe + 1} beyond length {L}"
-            )
+            overruns.append((node, pe, finish + origin))
         # i breaks ties, so the sort never compares two nodes
         spans.setdefault(pe, []).append(
             (start, start if pipelined_pes else finish, i, node)
@@ -129,8 +130,7 @@ def _walk(
         busy_until, holder = pe_spans[0][0] - 1, None
         for start, end, _i, node in pe_spans:
             if start <= busy_until:
-                illegal = True
-                violations.append(
+                faults.append(
                     f"resource conflict on pe{pe + 1} cs{start + origin}: "
                     f"{holder!r} vs {node!r}"
                 )
@@ -145,6 +145,8 @@ def _walk(
         if unroutable
         else placements
     )
+    illegal = bool(faults)
+    broken: list[tuple] = []
     required = max(schedule.makespan, 1)
     for edge in graph.edges():
         try:
@@ -156,16 +158,10 @@ def _walk(
         slack_needed = pu.start + pu.duration + m - pv.start
         delay = edge.delay
         if slack_needed > delay * L:
-            cb_v = pv.start + origin
-            ce_u = pu.start + pu.duration - 1 + origin
-            violations.append(
-                f"dependence edge ({edge.src!r}, {edge.dst!r}) "
-                f"(d={delay}, c={edge.volume}) "
-                f"pe{pu.pe + 1}->pe{pv.pe + 1}: "
-                f"CB({edge.dst!r})={cb_v} + "
-                f"{delay}*{L} = {cb_v + delay * L} < CE({edge.src!r})={ce_u} "
-                f"+ M={m} + 1 = {ce_u + m + 1}"
-            )
+            broken.append((
+                edge, pu.pe, pv.pe, m,
+                pv.start + origin, pu.start + pu.duration - 1 + origin,
+            ))
         if delay == 0:
             if slack_needed > 0:
                 illegal = True
@@ -173,7 +169,7 @@ def _walk(
             need = -(-slack_needed // delay)  # ceil division
             if need > required:
                 required = need
-    return violations, None if illegal else required
+    return faults, overruns, broken, None if illegal else required
 
 
 def collect_violations(
@@ -196,7 +192,21 @@ def collect_violations(
     schedule against the surcharged prices instead.
     """
     with span("validate", nodes=graph.num_nodes) as validate_span:
-        violations = _walk(graph, arch, schedule, pipelined_pes, comm)[0]
+        L = schedule.length
+        faults, overruns, broken, _ = _walk(
+            graph, arch, schedule, pipelined_pes, comm
+        )
+        violations = faults + [
+            f"node {node!r}: finishes at cs {finish} on pe{pe + 1} "
+            f"beyond length {L}"
+            for node, pe, finish in overruns
+        ] + [
+            f"dependence edge ({e.src!r}, {e.dst!r}) "
+            f"(d={e.delay}, c={e.volume}) pe{pe_u + 1}->pe{pe_v + 1}: "
+            f"CB({e.dst!r})={cb_v} + {e.delay}*{L} = {cb_v + e.delay * L} "
+            f"< CE({e.src!r})={ce_u} + M={m} + 1 = {ce_u + m + 1}"
+            for e, pe_u, pe_v, m, cb_v, ce_u in broken
+        ]
         metrics.inc("validate.calls")
         metrics.inc("validate.violations", len(violations))
         validate_span.add(violations=len(violations))
@@ -256,4 +266,4 @@ def minimum_feasible_length(
     and at the maximum of those bounds and the makespan every
     precedence inequality holds.
     """
-    return _walk(graph, arch, schedule, pipelined_pes, comm)[1]
+    return _walk(graph, arch, schedule, pipelined_pes, comm)[3]

@@ -25,8 +25,12 @@ from repro.schedule import collect_violations
 
 from .conftest import architectures, csdfgs
 
-FAST_RELAX = CycloConfig(relaxation=True, max_iterations=12)
-FAST_STRICT = CycloConfig(relaxation=False, max_iterations=12)
+FAST_RELAX = CycloConfig(
+    relaxation=True, max_iterations=12, validate_each_step=True
+)
+FAST_STRICT = CycloConfig(
+    relaxation=False, max_iterations=12, validate_each_step=True
+)
 
 
 class TestTheorem44:

@@ -32,13 +32,14 @@ MODES = {
 }
 
 
-def _assert_criterion(graph, arch, result, label):
-    pipelined = MODES.get(label, MODES["relaxed"]).pipelined_pes
+def _assert_criterion(graph, arch, result, label, config):
     for tag, g, schedule in (
         ("startup", graph, result.initial_schedule),
         ("compacted", result.graph, result.schedule),
     ):
-        findings = certify_schedule(g, arch, schedule, pipelined_pes=pipelined)
+        findings = certify_schedule(
+            g, arch, schedule, pipelined_pes=config.pipelined_pes
+        )
         violations = [str(d) for d in findings if d.severity == "error"]
         assert violations == [], f"{label}/{tag}: {violations}"
 
@@ -49,19 +50,20 @@ class TestFastEngine:
     def test_relaxed_and_strict(self, g, arch):
         for label in ("relaxed", "strict"):
             result = cyclo_compact(g, arch, config=MODES[label])
-            _assert_criterion(g, arch, result, label)
+            _assert_criterion(g, arch, result, label, MODES[label])
 
     @given(csdfgs(max_nodes=8), architectures(max_pes=6))
     @settings(max_examples=20, deadline=None)
     def test_pipelined_and_first_fit(self, g, arch):
         for label in ("pipelined", "first-fit"):
             result = cyclo_compact(g, arch, config=MODES[label])
-            _assert_criterion(g, arch, result, label)
+            _assert_criterion(g, arch, result, label, MODES[label])
 
 
 class TestReferenceEngine:
     @given(csdfgs(max_nodes=8), architectures(max_pes=5))
     @settings(max_examples=15, deadline=None)
     def test_reference_engine_same_criterion(self, g, arch):
-        result = reference_cyclo_compact(g, arch, config=MODES["relaxed"])
-        _assert_criterion(g, arch, result, "reference")
+        cfg = MODES["relaxed"]
+        result = reference_cyclo_compact(g, arch, config=cfg)
+        _assert_criterion(g, arch, result, "reference", cfg)

@@ -9,16 +9,17 @@ import dataclasses
 
 import pytest
 
-from repro.arch import Mesh2D
+from repro.arch import Mesh2D, make_architecture
 from repro.core import CycloConfig, cyclo_compact
-from repro.errors import CheckpointError
+from repro.core import cyclo as cyclo_mod
+from repro.errors import CheckpointError, ScheduleValidationError
 from repro.resilience import CompactionCheckpoint, resume_compaction
 from repro.schedule import schedule_to_json
 from repro.workloads import figure1_csdfg, figure7_csdfg
 
 ARCH = Mesh2D(2, 4)
-FULL = CycloConfig(max_iterations=24)
-PARTIAL = CycloConfig(max_iterations=8)
+FULL = CycloConfig(max_iterations=24, validate_each_step=True)
+PARTIAL = CycloConfig(max_iterations=8, validate_each_step=True)
 
 
 def same_run(a, b) -> None:
@@ -52,16 +53,41 @@ class TestResumeEqualsUninterrupted:
 
     def test_deadline_killed_run_resumes(self):
         graph = figure1_csdfg()
-        killed_cfg = CycloConfig(max_iterations=18, deadline_seconds=0.0)
+        killed_cfg = CycloConfig(
+            max_iterations=18, deadline_seconds=0.0, validate_each_step=True
+        )
         killed = cyclo_compact(graph, ARCH, config=killed_cfg)
         assert killed.stop_reason == "deadline"
         ckpt = CompactionCheckpoint.capture(killed, graph, ARCH, killed_cfg)
         # default resume config == checkpointed config minus the deadline
         resumed = resume_compaction(graph, ARCH, ckpt)
         full = cyclo_compact(
-            graph, ARCH, config=CycloConfig(max_iterations=18)
+            graph, ARCH,
+            config=CycloConfig(max_iterations=18, validate_each_step=True),
         )
         same_run(resumed, full)
+
+    def test_resumed_schedule_is_certified(self, monkeypatch):
+        # a resumed run returns through the same certification as a
+        # fresh one: an incremental PSL that claims one step less than
+        # the truth shortens the schedule past what edge ('S', 'A')
+        # allows, and the resume must raise instead of returning it
+        graph, arch = figure7_csdfg(), make_architecture("mesh", 4)
+        cfg = CycloConfig(max_iterations=4, validate_each_step=False)
+        partial = cyclo_compact(graph, arch, config=cfg)
+        ckpt = CompactionCheckpoint.capture(partial, graph, arch, cfg)
+        real_update = cyclo_mod.PSLTracker.update_nodes
+
+        def update_nodes(self, nodes):
+            length = real_update(self, nodes)
+            return None if length is None else length - 1
+
+        monkeypatch.setattr(cyclo_mod.PSLTracker, "update_nodes", update_nodes)
+        with pytest.raises(ScheduleValidationError, match=r"\('S', 'A'\)"):
+            resume_compaction(
+                graph, arch, ckpt,
+                config=CycloConfig(max_iterations=20, validate_each_step=False),
+            )
 
 
 class TestGuards:

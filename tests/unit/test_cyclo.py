@@ -22,53 +22,60 @@ from repro.obs import InMemorySink, metrics, sink_installed
 from repro.retiming import apply_retiming
 from repro.schedule import ScheduleTable, is_valid_schedule
 
+# the debug checks (every intermediate schedule, the PSL cross-check,
+# the placement order) on, as these tests had them before they became
+# opt-in
+CHECKED = CycloConfig(validate_each_step=True)
+
 
 class TestFigure1:
     def test_compacts_to_paper_or_better(self, figure1, mesh2x2):
-        result = cyclo_compact(figure1, mesh2x2)
+        result = cyclo_compact(figure1, mesh2x2, config=CHECKED)
         assert result.initial_length == 7
         assert result.final_length <= 5  # paper reaches 5
 
     def test_final_schedule_valid(self, figure1, mesh2x2):
-        result = cyclo_compact(figure1, mesh2x2)
+        result = cyclo_compact(figure1, mesh2x2, config=CHECKED)
         assert is_valid_schedule(result.graph, mesh2x2, result.schedule)
 
     def test_never_worse_than_initial(self, figure1, mesh2x2):
-        result = cyclo_compact(figure1, mesh2x2)
+        result = cyclo_compact(figure1, mesh2x2, config=CHECKED)
         assert result.final_length <= result.initial_length
 
     def test_input_graph_not_mutated(self, figure1, mesh2x2):
         snapshot = figure1.copy()
-        cyclo_compact(figure1, mesh2x2)
+        cyclo_compact(figure1, mesh2x2, config=CHECKED)
         assert figure1.structurally_equal(snapshot)
 
     def test_retiming_consistency(self, figure1, mesh2x2):
-        result = cyclo_compact(figure1, mesh2x2)
+        result = cyclo_compact(figure1, mesh2x2, config=CHECKED)
         rebuilt = apply_retiming(figure1, result.retiming)
         assert rebuilt.structurally_equal(result.graph)
 
 
 class TestPolicies:
     def test_without_relaxation_monotone_trajectory(self, figure1, mesh2x2):
-        cfg = CycloConfig(relaxation=False)
+        cfg = CycloConfig(relaxation=False, validate_each_step=True)
         result = cyclo_compact(figure1, mesh2x2, config=cfg)
         lengths = result.trace.lengths
         assert all(b <= a for a, b in zip(lengths, lengths[1:]))
 
     def test_relaxation_keeps_best_seen(self, figure7):
         arch = CompletelyConnected(4)
-        result = cyclo_compact(figure7, arch)
+        result = cyclo_compact(figure7, arch, config=CHECKED)
         assert result.final_length == min(result.trace.lengths)
 
     def test_zero_iterations_returns_startup(self, figure1, mesh2x2):
-        cfg = CycloConfig(max_iterations=0)
+        cfg = CycloConfig(max_iterations=0, validate_each_step=True)
         result = cyclo_compact(figure1, mesh2x2, config=cfg)
         assert result.final_length == result.initial_length
         assert result.trace.records == []
 
     def test_patience_stops_early(self, figure7):
         arch = CompletelyConnected(4)
-        cfg = CycloConfig(patience=2, max_iterations=100)
+        cfg = CycloConfig(
+            patience=2, max_iterations=100, validate_each_step=True
+        )
         result = cyclo_compact(figure7, arch, config=cfg)
         assert len(result.trace.records) < 100
 
@@ -82,7 +89,9 @@ class TestPolicies:
 class TestInitialSchedule:
     def test_custom_initial_used(self, figure1, mesh2x2):
         init = start_up_schedule(figure1, mesh2x2)
-        result = cyclo_compact(figure1, mesh2x2, initial=init)
+        result = cyclo_compact(
+            figure1, mesh2x2, config=CHECKED, initial=init
+        )
         assert result.initial_schedule.same_placements(init)
         # caller's schedule not mutated
         assert init.length == 7
@@ -96,7 +105,7 @@ class TestInitialSchedule:
 
 class TestTrace:
     def test_records_per_pass(self, figure1, mesh2x2):
-        cfg = CycloConfig(max_iterations=5)
+        cfg = CycloConfig(max_iterations=5, validate_each_step=True)
         result = cyclo_compact(figure1, mesh2x2, config=cfg)
         assert 1 <= len(result.trace.records) <= 5
         first = result.trace.records[0]
@@ -105,12 +114,12 @@ class TestTrace:
 
     def test_best_so_far_monotone(self, figure7):
         arch = LinearArray(4)
-        result = cyclo_compact(figure7, arch)
+        result = cyclo_compact(figure7, arch, config=CHECKED)
         bests = [r.best_so_far for r in result.trace.records]
         assert all(b <= a for a, b in zip(bests, bests[1:]))
 
     def test_improvement_accessor(self, figure1, mesh2x2):
-        result = cyclo_compact(figure1, mesh2x2)
+        result = cyclo_compact(figure1, mesh2x2, config=CHECKED)
         assert result.trace.improvement() == (
             result.initial_length - result.final_length
         )

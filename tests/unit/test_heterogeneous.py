@@ -63,7 +63,7 @@ class TestSchedulingOnHetero:
         arch = CompletelyConnected(8).with_time_scales(
             [1, 1, 1, 1, 2, 2, 2, 2]
         )
-        cfg = CycloConfig(max_iterations=30)
+        cfg = CycloConfig(max_iterations=30, validate_each_step=True)
         result = cyclo_compact(figure7, arch, config=cfg)
         assert result.final_length <= result.initial_length
         assert is_valid_schedule(result.graph, arch, result.schedule)

@@ -93,8 +93,13 @@ class TestSchedulersPipelined:
         # pipelining enlarges the feasible space, but the optimiser is a
         # heuristic, so compare with slack rather than strictly
         g, m = figure1_csdfg(), figure1_mesh()
-        plain = cyclo_compact(g, m)
-        piped = cyclo_compact(g, m, config=CycloConfig(pipelined_pes=True))
+        plain = cyclo_compact(
+            g, m, config=CycloConfig(validate_each_step=True)
+        )
+        piped = cyclo_compact(
+            g, m,
+            config=CycloConfig(pipelined_pes=True, validate_each_step=True),
+        )
         assert piped.final_length <= plain.final_length + 1
         assert piped.final_length <= piped.initial_length
         assert is_valid_schedule(
@@ -106,7 +111,8 @@ class TestSchedulersPipelined:
         g = mul_chain()
         arch = CompletelyConnected(1)
         result = cyclo_compact(
-            g, arch, config=CycloConfig(pipelined_pes=True)
+            g, arch,
+            config=CycloConfig(pipelined_pes=True, validate_each_step=True),
         )
         # 3 tasks, self-loop latency 3: L >= 3; issue limit: L >= 3
         assert result.final_length <= 5

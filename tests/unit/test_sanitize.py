@@ -24,11 +24,12 @@ from repro.analyze.sanitize import (
     _with_jobs,
 )
 from repro.arch import make_architecture
-from repro.core import cyclo_compact
+from repro.core import CycloConfig, cyclo_compact
 from repro.errors import AnalysisError
 from repro.workloads import make_workload
 
 PACKAGE_DIR = Path(repro.__file__).parent
+CHECKED = CycloConfig(validate_each_step=True)
 
 
 class TestCanonicalize:
@@ -92,13 +93,14 @@ class TestRunOutcome:
 
 class TestScheduleFingerprint:
     def test_stable_across_runs(self, figure1, mesh2x2):
-        a = cyclo_compact(figure1, mesh2x2)
-        b = cyclo_compact(figure1, mesh2x2)
+        a = cyclo_compact(figure1, mesh2x2, config=CHECKED)
+        b = cyclo_compact(figure1, mesh2x2, config=CHECKED)
         assert schedule_fingerprint(a.schedule) == \
             schedule_fingerprint(b.schedule)
 
     def test_encodes_every_placement(self, figure1, mesh2x2):
-        fp = schedule_fingerprint(cyclo_compact(figure1, mesh2x2).schedule)
+        result = cyclo_compact(figure1, mesh2x2, config=CHECKED)
+        fp = schedule_fingerprint(result.schedule)
         assert fp.startswith("L")
         assert fp.count(";") == figure1.num_nodes - 1
 
@@ -106,8 +108,10 @@ class TestScheduleFingerprint:
         graph = make_workload("fir8")
         narrow = make_architecture("linear", 2)
         wide = make_architecture("mesh", 4)
-        assert schedule_fingerprint(cyclo_compact(graph, narrow).schedule) \
-            != schedule_fingerprint(cyclo_compact(graph, wide).schedule)
+        a = cyclo_compact(graph, narrow, config=CHECKED)
+        b = cyclo_compact(graph, wide, config=CHECKED)
+        assert schedule_fingerprint(a.schedule) != \
+            schedule_fingerprint(b.schedule)
 
 
 class TestSanitizeProtocol:
