@@ -9,23 +9,21 @@ lower bound (RA301/RA305), and the full DESIGN §1 two-clause legality
 certificate of a schedule re-derived from ``arch.hops`` and the
 communication cost model (RA4xx).
 
-**Head 2, the codebase lint** (:func:`lint_paths`), enforces the
-repository's own invariants over the source tree with :mod:`ast`
-(RL1xx): seeded randomness, no wall clock in core, one communication
-pricing authority, typed exceptions.
-
-**Head 3, the interprocedural flow analyzer** (:func:`analyze_flow`),
-builds a module-level call graph with per-function taint summaries and
-proves whole-program determinism and contract properties the per-file
-lint cannot see (RD1xx/RC2xx): unseeded randomness reaching parallel
-payloads, set order crossing worker-merge boundaries, clock/env reads
-flowing into schedules, and the freeze-then-certify contention pricing
-protocol.  Its runtime backstop is the **dynamic determinism
+**Head 2, the source analyzer** (:func:`lint_paths`, ``repro lint``),
+enforces the repository's own invariants over the source tree with
+:mod:`ast`, parsing each file once.  Per-statement rules (RL1xx) keep
+randomness seeded, communication priced by one authority and
+exceptions typed.  On the same parsed modules, the interprocedural
+:class:`FlowProgram` builds a module-level call graph with
+per-function summaries and proves what no single statement shows
+(RD1xx/RC2xx): set order crossing worker-merge boundaries, clock/env
+reads flowing into schedules, and the freeze-then-certify contention
+pricing protocol.  Its runtime backstop is the **dynamic determinism
 sanitizer** (:func:`sanitize_command`, ``repro sanitize``), which runs
 a target command twice under perturbed ``PYTHONHASHSEED``/``--jobs``
 and diffs the canonicalized outputs.
 
-All heads produce the same currency — :class:`Diagnostic` values with
+Both heads produce the same currency — :class:`Diagnostic` values with
 stable codes, aggregated into an :class:`AnalysisReport` and emitted as
 text, JSON or SARIF 2.1.0 (:func:`render_report`).  The rule catalogue
 lives in :data:`RULES` and is documented in ``docs/analysis.md``.
@@ -44,7 +42,7 @@ from repro.analyze.diagnostics import (
     Severity,
 )
 from repro.analyze.emit import FORMATS, render_report, to_json, to_sarif
-from repro.analyze.flow import FlowProgram, FunctionSummary, analyze_flow
+from repro.analyze.flow import FlowProgram, FunctionSummary
 from repro.analyze.sanitize import (
     RunOutcome,
     SanitizeReport,
@@ -93,7 +91,6 @@ __all__ = [
     "lint_source",
     "lint_paths",
     "infer_module",
-    "analyze_flow",
     "FlowProgram",
     "FunctionSummary",
     "sanitize_command",

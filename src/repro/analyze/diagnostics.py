@@ -2,9 +2,10 @@
 
 A :class:`Diagnostic` is one finding: a stable rule code (``RA1xx``
 graph, ``RA2xx`` architecture, ``RA3xx`` config, ``RA4xx`` schedule for
-the input analyzer; ``RL1xx`` for the codebase lint), a severity, a
-human message, an optional fix hint, and a *locus* — the node, edge, PE
-or source file/line the finding is anchored to.  An
+the input analyzer; ``RL1xx``, ``RD1xx`` and ``RC2xx`` for the source
+analyzer), a severity, a human message, an optional fix hint, and a
+*locus* — the node, edge, PE or source file/line the finding is
+anchored to.  An
 :class:`AnalysisReport` aggregates the findings of one run and knows
 how to answer the only question CI asks: "may this proceed?"
 (:attr:`AnalysisReport.ok` / :meth:`AnalysisReport.exit_code`).
@@ -35,7 +36,7 @@ class Diagnostic:
     Attributes
     ----------
     code:
-        Stable rule code (``RA101``, ``RL102``, ...); the catalogue in
+        Stable rule code (``RA101``, ``RL103``, ...); the catalogue in
         :mod:`repro.analyze.rules` maps every code to its metadata.
     severity:
         ``"error"``, ``"warning"`` or ``"info"``.
@@ -123,7 +124,7 @@ class AnalysisReport:
 
     ``subject`` labels what was analyzed (a workload/architecture pair,
     a source tree); ``suppressed`` counts findings silenced by inline
-    ``# repro-lint: disable=CODE`` comments (lint head only).
+    ``# repro-lint: disable=CODE`` comments (source analyzer only).
     """
 
     subject: str = ""

@@ -1,32 +1,30 @@
-"""Head 3 — the interprocedural determinism & contract analyzer
-(``repro analyze --flow``).
+"""The interprocedural half of the source analyzer (``repro lint``).
 
-Where the per-file lint (:mod:`repro.analyze.lint`) checks one
-statement at a time, this head builds a *module-level call graph* over
-the whole source tree and per-function summaries — RNG taint,
-wall-clock/env taint, set-iteration-order sensitivity, occupancy-freeze
-state — then propagates them to a fixpoint.  Two rule families come
-out of the propagation, both emitted through the same
-:class:`~repro.analyze.diagnostics.Diagnostic` / SARIF currency:
+Where the per-statement rules of :mod:`repro.analyze.lint` look at one
+call at a time, this half builds a *module-level call graph* over the
+parsed tree and per-function summaries — wall-clock/env reads,
+set-iteration-order sensitivity, occupancy-freeze state — then
+propagates them to a fixpoint.  :func:`repro.analyze.lint.lint_paths`
+runs it on the same parsed modules as the per-statement rules, so
+every file is parsed once.  Two rule families come out:
 
 **RD1xx — determinism flow.**  The engine promises
 same-seed-same-schedule across ``--jobs`` and ``PYTHONHASHSEED``:
 
-* RD101 — a parallel payload (``run_parallel``/executor ``submit``)
-  or a scheduling ``priority=`` argument transitively draws unseeded
-  randomness (global random state, unseeded ``Random()``, the
-  per-process-salted builtin ``hash()``);
 * RD102 — a worker-merge boundary (a function that merges metric
   snapshots, publishes stats, or runs as a parallel payload) iterates
   a set, or a helper summarized as *returning* set-ordered data,
   without sorting;
-* RD103 — a wall-clock/``os.environ`` read flows into a scheduling
-  entry point: as an argument (budget keywords excluded — deadlines
-  are user intent), or as a read inside a function transitively
-  callable from the core entry points (``repro.obs`` instrumentation
-  is allowlisted);
+* RD103 — a wall-clock/``os.environ`` read flows into scheduling: as
+  an argument to an entry point (budget keywords excluded — deadlines
+  are user intent), or as a read inside :data:`WALLCLOCK_BANNED` code
+  or a function transitively callable from it or from the core entry
+  points (``repro.obs`` instrumentation is allowlisted);
 * RD104 — results consumed in worker *completion* order
   (``as_completed``, ``imap_unordered``) instead of submission order.
+
+Unseeded randomness is RL101's: every draw is convicted at the draw
+itself, wherever it flows.
 
 **RC2xx — engine contracts.**  The freeze-then-certify contention
 protocol (see ``docs/contention.md``) and the cost of its caches:
@@ -41,12 +39,6 @@ protocol (see ``docs/contention.md``) and the cost of its caches:
   ``for_graph``, ``from_assignment``) inside a ``for``/``while``
   loop — O(edges) work per iteration; the contention fixpoint's
   deliberate per-round reprice carries a documented suppression.
-
-Like the lint head, files are parsed, never imported; suppressions use
-the shared grammar in :mod:`repro.analyze.suppress` (this head owns
-the ``RD``/``RC`` families).  Module identity comes from
-:func:`repro.analyze.lint.infer_module`, so mutation fixtures planted
-under temporary ``repro/`` trees analyze as the real modules.
 
 The resolver is deliberately *syntactic*: import aliases, module-level
 defs, nested defs and straight-line local assignments are followed;
@@ -63,28 +55,34 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analyze.diagnostics import AnalysisReport, Diagnostic
-from repro.analyze.lint import _CLOCK_FUNCS, _RAND_FUNCS, _dotted, infer_module
+from repro.analyze.diagnostics import Diagnostic
 from repro.analyze.rules import make
-from repro.analyze.suppress import apply_suppressions
 from repro.errors import AnalysisError
 
-__all__ = ["analyze_flow", "FlowProgram", "FunctionSummary"]
+__all__ = ["FlowProgram", "FunctionSummary"]
+
+#: Packages whose results must not depend on the wall clock: every
+#: function and module body here roots RD103's reachability closure.
+WALLCLOCK_BANNED = ("repro.core", "repro.graph", "repro.retiming")
+
+#: Wall-clock reads (the last two links of the call chain).
+_CLOCK_FUNCS = frozenset({
+    ("time", "time"), ("time", "perf_counter"), ("time", "monotonic"),
+    ("time", "process_time"), ("time", "time_ns"),
+    ("time", "perf_counter_ns"), ("time", "monotonic_ns"),
+    ("datetime", "now"), ("datetime", "utcnow"), ("datetime", "today"),
+    ("date", "today"),
+})
 
 #: Callables whose first positional argument is dispatched as parallel
 #: work (the payload crosses a process/thread boundary).
 PARALLEL_DISPATCH = frozenset({"run_parallel", "submit"})
 
-#: Scheduling calls whose ``priority=`` argument orders task placement:
-#: a nondeterministic priority is a nondeterministic schedule.
-PRIORITY_SINKS = frozenset({
-    "start_up_schedule", "cyclo_compact", "remap_nodes", "optimize",
-    "best_of_restarts",
-})
-
 #: Entry points whose arguments must not carry clock/env taint (RD103a).
-SCHEDULE_ENTRY_POINTS = PRIORITY_SINKS | frozenset({
-    "resume_compaction", "contention_aware_schedule", "CycloConfig",
+SCHEDULE_ENTRY_POINTS = frozenset({
+    "start_up_schedule", "cyclo_compact", "remap_nodes", "optimize",
+    "best_of_restarts", "resume_compaction", "contention_aware_schedule",
+    "CycloConfig",
 })
 
 #: Explicit time *budgets* are user intent, not leaked nondeterminism:
@@ -95,8 +93,9 @@ BUDGET_KEYWORDS = frozenset({
     "deadline_seconds", "time_budget_seconds", "timeout",
 })
 
-#: Roots of the RD103(b) reachability closure: the core optimiser
-#: entry points, anywhere under a ``repro`` tree.
+#: Roots of the RD103(b) reachability closure besides the
+#: :data:`WALLCLOCK_BANNED` bodies: the core optimiser entry points,
+#: anywhere under a ``repro`` tree.
 CORE_ENTRY_POINTS = frozenset({
     "cyclo_compact", "start_up_schedule", "remap_nodes", "optimize",
     "resume_compaction",
@@ -114,15 +113,24 @@ REMAP_PRIMITIVES = frozenset({
 #: Calls that mark a function as a worker-merge boundary (RD102).
 MERGE_BOUNDARY_CALLS = frozenset({"merge_snapshot", "publish_stats"})
 
-#: Besides the lint's global-state draws, these are per-process entropy
-#: sources for RD101's taint seeding.
-_ENTROPY_CALLS = frozenset({"uuid4", "urandom", "token_bytes", "token_hex"})
 
-
-def _in_pkg(module: str, packages: tuple[str, ...]) -> bool:
+def _in(module: str, packages: tuple[str, ...]) -> bool:
     return any(
         module == pkg or module.startswith(pkg + ".") for pkg in packages
     )
+
+
+def _dotted(node: ast.expr) -> list[str]:
+    """The attribute chain of an expression: ``np.random.rand`` ->
+    ``["np", "random", "rand"]`` (empty when not a plain chain)."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return parts[::-1]
+    return []
 
 
 # --------------------------------------------------------------------------
@@ -145,8 +153,6 @@ class FunctionSummary:
     is_class: bool = False
     #: resolved call/reference edges to other known definitions
     targets: set[str] = field(default_factory=set)
-    #: (line, what) unseeded-entropy draws in this body
-    rng_sources: list[tuple[int, str]] = field(default_factory=list)
     #: (line, what) wall-clock / os.environ reads in this body
     clock_sites: list[tuple[int, str]] = field(default_factory=list)
     #: return value derived from a clock/env read
@@ -167,10 +173,8 @@ class FunctionSummary:
     hot_ctors: list[tuple[int, str]] = field(default_factory=list)
     #: (line, message) clock-tainted argument into an entry point (RD103a)
     clock_into_entry: list[tuple[int, str]] = field(default_factory=list)
-    #: (line, kind, sink, candidate targets) payload/priority flows (RD101)
-    dispatches: list[tuple[int, str, str, tuple[str, ...]]] = (
-        field(default_factory=list)
-    )
+    #: definitions this body dispatches as parallel payloads (RD102)
+    payloads: set[str] = field(default_factory=set)
     #: (line, var) remap-primitive calls taking ``comm=var``  (RC202)
     remap_uses: list[tuple[int, str]] = field(default_factory=list)
     #: var -> [(line, is_freeze)] assignments feeding ``comm=`` vars
@@ -197,10 +201,10 @@ class _Knowledge:
 class _SourceModule:
     """One parsed file plus its resolution tables."""
 
-    def __init__(self, path: Path, source: str) -> None:
-        self.path = str(path)
+    def __init__(self, path: str, source: str, module: str) -> None:
+        self.path = path
         self.source = source
-        self.module = infer_module(path)
+        self.module = module
         try:
             self.tree = ast.parse(source, filename=self.path)
         except SyntaxError as exc:
@@ -388,18 +392,6 @@ class _Scanner:
         dotted = ".".join(chain)
         resolved = self._resolve(chain, scope)
 
-        # RD101 taint sources -------------------------------------------
-        if name in _RAND_FUNCS and len(chain) >= 2 and "random" in chain[:-1]:
-            s.rng_sources.append(
-                (line, f"{dotted}() draws from global random state"))
-        elif chain[-1:] == ["Random"] and not node.args and not node.keywords:
-            s.rng_sources.append((line, "unseeded Random() constructed"))
-        elif chain == ["hash"]:
-            s.rng_sources.append(
-                (line, "builtin hash() is salted per process"))
-        elif name in _ENTROPY_CALLS:
-            s.rng_sources.append((line, f"{dotted}() draws OS entropy"))
-
         # clock/env sources ---------------------------------------------
         is_clock, what = self._is_clock_call(chain)
         if is_clock:
@@ -409,19 +401,9 @@ class _Scanner:
         if name in MERGE_BOUNDARY_CALLS:
             s.merges = True
 
-        # RD101 sinks: parallel dispatch & priority flows ----------------
+        # parallel payloads: RD102's worker boundaries -----------------
         if name in PARALLEL_DISPATCH and node.args:
-            cands = self._candidates(node.args[0], scope)
-            if cands:
-                s.dispatches.append(
-                    (line, "payload", dotted, tuple(sorted(cands))))
-        if name in PRIORITY_SINKS:
-            for kw in node.keywords:
-                if kw.arg == "priority":
-                    cands = self._candidates(kw.value, scope)
-                    if cands:
-                        s.dispatches.append(
-                            (line, "priority", name, tuple(sorted(cands))))
+            s.payloads |= self._candidates(node.args[0], scope)
 
         # RD103(a): clock-tainted arguments into entry points ------------
         basename = (resolved or dotted).split(".")[-1]
@@ -456,7 +438,7 @@ class _Scanner:
             )
             if contended:
                 s.freezes = True
-                if not _in_pkg(self.mod.module, ("repro.arch",)):
+                if not _in(self.mod.module, ("repro.arch",)):
                     occ = kwargs.get("occupancy")
                     if occ is None:
                         s.unfrozen_pricing.append((line, (
@@ -729,7 +711,7 @@ class _Scanner:
 
 
 class FlowProgram:
-    """The scanned tree: summaries, call graph, propagated taint."""
+    """The scanned tree: summaries, call graph, propagated facts."""
 
     def __init__(self, modules: list[_SourceModule]) -> None:
         self.modules = modules
@@ -738,8 +720,8 @@ class FlowProgram:
             self._register_defs(mod)
         self.summaries: dict[str, FunctionSummary] = {}
         self._fixpoint()
-        self.rng_tainted = self._propagate_rng()
-        self.payloads, self.dispatch_sites = self._collect_dispatches()
+        self.payloads = {
+            t for s in self.summaries.values() for t in s.payloads}
         self.reachable = self._core_reachable()
 
     # definitions must be known before the first scan so references
@@ -776,37 +758,13 @@ class FlowProgram:
                 break
             know = nxt
 
-    def _propagate_rng(self) -> set[str]:
-        tainted = {n for n, s in self.summaries.items() if s.rng_sources}
-        # reverse edges: caller picks up callee taint
-        changed = True
-        while changed:
-            changed = False
-            for name, s in self.summaries.items():
-                if name in tainted:
-                    continue
-                if any(t in tainted for t in s.targets):
-                    tainted.add(name)
-                    changed = True
-        return tainted
-
-    def _collect_dispatches(self):
-        payloads: set[str] = set()
-        sites = []
-        for s in self.summaries.values():
-            for line, kind, sink, cands in s.dispatches:
-                sites.append((s, line, kind, sink, cands))
-                if kind == "payload":
-                    payloads.update(cands)
-        return payloads, sites
-
     def _core_reachable(self) -> set[str]:
-        seeds = [
-            n for n in self.summaries
+        stack = [
+            n for n, s in self.summaries.items()
             if n.split(".")[-1] in CORE_ENTRY_POINTS
+            or _in(s.module, WALLCLOCK_BANNED)
         ]
         seen: set[str] = set()
-        stack = list(seeds)
         while stack:
             name = stack.pop()
             if name in seen:
@@ -817,8 +775,8 @@ class FlowProgram:
                 continue
             for t in s.targets:
                 ts = self.summaries.get(t)
-                if ts is not None and _in_pkg(ts.module,
-                                              CLOCK_EXEMPT_PACKAGES):
+                if ts is not None and _in(ts.module,
+                                          CLOCK_EXEMPT_PACKAGES):
                     continue
                 if t not in seen:
                     stack.append(t)
@@ -833,23 +791,6 @@ class FlowProgram:
                  message: str) -> None:
             found.append(make(code, message, file=s.path, line=line, col=0))
 
-        for s, line, kind, sink, cands in self.dispatch_sites:
-            bad = sorted(c for c in cands if c in self.rng_tainted)
-            if not bad:
-                continue
-            shown = bad[0].split(".", 1)[-1]
-            src = self._taint_witness(bad[0])
-            if kind == "payload":
-                emit("RD101", s, line, (
-                    f"parallel payload {shown!r} transitively draws "
-                    f"unseeded randomness ({src})"
-                ))
-            else:
-                emit("RD101", s, line, (
-                    f"priority passed to {sink}() resolves to {shown!r}, "
-                    f"which transitively draws unseeded randomness ({src})"
-                ))
-
         for s in self.summaries.values():
             boundary = s.merges or s.name in self.payloads
             if boundary:
@@ -863,13 +804,16 @@ class FlowProgram:
                     ))
             for line, msg in s.clock_into_entry:
                 emit("RD103", s, line, msg)
-            if s.name in self.reachable and not _in_pkg(
+            if s.name in self.reachable and not _in(
                     s.module, CLOCK_EXEMPT_PACKAGES):
+                where = (
+                    f"in {s.module}, whose results must not depend on it"
+                    if _in(s.module, WALLCLOCK_BANNED) else
+                    f"inside {s.name.split('.')[-1]}(), which is "
+                    "reachable from a core scheduling entry point"
+                )
                 for line, what in s.clock_sites:
-                    emit("RD103", s, line, (
-                        f"{what} inside {s.name.split('.')[-1]}(), which "
-                        "is reachable from a core scheduling entry point"
-                    ))
+                    emit("RD103", s, line, f"{what} {where}")
             for line, what in s.completion_order:
                 emit("RD104", s, line, (
                     f"iterating {what} consumes results in worker "
@@ -891,26 +835,6 @@ class FlowProgram:
                 seen.add(key)
                 unique.append(d)
         return unique
-
-    def _taint_witness(self, name: str) -> str:
-        """A human-readable path to the entropy source behind a taint."""
-        seen = {name}
-        queue = [(name, [])]
-        while queue:
-            cur, trail = queue.pop(0)
-            s = self.summaries.get(cur)
-            if s is None:
-                continue
-            if s.rng_sources:
-                line, what = s.rng_sources[0]
-                via = " -> ".join(
-                    t.split(".")[-1] for t in [*trail, cur])
-                return f"{what} at line {line}, via {via}"
-            for t in sorted(s.targets):
-                if t in self.rng_tainted and t not in seen:
-                    seen.add(t)
-                    queue.append((t, [*trail, cur]))
-        return "unseeded randomness"
 
     def _stale_freezes(self, s: FunctionSummary):
         out = []
@@ -946,45 +870,3 @@ class FlowProgram:
                         "iteration"
                     )))
         return out
-
-
-# --------------------------------------------------------------------------
-# entry points
-
-
-def _collect_files(paths: list[str | Path]) -> list[Path]:
-    files: list[Path] = []
-    for entry in paths:
-        p = Path(entry)
-        if p.is_dir():
-            files.extend(sorted(p.rglob("*.py")))
-        elif p.is_file():
-            files.append(p)
-        else:
-            raise AnalysisError(f"no such file or directory: {entry}")
-    return files
-
-
-def analyze_flow(paths: list[str | Path]) -> AnalysisReport:
-    """Run the interprocedural analyzer over files/directories.
-
-    Directories are walked recursively for ``*.py``.  Returns an
-    :class:`AnalysisReport` whose diagnostics carry RD1xx/RC2xx codes
-    (plus RL109 for stale flow suppressions); suppression comments use
-    the shared ``# repro-lint: disable=`` grammar.
-    """
-    files = _collect_files(paths)
-    modules = [_SourceModule(f, f.read_text()) for f in files]
-    program = FlowProgram(modules)
-    by_file: dict[str, list[Diagnostic]] = {}
-    for diag in program.diagnostics():
-        by_file.setdefault(diag.file or "", []).append(diag)
-    report = AnalysisReport(subject=", ".join(str(p) for p in paths))
-    for mod in modules:
-        found, suppressed = apply_suppressions(
-            by_file.get(mod.path, []), mod.source,
-            path=mod.path, owned_prefixes=("RD", "RC"),
-        )
-        report.extend(found)
-        report.suppressed += suppressed
-    return report

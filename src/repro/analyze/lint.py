@@ -1,32 +1,39 @@
-"""Head 2 — the codebase lint (``repro lint``).
+"""The source analyzer (``repro lint``).
 
-A small :mod:`ast`-based linter enforcing the repository's own
-invariants (rules ``RL101``–``RL107`` in the catalogue):
+One :mod:`ast` pass over the source tree enforces the repository's own
+invariants.  Each file is parsed once, and two sets of rules run on
+the same parsed modules:
 
-* determinism — no draws from global random state and no unseeded
-  ``Random()`` outside :mod:`repro.qa` (RL101), no wall-clock reads in
-  the core scheduling packages (RL102);
-* one pricing authority — no hand-composed hop-cost arithmetic outside
-  :mod:`repro.arch` (RL103);
-* typed failure — no bare ``except:`` anywhere (RL104), no
-  ``except Exception`` (RL105) and no raising builtin exception types
-  (RL106) in the core packages, where the fuzzer relies on typed
-  :class:`~repro.errors.ReproError` contracts;
-* sinks over stdout — no ``print()`` in the instrumented packages
-  (:mod:`repro.core`, :mod:`repro.perf`) or in
-  :mod:`repro.obs.runtime` (RL107): diagnostics there belong in the
-  observability sinks, not on stdout.
+* the per-statement rules below (``RL101``–``RL107``):
+
+  * determinism — no draws from global random state, no unseeded
+    ``Random()`` (a literal ``None`` seed is no seed), no salted
+    builtin ``hash()`` and no OS entropy, in any package (RL101);
+  * one pricing authority — no hand-composed hop-cost arithmetic
+    outside :mod:`repro.arch` (RL103);
+  * typed failure — no bare ``except:`` anywhere (RL104), no
+    ``except Exception`` (RL105) and no raising builtin exception
+    types (RL106) in the core packages, where the fuzzer relies on
+    typed :class:`~repro.errors.ReproError` contracts;
+  * sinks over stdout — no ``print()`` in the instrumented packages
+    (:mod:`repro.core`, :mod:`repro.perf`) or in
+    :mod:`repro.obs.runtime` (RL107): diagnostics there belong in the
+    observability sinks, not on stdout;
+
+* the interprocedural rules of :class:`~repro.analyze.flow.FlowProgram`
+  (``RD102``–``RD104``, ``RC201``–``RC203``), which follow calls
+  across functions and files; RD103 keeps wall-clock and environment
+  reads out of the core packages and everything they reach.
 
 A finding on a line carrying ``# repro-lint: disable=CODE`` (several
 codes comma-separated, or ``disable=all``) is suppressed and counted in
 :attr:`~repro.analyze.diagnostics.AnalysisReport.suppressed`; a
 ``# repro-lint: disable-file=CODE`` comment suppresses for the whole
 file.  Suppressions that name unknown codes or silence nothing are
-themselves flagged (RL109) — see :mod:`repro.analyze.suppress`, which
-this head shares with the flow analyzer.
+themselves flagged (RL109) — see :mod:`repro.analyze.suppress`.
 
-The linter needs only the source text: files are never imported, so it
-is safe to run over trees that do not import (and over the mutation
+The analyzer needs only the source text: files are never imported, so
+it is safe to run over trees that do not import (and over the mutation
 fixtures the test suite plants in temporary directories).
 """
 
@@ -36,14 +43,18 @@ import ast
 from pathlib import Path
 
 from repro.analyze.diagnostics import AnalysisReport, Diagnostic
+from repro.analyze.flow import (
+    WALLCLOCK_BANNED,
+    FlowProgram,
+    _dotted,
+    _in,
+    _SourceModule,
+)
 from repro.analyze.rules import make
 from repro.analyze.suppress import apply_suppressions
 from repro.errors import AnalysisError
 
 __all__ = ["infer_module", "lint_source", "lint_paths"]
-
-#: Packages whose results must not depend on the wall clock (RL102).
-WALLCLOCK_BANNED = ("repro.core", "repro.graph", "repro.retiming")
 
 #: Packages held to the typed-exception contract (RL105, RL106).
 CORE_PACKAGES = WALLCLOCK_BANNED + ("repro.arch", "repro.schedule")
@@ -62,14 +73,8 @@ _RAND_FUNCS = frozenset({
     "seed", "rand", "randn",
 })
 
-#: Wall-clock reads banned from the core packages.
-_CLOCK_FUNCS = frozenset({
-    ("time", "time"), ("time", "perf_counter"), ("time", "monotonic"),
-    ("time", "process_time"), ("time", "time_ns"),
-    ("time", "perf_counter_ns"), ("time", "monotonic_ns"),
-    ("datetime", "now"), ("datetime", "utcnow"), ("datetime", "today"),
-    ("date", "today"),
-})
+#: Per-process entropy sources (RL101).
+_ENTROPY_CALLS = frozenset({"uuid4", "urandom", "token_bytes", "token_hex"})
 
 #: Builtin exception types core packages must not raise (RL106).
 #: NotImplementedError is conventional Python and stays allowed.
@@ -97,25 +102,6 @@ def infer_module(path: str | Path) -> str:
     return ".".join(parts)
 
 
-def _in(module: str, packages: tuple[str, ...]) -> bool:
-    return any(
-        module == pkg or module.startswith(pkg + ".") for pkg in packages
-    )
-
-
-def _dotted(node: ast.expr) -> list[str]:
-    """The attribute chain of an expression: ``np.random.rand`` ->
-    ``["np", "random", "rand"]`` (empty when not a plain chain)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return parts[::-1]
-    return []
-
-
 class _Visitor(ast.NodeVisitor):
     def __init__(self, module: str, path: str) -> None:
         self.module = module
@@ -130,19 +116,10 @@ class _Visitor(ast.NodeVisitor):
             col=getattr(node, "col_offset", None),
         ))
 
-    # -- RL101 / RL102 / RL103(call form) ------------------------------
+    # -- RL101 / RL103(call form) / RL107 -----------------------------
     def visit_Call(self, node: ast.Call) -> None:
         chain = _dotted(node.func)
-        if not _in(self.module, ("repro.qa",)):
-            self._check_random(node, chain)
-        if _in(self.module, WALLCLOCK_BANNED) and len(chain) >= 2:
-            if tuple(chain[-2:]) in _CLOCK_FUNCS:
-                self._emit(
-                    "RL102",
-                    f"{'.'.join(chain)}() reads the wall clock inside "
-                    f"{self.module}",
-                    node,
-                )
+        self._check_random(node, chain)
         if (
             not _in(self.module, ("repro.arch",))
             and chain
@@ -172,23 +149,25 @@ class _Visitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _check_random(self, node: ast.Call, chain: list[str]) -> None:
+        seeds = [*node.args, *(kw.value for kw in node.keywords)]
         if (
             len(chain) >= 2
             and chain[-1] in _RAND_FUNCS
             and "random" in chain[:-1]
         ):
-            self._emit(
-                "RL101",
-                f"{'.'.join(chain)}() draws from global random state in "
-                f"{self.module}",
-                node,
-            )
-        elif chain[-1:] == ["Random"] and not node.args and not node.keywords:
-            self._emit(
-                "RL101",
-                f"unseeded Random() constructed in {self.module}",
-                node,
-            )
+            what = f"{'.'.join(chain)}() draws from global random state"
+        elif chain[-1:] == ["Random"] and (
+            not seeds
+            or (isinstance(seeds[0], ast.Constant) and seeds[0].value is None)
+        ):
+            what = "unseeded Random() constructed"
+        elif chain == ["hash"]:
+            what = "builtin hash() is salted per process"
+        elif chain[-1:] and chain[-1] in _ENTROPY_CALLS:
+            what = f"{'.'.join(chain)}() draws OS entropy"
+        else:
+            return
+        self._emit("RL101", f"{what} in {self.module}", node)
 
     # -- RL103 (attribute form) ----------------------------------------
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -246,27 +225,20 @@ def lint_source(
     module: str | None = None,
     path: str = "<string>",
 ) -> tuple[list[Diagnostic], int]:
-    """Lint one source text.  Returns ``(findings, suppressed_count)``.
+    """Analyze one in-memory module.  Returns ``(findings,
+    suppressed_count)``, findings sorted by locus.
 
-    Syntax errors are reported as an RL104-free, code-less concern:
-    they surface as an :class:`AnalysisError` because an unparsable
-    file is a misuse of the linter, not a lint finding.
+    An unparsable text raises :class:`AnalysisError`: it is a misuse of
+    the analyzer, not a finding.
     """
     if module is None:
         module = infer_module(path)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        raise AnalysisError(f"cannot parse {path}: {exc}") from exc
-    visitor = _Visitor(module, path)
-    visitor.visit(tree)
-    return apply_suppressions(
-        visitor.found, source, path=path, owned_prefixes=("RL",)
-    )
+    report = _analyze([_SourceModule(path, source, module)], subject=path)
+    return report.diagnostics, report.suppressed
 
 
 def lint_paths(paths: list[str | Path]) -> AnalysisReport:
-    """Lint files and/or directories (recursively, ``*.py``)."""
+    """Analyze files and/or directories (recursively, ``*.py``)."""
     files: list[Path] = []
     for entry in paths:
         p = Path(entry)
@@ -276,9 +248,26 @@ def lint_paths(paths: list[str | Path]) -> AnalysisReport:
             files.append(p)
         else:
             raise AnalysisError(f"no such file or directory: {entry}")
-    report = AnalysisReport(subject=", ".join(str(p) for p in paths))
-    for f in files:
-        found, suppressed = lint_source(f.read_text(), path=str(f))
+    modules = [
+        _SourceModule(str(f), f.read_text(), infer_module(f)) for f in files
+    ]
+    return _analyze(modules, subject=", ".join(str(p) for p in paths))
+
+
+def _analyze(modules: list[_SourceModule], *, subject: str) -> AnalysisReport:
+    """Both rule sets over the parsed modules, then each file's
+    suppressions, judged once."""
+    by_file: dict[str, list[Diagnostic]] = {}
+    for diag in FlowProgram(modules).diagnostics():
+        by_file.setdefault(diag.file or "", []).append(diag)
+    report = AnalysisReport(subject=subject)
+    for mod in modules:
+        visitor = _Visitor(mod.module, mod.path)
+        visitor.visit(mod.tree)
+        found, suppressed = apply_suppressions(
+            visitor.found + by_file.get(mod.path, []), mod.source,
+            path=mod.path,
+        )
         report.extend(found)
         report.suppressed += suppressed
     return report

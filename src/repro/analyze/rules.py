@@ -8,12 +8,11 @@ Codes are grouped by what they analyze:
   schedule-length lower bound),
 * ``RA4xx`` — serialized-schedule certification (the DESIGN §1
   two-clause criterion re-derived from ``arch.hops`` + the cost model),
-* ``RL1xx`` — codebase lint (repo invariants enforced over the source
-  tree with :mod:`ast`),
-* ``RD1xx`` — interprocedural determinism flow (unseeded randomness,
-  iteration order or the wall clock reaching result-bearing paths,
-  checked over the module-level call graph by
-  :mod:`repro.analyze.flow`),
+* ``RL1xx`` — per-statement source rules (repo invariants enforced
+  over the source tree with :mod:`ast`),
+* ``RD1xx`` — interprocedural determinism flow (iteration order or
+  the wall clock reaching result-bearing paths, checked over the
+  module-level call graph by :mod:`repro.analyze.flow`),
 * ``RC2xx`` — interprocedural engine contracts (the freeze-then-certify
   contention pricing protocol, cache construction discipline).
 
@@ -232,20 +231,15 @@ RULES: dict[str, Rule] = _catalogue([
     # ------------------------------------------------------------- RL1xx
     Rule(
         "RL101", "error", "unseeded-random",
-        "A call draws from Python's (or numpy's) global random state, or "
-        "constructs an unseeded Random().  Everything in this repository "
-        "must be deterministic given explicit seeds; only repro.qa may "
-        "own randomness, and even there it must be seeded.",
-        "thread a seeded random.Random through the call",
-    ),
-    Rule(
-        "RL102", "error", "wall-clock-in-core",
-        "Core scheduling code (repro.core, repro.graph, repro.retiming) "
-        "reads the wall clock (time.time/perf_counter/monotonic, "
-        "datetime.now): results could depend on machine speed.  "
-        "Observability, perf drivers and qa are allowlisted.",
-        "move the timing to repro.obs/repro.perf, or suppress a "
-        "deliberate budget check with a disable comment",
+        "A call draws from Python's (or numpy's) global random state, "
+        "constructs an unseeded Random() (a literal None seed is no "
+        "seed), calls the per-process-salted builtin hash(), or draws "
+        "OS entropy (uuid4, urandom, token_bytes, token_hex).  "
+        "Everything in this repository must be deterministic given "
+        "explicit seeds, so parallel payloads, priorities and restart "
+        "shards give the same answer run to run.",
+        "thread a seeded random.Random (or a crc32-style keyed hash, "
+        "as repro.perf.restarts.JitteredPriority does) through the call",
     ),
     Rule(
         "RL103", "error", "comm-cost-bypass",
@@ -298,18 +292,6 @@ RULES: dict[str, Rule] = _catalogue([
     ),
     # ------------------------------------------------------------- RD1xx
     Rule(
-        "RD101", "error", "unseeded-rng-reaches-parallel-work",
-        "A function dispatched as parallel work (a run_parallel payload, "
-        "an executor-submitted worker) or passed as a scheduling "
-        "priority transitively draws from unseeded randomness — global "
-        "random state, an unseeded Random(), or the per-process-salted "
-        "builtin hash().  Restart shards and worker results would then "
-        "differ run to run, breaking the engine's "
-        "same-seed-same-schedule guarantee.",
-        "thread a seeded random.Random (or a crc32-style keyed hash, "
-        "as repro.perf.restarts.JitteredPriority does) through the path",
-    ),
-    Rule(
         "RD102", "error", "set-order-crosses-merge-boundary",
         "A worker-merge boundary function (one that merges worker "
         "metric snapshots, publishes per-run stats, or runs as a "
@@ -322,14 +304,17 @@ RULES: dict[str, Rule] = _catalogue([
     ),
     Rule(
         "RD103", "error", "clock-or-env-flows-into-schedule",
-        "A wall-clock or os.environ read flows into a scheduling entry "
-        "point — either a clock/env-derived value is passed as an "
-        "argument to the optimiser, or a function transitively callable "
-        "from a core entry point reads the clock/environment.  Schedule "
-        "lengths and placements would then depend on machine speed or "
-        "ambient environment, not just (graph, arch, config, seed).",
+        "A wall-clock or os.environ read flows into scheduling — either "
+        "a clock/env-derived value is passed as an argument to the "
+        "optimiser, or the clock/environment is read in core scheduling "
+        "code (repro.core, repro.graph, repro.retiming) or in a function "
+        "transitively callable from it or from a core entry point.  "
+        "Schedule lengths and placements would then depend on machine "
+        "speed or ambient environment, not just (graph, arch, config, "
+        "seed).  repro.obs instrumentation is allowlisted.",
         "keep clock reads in repro.obs/repro.perf drivers; pass "
-        "budgets and knobs as explicit config values",
+        "budgets and knobs as explicit config values, or suppress a "
+        "deliberate budget check with a disable comment",
     ),
     Rule(
         "RD104", "error", "completion-order-accumulation",

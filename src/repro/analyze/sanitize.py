@@ -1,16 +1,16 @@
 """The dynamic determinism sanitizer (``repro sanitize``).
 
-The static flow analyzer (:mod:`repro.analyze.flow`) proves the RD1xx
-determinism properties it can see syntactically; this module is the
+The source analyzer (``repro lint``) proves the determinism properties
+it can see syntactically (RL101, RD102-RD104); this module is the
 runtime backstop for everything it cannot.  The protocol is blunt and
 effective: run one target ``repro`` command **twice** with the two
 knobs most likely to expose hidden nondeterminism perturbed between
 the runs —
 
 * ``PYTHONHASHSEED`` — flushes out ``dict``/``set`` iteration-order
-  and salted-``hash()`` dependence (the RD102/RD101 classes);
+  and salted-``hash()`` dependence (the RD102/RL101 classes);
 * ``--jobs`` — flushes out worker-count and completion-order
-  dependence in the parallel drivers (the RD101/RD104 classes);
+  dependence in the parallel drivers (the RL101/RD104 classes);
 
 — then byte-compare the two outputs after *canonicalization*, which
 scrubs exactly the tokens that legitimately differ between any two

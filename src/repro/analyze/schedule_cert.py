@@ -110,12 +110,16 @@ def certify_schedule(
             ))
 
     # clause 1: exclusive occupancy -------------------------------------
-    occupancy: dict[tuple[int, int], str] = {}
+    # one owner map per PE, keyed by control step: no (PE, step) tuple
+    # per cell, and memory follows the occupied cells, so a start far
+    # past L (RA404 above) allocates nothing for the steps before it
+    owners: list[dict[int, str]] = [{} for _ in range(arch.num_pes)]
     for name in sorted(routable):
         p = placements[name]
+        row = owners[p.pe]
         last = p.start if pipelined_pes else p.finish
         for cs in range(p.start, last + 1):
-            other = occupancy.get((p.pe, cs))
+            other = row.get(cs)
             if other is not None:
                 out.append(make(
                     "RA402",
@@ -124,7 +128,7 @@ def certify_schedule(
                     node=name, pe=p.pe,
                 ))
             else:
-                occupancy[(p.pe, cs)] = name
+                row[cs] = name
 
     # clause 2: precedence + communication, M from ``price`` -----------
     L = schedule.length

@@ -1,8 +1,6 @@
-"""Shared suppression semantics for the source-linting heads.
+"""Suppression comments of the source analyzer (``repro lint``).
 
-Both source heads — the codebase lint (:mod:`repro.analyze.lint`,
-``RL1xx``) and the interprocedural flow analyzer
-(:mod:`repro.analyze.flow`, ``RD1xx``/``RC2xx``) — honour the same
+Every source rule (``RL1xx``, ``RD1xx``, ``RC2xx``) honours one
 comment grammar:
 
 * ``# repro-lint: disable=CODE[,CODE...]`` silences findings **on that
@@ -17,11 +15,8 @@ Suppressions are themselves checked (rule ``RL109``,
 ``useless-suppression``): a comment naming a code that is not in the
 catalogue, or one that silenced nothing in its scope, gets a warning —
 stale suppressions are how a rule silently stops protecting a line.
-Each head only judges the code families it can emit
-(``owned_prefixes``), so the lint head does not call a flow
-suppression "unused" and vice versa; tokens that belong to no source
-head (``RA...``, which applies to inputs, not source) are never
-judged.
+Every token is judged except ``all`` and the known ``RA`` codes,
+which apply to inputs, not source.
 """
 
 from __future__ import annotations
@@ -42,13 +37,6 @@ _LINE_RE = re.compile(
 _FILE_RE = re.compile(
     r"#\s*repro-lint:\s*disable-file=([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*|all)"
 )
-
-#: Code-family prefixes emitted by *some* source-linting head.  A
-#: suppression token outside every family (a typo like ``RL1O2`` or
-#: ``bogus``) is reported by whichever head owns the catch-all — the
-#: codebase lint, since it is the head every tree runs.
-HEAD_PREFIXES = ("RL", "RD", "RC")
-
 
 def _split(raw: str) -> set[str]:
     out = set()
@@ -83,7 +71,7 @@ def _comments(source: str) -> list[tuple[int, str]]:
         ]
     except (tokenize.TokenError, IndentationError, SyntaxError):
         # unparsable text: fall back to raw lines (still sound — the
-        # linting heads reject unparsable files before this runs)
+        # analyzer rejects unparsable files before this runs)
         return list(enumerate(source.splitlines(), start=1))
 
 
@@ -110,13 +98,13 @@ def apply_suppressions(
     source: str,
     *,
     path: str = "<string>",
-    owned_prefixes: tuple[str, ...],
 ) -> tuple[list[Diagnostic], int]:
-    """Filter ``findings`` through the file's suppression comments.
+    """Filter ``findings`` — every source finding of one file — through
+    the file's suppression comments.
 
     Returns ``(kept, suppressed_count)`` where ``kept`` is sorted by
-    locus and already includes any ``RL109`` useless-suppression
-    warnings this head is responsible for (per ``owned_prefixes``).
+    locus and already includes the file's ``RL109`` useless-suppression
+    warnings.
     """
     sheet = parse_suppressions(source)
     kept: list[Diagnostic] = []
@@ -136,7 +124,7 @@ def apply_suppressions(
             used.add((-1, token))
         else:
             kept.append(diag)
-    kept.extend(_useless(sheet, used, path, owned_prefixes))
+    kept.extend(_useless(sheet, used, path))
     kept.sort(key=lambda d: (d.line or 0, d.col or 0, d.code))
     return kept, suppressed
 
@@ -145,26 +133,21 @@ def _useless(
     sheet: Suppressions,
     used: set[tuple[int, str]],
     path: str,
-    owned_prefixes: tuple[str, ...],
 ) -> list[Diagnostic]:
     out: list[Diagnostic] = []
-    catch_all = "RL" in owned_prefixes
     for lineno, token, file_level in sheet.tokens:
         if token == "all":
-            continue  # blanket waivers span heads; never judged
-        owned = any(token.startswith(p) for p in owned_prefixes)
-        in_some_head = any(token.startswith(p) for p in HEAD_PREFIXES)
+            continue  # a blanket waiver; never judged
         if token not in RULES:
-            if owned or (catch_all and not in_some_head):
-                out.append(make(
-                    "RL109",
-                    f"suppression names unknown code {token!r}: it is "
-                    "not in the rule catalogue",
-                    file=path, line=lineno, col=0,
-                ))
+            out.append(make(
+                "RL109",
+                f"suppression names unknown code {token!r}: it is "
+                "not in the rule catalogue",
+                file=path, line=lineno, col=0,
+            ))
             continue
-        if not owned:
-            continue  # another head's family; that head judges it
+        if token.startswith("RA"):
+            continue  # input rules never fire on source
         scope = -1 if file_level else lineno
         if (scope, token) not in used:
             where = "anywhere in this file" if file_level else "on this line"

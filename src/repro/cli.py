@@ -43,15 +43,15 @@ Commands
     liveness/annotations, topology diagnostics, target-length
     feasibility proofs, schedule certificates — text/JSON/SARIF,
     non-zero exit on errors.  ``--paper-suite`` analyzes every
-    registered workload on every paper topology; ``--flow`` runs the
-    interprocedural determinism & contract analyzer (rules
-    RD1xx/RC2xx) over the source tree; ``--list-rules`` prints the
-    catalogue.
+    registered workload on every paper topology; ``--list-rules``
+    prints the catalogue.
 ``lint``
-    Static analysis of this repository's own source tree: seeded
-    randomness, no wall clock in core, one communication pricing
-    authority, typed exceptions, obs-routed output (rules RL1xx in
-    ``docs/analysis.md``).
+    Static analysis of this repository's own source tree, each file
+    parsed once: seeded randomness, one communication pricing
+    authority, typed exceptions, obs-routed output (rules RL1xx), and
+    the interprocedural determinism and engine-contract rules (RD1xx,
+    RC2xx) — no clock or environment read reaches scheduling code
+    (``docs/analysis.md``).
 ``sanitize``
     Dynamic determinism sanitizer (``docs/analysis.md``): run one
     repro subcommand twice under perturbed ``PYTHONHASHSEED`` and
@@ -437,12 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--paper-suite", action="store_true",
         help="analyze every registered workload on every paper topology",
-    )
-    p_an.add_argument(
-        "--flow", nargs="*", default=None, metavar="PATH",
-        help="run the interprocedural determinism & contract analyzer "
-             "(rules RD1xx/RC2xx) over source files/directories "
-             "(default: the installed repro package)",
     )
     p_an.add_argument(
         "--list-rules", action="store_true",
@@ -1345,22 +1339,12 @@ def _cmd_list_rules() -> int:
             print({
                 "RA": "input analyzer (repro analyze)",
                 "RL": "codebase lint (repro lint)",
-                "RD": "determinism flow (repro analyze --flow)",
-                "RC": "engine contracts (repro analyze --flow)",
+                "RD": "determinism flow (repro lint)",
+                "RC": "engine contracts (repro lint)",
             }.get(band, band) + ":")
         print(f"  {entry.code}  {entry.severity:7s}  {entry.title}")
     print(f"{len(RULES)} rule(s); details in docs/analysis.md")
     return 0
-
-
-def _cmd_flow(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    import repro
-    from repro.analyze import analyze_flow
-
-    paths = args.flow or [Path(repro.__file__).parent]
-    return _emit_report(analyze_flow(paths), args)
 
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
@@ -1398,8 +1382,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     if args.list_rules:
         return _cmd_list_rules()
-    if args.flow is not None:
-        return _cmd_flow(args)
     if args.paper_suite:
         return _cmd_analyze_suite(args)
     if args.graph is None:

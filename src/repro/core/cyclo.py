@@ -316,7 +316,7 @@ def _run_passes(
     """Drive passes ``state.next_index .. z``, honouring every budget,
     and certify the best schedule before returning it (the one check
     shared by a fresh run and a resumed checkpoint)."""
-    started = time.monotonic()  # repro-lint: disable=RL102,RD103 (deadline budget, result-neutral)
+    started = time.monotonic()  # repro-lint: disable=RD103 (deadline budget, result-neutral)
     stop_reason = "completed"
     total = cfg.iterations_for(state.working.num_nodes)
 
@@ -333,7 +333,7 @@ def _run_passes(
     for index in range(state.next_index, total + 1):
         if (
             cfg.deadline_seconds is not None
-            and time.monotonic() - started >= cfg.deadline_seconds  # repro-lint: disable=RL102,RD103 (deadline budget, result-neutral)
+            and time.monotonic() - started >= cfg.deadline_seconds  # repro-lint: disable=RD103 (deadline budget, result-neutral)
         ):
             metrics.inc("cyclo.deadline_stops")
             stop_reason = "deadline"

@@ -156,22 +156,22 @@ class TestListRules:
                      "determinism flow", "engine contracts"):
             assert head in out
         for code in ("RA101", "RL101", "RL109",
-                     "RD101", "RD104", "RC201"):
+                     "RD102", "RD104", "RC201"):
             assert code in out
+        for retired in ("RL102", "RD101"):
+            assert retired not in out
 
     def test_shows_severity_and_title(self, capsys):
         main(["analyze", "--list-rules"])
         out = capsys.readouterr().out
-        assert "RD101  error" in out
-        assert "unseeded-rng-reaches-parallel-work" in out
+        assert "RD103  error" in out
+        assert "clock-or-env-flows-into-schedule" in out
         assert "RL109  warning" in out
 
 
-class TestFlowCommand:
-    def test_shipped_tree_is_clean(self, capsys):
-        assert main(["analyze", "--flow"]) == 0
-        out = capsys.readouterr().out
-        assert "0 error(s)" in out
+class TestLintCommand:
+    """``repro lint`` reports the per-statement and the
+    interprocedural source rules in one report."""
 
     def test_explicit_paths(self, tmp_path, capsys):
         victim = tmp_path / "repro" / "perf" / "driver.py"
@@ -183,16 +183,18 @@ class TestFlowCommand:
             "    return random.random()\n"
             "def drive(items):\n"
             "    return run_parallel(payload, items)\n"
+            "def merge(snapshots, sink):\n"
+            "    for snap in set(snapshots):\n"
+            "        sink.publish_stats(snap)\n"
         )
-        assert main(["analyze", "--flow", str(victim)]) == 1
+        assert main(["lint", str(victim)]) == 1
         out = capsys.readouterr().out
-        assert "RD101" in out
+        assert "RL101" in out and "RD102" in out
 
-    def test_flow_sarif_output(self, tmp_path, capsys):
-        out_path = tmp_path / "flow.sarif"
+    def test_sarif_output(self, tmp_path, capsys):
+        out_path = tmp_path / "lint.sarif"
         assert main([
-            "analyze", "--flow", "--format", "sarif",
-            "--out", str(out_path),
+            "lint", "--format", "sarif", "--out", str(out_path),
         ]) == 0
         capsys.readouterr()
         sarif = json.loads(out_path.read_text())

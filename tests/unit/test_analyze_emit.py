@@ -22,7 +22,7 @@ def report():
     r.add(make("RA103", "node 'ghost' has no incident edges", node="ghost"))
     r.add(make("RA305", "length >= 7"))
     r.add(make(
-        "RL102", "time.time() in repro.core.cyclo",
+        "RD103", "time.time() in repro.core.cyclo",
         file="src/repro/core/cyclo.py", line=12, col=4,
     ))
     r.suppressed = 2
@@ -37,7 +37,7 @@ class TestText:
         # errors come first regardless of insertion order, then the
         # warning, then infos
         assert "RA101" in lines[1]
-        assert "RL102" in lines[2]
+        assert "RD103" in lines[2]
         assert "RA103" in lines[3]
 
     def test_locus_rendering(self, report):
@@ -65,8 +65,8 @@ class TestJson:
         payload = to_json(report)
         by_code = {d["code"]: d for d in payload["diagnostics"]}
         assert by_code["RA101"]["node"] == "a"
-        assert by_code["RL102"]["file"] == "src/repro/core/cyclo.py"
-        assert by_code["RL102"]["line"] == 12
+        assert by_code["RD103"]["file"] == "src/repro/core/cyclo.py"
+        assert by_code["RD103"]["line"] == 12
         # unset locus keys are omitted, not null
         assert "file" not in by_code["RA101"]
 
@@ -86,7 +86,7 @@ class TestSarif:
     def test_rules_cover_exactly_the_present_codes(self, report):
         [run] = to_sarif(report)["runs"]
         ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert sorted(ids) == ["RA101", "RA103", "RA305", "RL102"]
+        assert sorted(ids) == ["RA101", "RA103", "RA305", "RD103"]
         for entry in run["tool"]["driver"]["rules"]:
             assert entry["name"] == RULES[entry["id"]].title
             assert entry["fullDescription"]["text"]
@@ -106,8 +106,8 @@ class TestSarif:
 
     def test_file_locus_becomes_physical_location(self, report):
         [run] = to_sarif(report)["runs"]
-        [rl102] = [r for r in run["results"] if r["ruleId"] == "RL102"]
-        physical = rl102["locations"][0]["physicalLocation"]
+        [rd103] = [r for r in run["results"] if r["ruleId"] == "RD103"]
+        physical = rd103["locations"][0]["physicalLocation"]
         assert physical["artifactLocation"]["uri"] == "src/repro/core/cyclo.py"
         assert physical["region"] == {"startLine": 12, "startColumn": 5}
 
@@ -122,7 +122,7 @@ class TestSarif:
         # built; the emitters must not resurrect anything
         from repro.analyze import lint_source
 
-        src = "import time\nt = time.time()  # repro-lint: disable=RL102\n"
+        src = "import time\nt = time.time()  # repro-lint: disable=RD103\n"
         found, suppressed = lint_source(src, module="repro.core.cyclo")
         r = AnalysisReport(subject="x")
         r.extend(found)
@@ -146,7 +146,7 @@ class TestSarifConformance:
 
     def test_zero_line_is_clamped_to_one(self):
         r = AnalysisReport()
-        r.add(make("RL102", "module-level clock read",
+        r.add(make("RD103", "module-level clock read",
                    file="src/repro/x.py", line=0, col=0))
         [run] = to_sarif(r)["runs"]
         region = (run["results"][0]["locations"][0]
@@ -155,7 +155,7 @@ class TestSarifConformance:
 
     def test_negative_column_is_clamped(self):
         r = AnalysisReport()
-        r.add(make("RL102", "x", file="a.py", line=3, col=-1))
+        r.add(make("RD103", "x", file="a.py", line=3, col=-1))
         [run] = to_sarif(r)["runs"]
         region = (run["results"][0]["locations"][0]
                   ["physicalLocation"]["region"])
@@ -164,7 +164,7 @@ class TestSarifConformance:
     def test_column_is_one_indexed(self):
         # ast reports 0-indexed col_offset; SARIF wants 1-indexed
         r = AnalysisReport()
-        r.add(make("RL102", "x", file="a.py", line=3, col=4))
+        r.add(make("RD103", "x", file="a.py", line=3, col=4))
         [run] = to_sarif(r)["runs"]
         region = (run["results"][0]["locations"][0]
                   ["physicalLocation"]["region"])
@@ -172,7 +172,7 @@ class TestSarifConformance:
 
     def test_non_ascii_uri_is_percent_encoded(self):
         r = AnalysisReport()
-        r.add(make("RL102", "x", file="src/répro/naïve file.py", line=1))
+        r.add(make("RD103", "x", file="src/répro/naïve file.py", line=1))
         [run] = to_sarif(r)["runs"]
         uri = (run["results"][0]["locations"][0]
                ["physicalLocation"]["artifactLocation"]["uri"])
@@ -181,7 +181,7 @@ class TestSarifConformance:
 
     def test_windows_separators_are_normalized(self):
         r = AnalysisReport()
-        r.add(make("RL102", "x", file="src\\repro\\x.py", line=1))
+        r.add(make("RD103", "x", file="src\\repro\\x.py", line=1))
         [run] = to_sarif(r)["runs"]
         uri = (run["results"][0]["locations"][0]
                ["physicalLocation"]["artifactLocation"]["uri"])

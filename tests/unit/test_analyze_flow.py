@@ -1,4 +1,5 @@
-"""Mutation-seeded tests for the interprocedural flow analyzer.
+"""Mutation-seeded tests for the source analyzer's interprocedural
+rules (RD1xx/RC2xx), run through :func:`repro.analyze.lint_paths`.
 
 Each rule family gets (at least) one planted bug the analyzer must
 catch and one clean variant it must stay silent on.  Fixtures are
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analyze import analyze_flow
+from repro.analyze import lint_paths
 from repro.errors import AnalysisError
 
 
@@ -33,10 +34,14 @@ def codes(report):
 
 
 def run(tmp_path, files):
-    return analyze_flow([plant(tmp_path, files)])
+    return lint_paths([plant(tmp_path, files)])
 
 
 class TestRD101UnseededRngInParallelFlow:
+    """RD101 is retired (docs/analysis.md): each of its fixtures draws
+    through a direct call, and RL101 convicts it at the draw line,
+    wherever the value flows afterwards."""
+
     def test_tainted_payload_through_helper(self, tmp_path):
         # the draw is two calls away from the dispatch site
         report = run(tmp_path, {"perf/driver.py": (
@@ -49,10 +54,9 @@ class TestRD101UnseededRngInParallelFlow:
             "def drive(items):\n"
             "    return run_parallel(payload, items, jobs=2)\n"
         )})
-        assert "RD101" in codes(report)
-        (diag,) = [d for d in report.diagnostics if d.code == "RD101"]
-        assert diag.line == 8
-        assert "payload" in diag.message
+        (diag,) = report.diagnostics
+        assert diag.code == "RL101" and diag.line == 4
+        assert "random.random()" in diag.message
 
     def test_salted_hash_in_priority(self, tmp_path):
         report = run(tmp_path, {"perf/prio.py": (
@@ -62,9 +66,9 @@ class TestRD101UnseededRngInParallelFlow:
             "def schedule(graph, arch):\n"
             "    return start_up_schedule(graph, arch, priority=salted)\n"
         )})
-        assert "RD101" in codes(report)
-        (diag,) = [d for d in report.diagnostics if d.code == "RD101"]
-        assert "priority" in diag.message and "hash()" in diag.message
+        (diag,) = report.diagnostics
+        assert diag.code == "RL101" and diag.line == 3
+        assert "hash()" in diag.message
 
     def test_tainted_class_instance_priority(self, tmp_path):
         # taint inside __call__ of a class passed as priority=Cls(...)
@@ -78,7 +82,8 @@ class TestRD101UnseededRngInParallelFlow:
             "    pri = Jitter()\n"
             "    return start_up_schedule(graph, arch, priority=pri)\n"
         )})
-        assert "RD101" in codes(report)
+        (diag,) = report.diagnostics
+        assert diag.code == "RL101" and diag.line == 5
 
     def test_seeded_rng_is_clean(self, tmp_path):
         report = run(tmp_path, {"perf/driver.py": (
@@ -144,6 +149,27 @@ class TestRD102SetOrderAcrossMergeBoundary:
 
 
 class TestRD103ClockIntoSchedule:
+    def test_cross_file_clock_reachability(self, tmp_path):
+        # read in one module, entry point in another: the call graph
+        # must connect them through the import
+        report = run(tmp_path, {
+            "perf/knobs.py": (
+                "import os\n"
+                "def knob():\n"
+                "    return os.environ.get('REPRO_SECRET_KNOB')\n"
+            ),
+            "perf/mapper.py": (
+                "from repro.perf.knobs import knob\n"
+                "def remap_nodes(graph, arch):\n"
+                "    return (graph, knob())\n"
+            ),
+        })
+        (diag,) = report.diagnostics
+        assert diag.code == "RD103" and diag.line == 3
+        assert diag.file.endswith("knobs.py")
+        assert "reachable from a core scheduling entry point" in (
+            diag.message)
+
     def test_clock_derived_argument(self, tmp_path):
         report = run(tmp_path, {"perf/driver.py": (
             "import time\n"
@@ -357,31 +383,11 @@ class TestRC203CacheInHotLoop:
 class TestEngineBehaviour:
     def test_missing_path_is_analysis_error(self, tmp_path):
         with pytest.raises(AnalysisError, match="no such file"):
-            analyze_flow([tmp_path / "nope"])
+            lint_paths([tmp_path / "nope"])
 
     def test_syntax_error_is_analysis_error(self, tmp_path):
         with pytest.raises(AnalysisError, match="cannot parse"):
             run(tmp_path, {"core/broken.py": "def f(:\n"})
-
-    def test_cross_file_taint_propagation(self, tmp_path):
-        # source in one module, dispatch in another: the call graph
-        # must connect them through the import
-        report = run(tmp_path, {
-            "perf/noise.py": (
-                "import random\n"
-                "def jitter(item):\n"
-                "    return random.random()\n"
-            ),
-            "perf/driver.py": (
-                "from repro.perf.noise import jitter\n"
-                "from repro.perf.parallel import run_parallel\n"
-                "def drive(items):\n"
-                "    return run_parallel(jitter, items, jobs=2)\n"
-            ),
-        })
-        assert "RD101" in codes(report)
-        (diag,) = [d for d in report.diagnostics if d.code == "RD101"]
-        assert diag.file.endswith("driver.py")
 
     def test_witness_names_the_source(self, tmp_path):
         report = run(tmp_path, {"perf/driver.py": (
@@ -395,17 +401,3 @@ class TestEngineBehaviour:
         (diag,) = report.diagnostics
         assert "random.random()" in diag.message
 
-
-class TestShippedTree:
-    SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-    def test_zero_flow_errors(self):
-        report = analyze_flow([self.SRC])
-        assert [d for d in report.diagnostics
-                if d.severity == "error"] == []
-
-    def test_documented_suppressions_present(self):
-        # the contention fixpoint's per-round reprice (RC203 x2) and
-        # the deadline budget checks in cyclo (RD103 x2)
-        report = analyze_flow([self.SRC])
-        assert report.suppressed == 4

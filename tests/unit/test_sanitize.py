@@ -4,7 +4,7 @@ Three layers: the canonicalization scrubbers (pure functions), the
 double-run protocol on the real CLI (byte-identical on the shipped
 tree — the acceptance baseline), and the mutation cross-check: inject
 hash-seed-dependent jitter into a copy of ``core/priority.py`` and
-demand that *both* heads convict it — the static flow analyzer with
+demand that *both* heads convict it — the static source analyzer with
 RD103 and the sanitizer with a non-empty diff.
 """
 
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analyze import analyze_flow
+from repro.analyze import lint_paths
 from repro.analyze.sanitize import (
     RunOutcome,
     canonicalize_output,
@@ -179,7 +179,7 @@ class TestMutationCrossCheck:
 
     def test_static_head_fires_rd103(self, tmp_path):
         pkg = mutate_priority(tmp_path)
-        report = analyze_flow([pkg])
+        report = lint_paths([pkg])
         hits = [d for d in report.diagnostics if d.code == "RD103"]
         assert hits, report.describe()
         assert any(d.file.endswith("priority.py") for d in hits)
@@ -199,7 +199,7 @@ class TestMutationCrossCheck:
                                                  monkeypatch):
         pkg = tmp_path / "repro"
         shutil.copytree(PACKAGE_DIR, pkg)
-        report = analyze_flow([pkg])
+        report = lint_paths([pkg])
         assert [d for d in report.diagnostics
                 if d.severity == "error"] == []
         monkeypatch.setenv("PYTHONPATH", str(tmp_path))

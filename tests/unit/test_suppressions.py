@@ -1,10 +1,10 @@
-"""Tests for the shared suppression grammar (``repro.analyze.suppress``).
+"""Tests for the suppression grammar (``repro.analyze.suppress``).
 
-The grammar is one currency spent by two heads: the lint head owns
-RL-prefixed codes, the flow head owns RD/RC.  These tests pin down the
-semantics the docs promise — multiple codes on one line, file-level
-vs inline scope, and the RL109 useless-suppression warning for codes
-that are unknown or silence nothing.
+One grammar serves every source rule (RL, RD and RC codes), judged
+once per file.  These tests pin down the semantics the docs promise —
+multiple codes on one line, file-level vs inline scope, and the RL109
+useless-suppression warning for codes that are unknown or silence
+nothing.
 """
 
 import pytest
@@ -73,8 +73,7 @@ class TestApplication:
     def test_inline_scope_is_one_line(self):
         src = "a = 1  # repro-lint: disable=RL101\nb = 2\n"
         kept, n = apply_suppressions(
-            [diag("RL101", 1), diag("RL101", 2)], src,
-            path="x.py", owned_prefixes=("RL",),
+            [diag("RL101", 1), diag("RL101", 2)], src, path="x.py",
         )
         assert codes(kept) == ["RL101"] and kept[0].line == 2
         assert n == 1
@@ -82,113 +81,88 @@ class TestApplication:
     def test_file_level_scope_is_whole_file(self):
         src = "# repro-lint: disable-file=RL101\na = 1\nb = 2\n"
         kept, n = apply_suppressions(
-            [diag("RL101", 2), diag("RL101", 3)], src,
-            path="x.py", owned_prefixes=("RL",),
+            [diag("RL101", 2), diag("RL101", 3)], src, path="x.py",
         )
         assert kept == [] and n == 2
 
     def test_multiple_codes_one_line(self):
-        src = "a = 1  # repro-lint: disable=RL101,RL102\n"
+        src = "a = 1  # repro-lint: disable=RL101,RL105\n"
         kept, n = apply_suppressions(
-            [diag("RL101", 1), diag("RL102", 1)], src,
-            path="x.py", owned_prefixes=("RL",),
+            [diag("RL101", 1), diag("RL105", 1)], src, path="x.py",
         )
         assert kept == [] and n == 2
 
     def test_all_silences_everything_on_the_line(self):
         src = "a = 1  # repro-lint: disable=all\n"
         kept, n = apply_suppressions(
-            [diag("RL101", 1), diag("RL105", 1)], src,
-            path="x.py", owned_prefixes=("RL",),
+            [diag("RL101", 1), diag("RL105", 1)], src, path="x.py",
         )
         assert kept == [] and n == 2
 
     def test_all_is_never_judged_useless(self):
         src = "a = 1  # repro-lint: disable=all\n"
-        kept, n = apply_suppressions(
-            [], src, path="x.py", owned_prefixes=("RL",),
-        )
+        kept, n = apply_suppressions([], src, path="x.py")
         assert kept == [] and n == 0
 
 
 class TestUselessSuppression:
     def test_unknown_code_warns(self):
         src = "a = 1  # repro-lint: disable=RL999\n"
-        kept, _ = apply_suppressions(
-            [], src, path="x.py", owned_prefixes=("RL",),
-        )
+        kept, _ = apply_suppressions([], src, path="x.py")
         assert codes(kept) == ["RL109"]
         assert kept[0].severity == "warning"
         assert "RL999" in kept[0].message
 
     def test_unused_known_code_warns(self):
         src = "a = 1  # repro-lint: disable=RL101\n"
-        kept, _ = apply_suppressions(
-            [], src, path="x.py", owned_prefixes=("RL",),
-        )
+        kept, _ = apply_suppressions([], src, path="x.py")
         assert codes(kept) == ["RL109"]
 
     def test_unused_file_level_warns(self):
         src = "# repro-lint: disable-file=RL101\na = 1\n"
-        kept, _ = apply_suppressions(
-            [], src, path="x.py", owned_prefixes=("RL",),
-        )
+        kept, _ = apply_suppressions([], src, path="x.py")
         assert codes(kept) == ["RL109"]
         assert "anywhere in this file" in kept[0].message
 
     def test_used_code_does_not_warn(self):
         src = "a = 1  # repro-lint: disable=RL101\n"
         kept, n = apply_suppressions(
-            [diag("RL101", 1)], src,
-            path="x.py", owned_prefixes=("RL",),
+            [diag("RL101", 1)], src, path="x.py",
         )
         assert kept == [] and n == 1
 
 
-class TestCrossHeadOwnership:
-    """Each head only judges its own prefixes: an RC token in a file
-    seen by the lint head is the flow head's business, and vice versa
-    — no false RL109 from the head that cannot use it."""
+class TestOneJudge:
+    """Every source finding of a file meets the file's suppressions in
+    one call, so RL, RD and RC tokens are all judged there."""
 
-    def test_lint_head_ignores_flow_tokens(self):
+    def test_unused_flow_token_warns(self):
         src = "a = 1  # repro-lint: disable=RC203\n"
-        kept, n = apply_suppressions(
-            [], src, path="x.py", owned_prefixes=("RL",),
-        )
-        assert kept == [] and n == 0
+        kept, n = apply_suppressions([], src, path="x.py")
+        assert codes(kept) == ["RL109"] and n == 0
 
-    def test_flow_head_ignores_lint_tokens(self):
+    def test_retired_code_is_unknown(self):
         src = "a = 1  # repro-lint: disable=RL102\n"
-        kept, n = apply_suppressions(
-            [], src, path="x.py", owned_prefixes=("RD", "RC"),
-        )
-        assert kept == [] and n == 0
-
-    def test_lint_head_is_catchall_for_garbage(self):
-        # a token matching no head at all is a typo; the lint head
-        # (the catch-all) reports it so it is flagged exactly once
-        src = "a = 1  # repro-lint: disable=XQ999\n"
-        kept, _ = apply_suppressions(
-            [], src, path="x.py", owned_prefixes=("RL",),
-        )
+        kept, _ = apply_suppressions([], src, path="x.py")
         assert codes(kept) == ["RL109"]
-        flow_kept, _ = apply_suppressions(
-            [], src, path="x.py", owned_prefixes=("RD", "RC"),
-        )
-        assert flow_kept == []
+        assert "unknown code 'RL102'" in kept[0].message
 
-    def test_mixed_tokens_each_head_spends_its_own(self):
+    def test_garbage_token_warns_once(self):
+        src = "a = 1  # repro-lint: disable=XQ999\n"
+        kept, _ = apply_suppressions([], src, path="x.py")
+        assert codes(kept) == ["RL109"]
+
+    def test_mixed_tokens_spent_in_one_call(self):
         src = "a = 1  # repro-lint: disable=RL101,RC203\n"
         kept, n = apply_suppressions(
-            [diag("RL101", 1)], src, path="x.py",
-            owned_prefixes=("RL",),
+            [diag("RL101", 1), diag("RC203", 1)], src, path="x.py",
         )
-        assert kept == [] and n == 1
-        kept, n = apply_suppressions(
-            [diag("RC203", 1)], src, path="x.py",
-            owned_prefixes=("RD", "RC"),
-        )
-        assert kept == [] and n == 1
+        assert kept == [] and n == 2
+
+    def test_input_codes_are_never_judged(self):
+        src = "a = 1  # repro-lint: disable=RA101\n"
+        kept, n = apply_suppressions([], src, path="x.py")
+        assert kept == [] and n == 0
 
 
 class TestUnownedDiagnosticsPassThrough:
@@ -197,13 +171,12 @@ class TestUnownedDiagnosticsPassThrough:
         src = "a = 1  # repro-lint: disable=RL101\n"
         kept, n = apply_suppressions(
             [diag("RL105", 1)], src, path="x.py",
-            owned_prefixes=("RL",),
         )
         assert codes(kept) == ["RL105", "RL109"] and n == 0
 
     def test_empty_source_is_passthrough(self):
         kept, n = apply_suppressions(
-            [diag("RL101", 1)], "", path="x.py", owned_prefixes=("RL",),
+            [diag("RL101", 1)], "", path="x.py",
         )
         assert codes(kept) == ["RL101"] and n == 0
 
