@@ -58,14 +58,12 @@ Commands
     ``--jobs``, canonicalize both outputs (scrubbing durations, rates
     and paths) and diff them — any surviving byte difference is a
     determinism bug; non-zero exit on a diff.
-``obs report|top|diff|regressions|matrix``
+``obs report|top|diff|regressions``
     The observatory (``docs/observability.md``): aggregate traces and
     run history into hotspot tables and latency percentiles, rank
     spans by self time (with flamegraph-collapsed stacks), compare two
-    runs or history windows phase-by-phase, detect perf regressions
-    against a baseline fitted from history (non-zero exit — the CI
-    perf gate), and replay the pinned gate workload matrix into the
-    history store.
+    runs or history windows phase-by-phase, and detect runs slower
+    than a baseline fitted from history (non-zero exit).
 
 Unknown workload or architecture names exit with a one-line error
 listing the registered names (they are resolved by the registries, not
@@ -564,42 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore groups whose latest run is faster than this "
              "(noise floor)",
     )
-
-    p_omat = obs_sub.add_parser(
-        "matrix",
-        help="run the pinned perf-gate workload matrix into history",
-    )
-    p_omat.add_argument(
-        "--history-dir", default="benchmarks/out/history", metavar="DIR",
-        help="history store to append gate records to",
-    )
-    p_omat.add_argument(
-        "--collapsed-dir", default=None, metavar="DIR",
-        help="also write per-cell flamegraph-collapsed stacks here",
-    )
-
-    p_scale = sub.add_parser(
-        "scale",
-        help="run the thousand-node scale benchmark tier "
-             "(repro.perf.scale)",
-    )
-    p_scale.add_argument(
-        "--quick", action="store_true",
-        help="first matrix cell only (CI smoke mode)",
-    )
-    p_scale.add_argument(
-        "--jobs", type=int, default=1, metavar="M",
-        help="worker processes (one cell per worker; timings are "
-             "taken inside the worker)",
-    )
-    p_scale.add_argument(
-        "--history-dir", default=None, metavar="DIR",
-        help="also append one `scale` history record per cell here",
-    )
-    p_scale.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write the per-cell results as JSON here",
-    )
     return parser
 
 
@@ -791,8 +753,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_sanitize(args)
     if args.command == "obs":
         return _cmd_obs(args)
-    if args.command == "scale":
-        return _cmd_scale(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
@@ -1604,9 +1564,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return _cmd_obs_top(args)
     if args.obs_command == "diff":
         return _cmd_obs_diff(args)
-    if args.obs_command == "regressions":
-        return _cmd_obs_regressions(args)
-    return _cmd_obs_matrix(args)
+    return _cmd_obs_regressions(args)
 
 
 def _is_history_path(raw: str) -> bool:
@@ -1726,49 +1684,6 @@ def _cmd_obs_regressions(args: argparse.Namespace) -> int:
     checked = len(fit_baselines(records))
     print(format_regressions(found, checked=checked))
     return 1 if found else 0
-
-
-def _cmd_obs_matrix(args: argparse.Namespace) -> int:
-    from repro.obs.gate import run_gate_matrix
-
-    records = run_gate_matrix(
-        args.history_dir, collapsed_dir=args.collapsed_dir
-    )
-    print(f"gate matrix: {len(records)} cell(s) into {args.history_dir}")
-    for rec in records:
-        print(f"  {rec.workload} on {rec.arch}: "
-              f"{rec.duration_seconds:.3f}s, "
-              f"length {rec.attrs.get('final_length')}")
-    if args.collapsed_dir:
-        print(f"collapsed stacks under {args.collapsed_dir}")
-    return 0
-
-
-def _cmd_scale(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.perf.scale import cache_hit_rate, run_scale_matrix
-
-    rows, records = run_scale_matrix(
-        args.history_dir, quick=args.quick, jobs=args.jobs
-    )
-    mode = "quick" if args.quick else "full"
-    print(f"scale tier ({mode}): {len(rows)} cell(s)")
-    for row in rows:
-        print(f"  {row['workload']:>18s} on {row['arch']:>10s}: "
-              f"{row['duration_seconds']:7.2f}s "
-              f"{row['nodes_per_second']:9.0f} nodes/s  "
-              f"len {row['initial_length']} -> {row['final_length']} "
-              f"({row['stop_reason']}, "
-              f"hit {cache_hit_rate(row['counters']):.4f})")
-    if records:
-        print(f"{len(records)} scale record(s) into {args.history_dir}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"quick": args.quick, "results": rows}, fh, indent=2)
-            fh.write("\n")
-        print(f"results written to {args.out}")
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,9 +1,9 @@
 """Array-at-a-time kernels of the scheduling engine.
 
-The thousand-node scale tier (``repro.perf.scale``) showed three
-python-level loops dominating the profile: communication-cost row
-construction (:mod:`repro.arch.cache`), the batch PSL edge-bound
-evaluation (:class:`repro.core.psl.PSLTracker.refresh`) and the per-PE
+Profiles of thousand-node compactions show three python-level loops
+dominating: communication-cost row construction
+(:mod:`repro.arch.cache`), the batch PSL edge-bound evaluation
+(:class:`repro.core.psl.PSLTracker.refresh`) and the per-PE
 anticipation folds of the remapping slot search
 (:func:`repro.core.remapping._find_spot`).  This module holds each of
 them as one plain-python function over flat sequences.

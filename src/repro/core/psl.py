@@ -27,7 +27,7 @@ tracker reads the table's stored records
 (:meth:`~repro.schedule.table.ScheduleTable.stored_placements`) without
 converting them.
 
-Two scale-tier refinements keep the tracker O(touched edges) even on
+Two refinements keep the tracker O(touched edges) even on
 thousand-edge graphs:
 
 * :meth:`refresh` gathers every edge once and evaluates all bounds in

@@ -18,7 +18,7 @@ the scheduling pipeline:
   aggregation behind ``repro profile`` and ``--profile``;
 * **run history** (:mod:`repro.obs.history`) — the append-only NDJSON
   store of provenance-stamped run records that ``repro obs
-  report|diff|regressions`` and the CI perf gate aggregate over;
+  report|diff|regressions`` aggregate over;
 * **analysis** (:mod:`repro.obs.aggregate`,
   :mod:`repro.obs.collapse`) — hotspot/self-time tables, phase diffs,
   baseline fitting + regression detection, and flamegraph-compatible

@@ -7,7 +7,7 @@ Three consumers share this module:
 * ``repro obs diff`` — phase-by-phase comparison of two runs (traces)
   or two history windows;
 * ``repro obs regressions`` — baseline fitting over the run-history
-  store and slowdown detection, the engine behind the CI perf gate.
+  store and slowdown detection.
 
 Baselines are deliberately simple and robust: the **median** duration
 of the prior runs in a group.  Runs are only grouped when their

@@ -1,13 +1,13 @@
 """The append-only run-history store (``repro.obs.history``).
 
 One NDJSON file per run *kind* (``schedule``, ``sweep``, ``fuzz``,
-``bench``, ``gate`` …) under a history directory, one provenance-stamped
+``chaos`` …) under a history directory, one provenance-stamped
 :class:`RunRecord` per line.  The store never rewrites a line: records
 accumulate across sessions, so ``repro obs regressions`` can fit a
 baseline from genuinely historical data and ``repro obs diff`` can
 compare any two runs or windows.
 
-Design rules (all load-bearing for tests and the CI gate):
+Design rules (all load-bearing for tests and ``repro obs regressions``):
 
 * **Provenance** — every record carries the engine version
   (``repro.__version__``) and a ``config_hash`` (sha256 of the
@@ -92,7 +92,7 @@ class RunRecord:
     ----------
     kind:
         What produced the record: ``"schedule"``, ``"sweep"``,
-        ``"fuzz"``, ``"bench"``, ``"gate"`` …
+        ``"fuzz"``, ``"chaos"`` …
     workload / arch:
         Graph name and architecture name — together with ``kind`` and
         ``config_hash`` they form the baseline grouping key.

@@ -1,6 +1,6 @@
 """Performance infrastructure: parallel sweep driver + reference engine.
 
-Two halves:
+Three modules:
 
 * :mod:`repro.perf.parallel` — :func:`run_parallel`, a deterministic
   seeded process-pool map for embarrassingly-parallel workloads (random
@@ -11,9 +11,6 @@ Two halves:
   best-of-N priority-jittered compaction restarts with best-known-length
   pruning between stages, deterministic for a fixed ``(seed, restarts)``
   regardless of the worker count.
-* :mod:`repro.perf.scale` — the thousand-node benchmark tier
-  (``repro scale``): seeded structural families from :mod:`repro.qa`
-  pushed through full compaction with nodes-per-second accounting.
 * :mod:`repro.perf.reference` — the *pre-optimisation* scheduling
   engine, preserved verbatim: the naive cell-dict
   :class:`~repro.perf.reference.ReferenceScheduleTable`, the per-slot

@@ -242,7 +242,7 @@ def sample_graph(
 
 #: Families :func:`sample_sized_graph` can build at an exact node
 #: count.  "random" is deliberately absent: its edge sampler is
-#: quadratic in the node count, which the thousand-node scale tier
+#: quadratic in the node count, which thousand-node benchmark inputs
 #: cannot afford (and its density profile is not size-stable anyway).
 SIZED_FAMILIES: tuple[str, ...] = ("layered", "ring", "chain", "fork-join")
 
@@ -257,8 +257,8 @@ def sample_sized_graph(
 ) -> CSDFG:
     """Draw one paper-legal CSDFG with **exactly** ``size`` nodes.
 
-    The scale benchmark tier (:mod:`repro.perf.scale`) needs instances
-    whose node count is the independent variable, which
+    The benchmark's thousand-node inputs (``bench/inputs.py``) need
+    instances whose node count is the independent variable, which
     :func:`sample_graph` cannot promise (its family parameters are
     sampled, so counts wobble).  Same determinism contract: one
     ``(family, size, seed)`` triple always builds the same graph,

@@ -230,48 +230,44 @@ class TestRegressionGate:
     def test_identical_matrix_runs_report_no_regression(
         self, tmp_path, capsys
     ):
+        from repro.obs.history import HistoryStore
+
         hist = tmp_path / "history"
+        store = HistoryStore(hist)
+        cells = [("figure7", "mesh8", 0.003), ("figure7", "hypercube8", 0.004),
+                 ("lattice4", "ring4", 0.002)]
         for _ in range(2):
-            assert main(["obs", "matrix", "--history-dir", str(hist)]) == 0
-        capsys.readouterr()
-        # one baseline sample of ~3 ms cells: use the CI gate's 2x
-        # threshold so host noise cannot trip it; --min-seconds 0 keeps
-        # every cell gated (the seeded-slowdown test proves it fires)
+            for workload, arch, seconds in cells:
+                store.record("schedule", workload=workload, arch=arch,
+                             duration_seconds=seconds)
+        # --min-seconds 0 keeps every millisecond cell gated
         assert main(["obs", "regressions", "--history-dir", str(hist),
-                     "--kind", "gate", "--threshold", "2.0",
+                     "--kind", "schedule", "--threshold", "1.5",
                      "--min-seconds", "0"]) == 0
         assert "no regressions" in capsys.readouterr().out
 
-    def test_seeded_slowdown_trips_the_gate(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        from repro.obs.gate import GATE_SLEEP_ENV
+    def test_seeded_slowdown_trips_the_gate(self, tmp_path, capsys):
+        from repro.obs.history import HistoryStore
 
         hist = tmp_path / "history"
-        for _ in range(2):
-            assert main(["obs", "matrix", "--history-dir", str(hist)]) == 0
-        monkeypatch.setenv(GATE_SLEEP_ENV, "1.0")
-        assert main(["obs", "matrix", "--history-dir", str(hist)]) == 0
-        monkeypatch.delenv(GATE_SLEEP_ENV)
-        capsys.readouterr()
-        assert main(["obs", "regressions", "--history-dir", str(hist),
-                     "--kind", "gate", "--threshold", "1.5"]) == 1
+        store = HistoryStore(hist)
+
+        def run(seconds):
+            store.record("schedule", workload="figure7", arch="mesh8",
+                         duration_seconds=seconds)
+
+        def regressions():
+            return main(["obs", "regressions", "--history-dir", str(hist),
+                         "--kind", "schedule", "--threshold", "1.5"])
+
+        run(0.10)
+        run(0.10)
+        assert regressions() == 0
+        assert "no regressions" in capsys.readouterr().out
+        run(1.10)
+        assert regressions() == 1
         out = capsys.readouterr().out
-        assert "regression(s)" in out and "gate" in out
-
-    def test_matrix_writes_collapsed_stacks_per_cell(
-        self, tmp_path, capsys
-    ):
-        hist = tmp_path / "history"
-        coll = tmp_path / "collapsed"
-        assert main(["obs", "matrix", "--history-dir", str(hist),
-                     "--collapsed-dir", str(coll)]) == 0
-        files = sorted(p.name for p in coll.iterdir())
-        assert files == [
-            "figure7-hypercube8.collapsed",
-            "figure7-mesh8.collapsed",
-            "lattice4-ring4.collapsed",
-        ]
+        assert "regression(s)" in out and "schedule" in out
 
     def test_empty_history_is_not_a_failure(self, tmp_path, capsys):
         assert main(["obs", "regressions",

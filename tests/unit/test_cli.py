@@ -1,7 +1,5 @@
 """Unit tests for the command-line interface."""
 
-import json
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -160,32 +158,6 @@ class TestSchedule:
             ["schedule", "figure7", "--restarts", "2", "--refine"]
         ) == 1
         assert "--refine" in capsys.readouterr().err
-
-
-class TestScale:
-    def test_scale_quick(self, tmp_path, capsys):
-        out_file = tmp_path / "scale.json"
-        hist = tmp_path / "hist"
-        assert main(
-            [
-                "scale",
-                "--quick",
-                "--history-dir",
-                str(hist),
-                "--out",
-                str(out_file),
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        # quick mode = the first cell plus every contended cell
-        assert "scale tier (quick): 2 cell(s)" in out
-        assert "nodes/s" in out
-        assert "2 scale record(s)" in out
-        assert (hist / "scale.ndjson").exists()
-        payload = json.loads(out_file.read_text())
-        assert payload["quick"] is True
-        assert payload["results"][0]["size"] == 1000
-        assert any(r.get("contention") for r in payload["results"])
 
 
 class TestSimulate:

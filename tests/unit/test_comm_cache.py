@@ -141,6 +141,19 @@ class TestStats:
             "hit_rate": 0.5,
         }
 
+    def test_compaction_run_stays_warm(self):
+        from repro.core import CycloConfig, cyclo_compact
+        from repro.qa import sample_sized_graph
+
+        graph = sample_sized_graph("layered", 60, seed=5)
+        arch = make_architecture("mesh", 4)
+        cache = CommCostCache.for_graph(arch, graph)
+        cyclo_compact(graph, arch, config=CycloConfig(max_iterations=4),
+                      comm=cache)
+        # row builds count as neither hit nor miss, so a plain
+        # compaction's lookups must stay >= 99% hits
+        assert cache.hit_rate >= 0.99
+
     def test_publish_stats_lands_in_registry(self):
         from repro.obs import InMemorySink, metrics, sink_installed
 
