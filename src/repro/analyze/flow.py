@@ -3,7 +3,7 @@
 Where the per-statement rules of :mod:`repro.analyze.lint` look at one
 call at a time, this half builds a *module-level call graph* over the
 parsed tree and per-function summaries — wall-clock/env reads,
-set-iteration-order sensitivity, occupancy-freeze state — then
+set-iteration-order sensitivity, cache constructions — then
 propagates them to a fixpoint.  :func:`repro.analyze.lint.lint_paths`
 runs it on the same parsed modules as the per-statement rules, so
 every file is parsed once.  Two rule families come out:
@@ -19,26 +19,22 @@ same-seed-same-schedule across ``--jobs`` and ``PYTHONHASHSEED``:
   an argument to an entry point (budget keywords excluded — deadlines
   are user intent), or as a read inside :data:`WALLCLOCK_BANNED` code
   or a function transitively callable from it or from the core entry
-  points (``repro.obs`` instrumentation is allowlisted);
-* RD104 — results consumed in worker *completion* order
-  (``as_completed``, ``imap_unordered``) instead of submission order.
+  points (``repro.obs`` instrumentation is allowlisted).
 
 Unseeded randomness is RL101's: every draw is convicted at the draw
 itself, wherever it flows.
 
-**RC2xx — engine contracts.**  The freeze-then-certify contention
-protocol (see ``docs/contention.md``) and the cost of its caches:
+**RC2xx — engine contracts.**  The cost of the comm caches:
 
-* RC201 — contended :class:`CommCostCache` built without a frozen
-  :class:`LinkOccupancy` snapshot (missing, or a bare empty ledger)
-  outside ``repro.arch``;
-* RC202 — a frozen snapshot reused across remaps: a second contended
-  remap prices against occupancy the first already invalidated, or a
-  loop reuses a snapshot frozen outside it;
 * RC203 — a cache/ledger *construction* (``CommCostCache``,
   ``for_graph``, ``from_assignment``) inside a ``for``/``while``
   loop — O(edges) work per iteration; the contention fixpoint's
   deliberate per-round reprice carries a documented suppression.
+
+The freeze-then-certify contention protocol itself is checked at run
+time: :class:`~repro.arch.cache.CommCostCache` refuses a contention
+model without an ``occupancy=`` snapshot, and the pipeline's tests pin
+that each round prices the previous round's placements.
 
 The resolver is deliberately *syntactic*: import aliases, module-level
 defs, nested defs and straight-line local assignments are followed;
@@ -105,11 +101,6 @@ CORE_ENTRY_POINTS = frozenset({
 #: into it (spans/counters are result-neutral by design).
 CLOCK_EXEMPT_PACKAGES = ("repro.obs",)
 
-#: Remap/compaction primitives consuming a frozen cache via ``comm=``.
-REMAP_PRIMITIVES = frozenset({
-    "remap_nodes", "cyclo_compact", "optimize", "resume_compaction",
-})
-
 #: Calls that mark a function as a worker-merge boundary (RD102).
 MERGE_BOUNDARY_CALLS = frozenset({"merge_snapshot", "publish_stats"})
 
@@ -163,26 +154,12 @@ class FunctionSummary:
     set_iterations: list[int] = field(default_factory=list)
     #: calls merge_snapshot / publish_stats (worker-merge boundary)
     merges: bool = False
-    #: constructs a contended CommCostCache (a freeze helper)
-    freezes: bool = False
-    #: (line, call) completion-order consumption (RD104)
-    completion_order: list[tuple[int, str]] = field(default_factory=list)
-    #: (line, message) contended pricing without a snapshot (RC201)
-    unfrozen_pricing: list[tuple[int, str]] = field(default_factory=list)
     #: (line, what) cache constructions inside a loop (RC203)
     hot_ctors: list[tuple[int, str]] = field(default_factory=list)
     #: (line, message) clock-tainted argument into an entry point (RD103a)
     clock_into_entry: list[tuple[int, str]] = field(default_factory=list)
     #: definitions this body dispatches as parallel payloads (RD102)
     payloads: set[str] = field(default_factory=set)
-    #: (line, var) remap-primitive calls taking ``comm=var``  (RC202)
-    remap_uses: list[tuple[int, str]] = field(default_factory=list)
-    #: var -> [(line, is_freeze)] assignments feeding ``comm=`` vars
-    comm_assigns: dict[str, list[tuple[int, bool]]] = (
-        field(default_factory=dict)
-    )
-    #: (start, end) line extents of every for/while loop in this body
-    loop_extents: list[tuple[int, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -191,11 +168,6 @@ class _Knowledge:
 
     clock_returners: frozenset[str] = frozenset()
     set_returners: frozenset[str] = frozenset()
-    freeze_returners: frozenset[str] = frozenset()
-
-    def key(self) -> tuple:
-        return (self.clock_returners, self.set_returners,
-                self.freeze_returners)
 
 
 class _SourceModule:
@@ -265,7 +237,7 @@ class _Scope:
         self.clock_vars: set[str] = set()     # locals carrying clock taint
         self.set_vars: set[str] = set()       # locals carrying set order
         self.def_refs: dict[str, set[str]] = {}   # locals -> known defs
-        self.loop_stack: list[tuple[int, int]] = []
+        self.loop_stack: list[int] = []       # open loop headers (lines)
 
 
 class _Scanner:
@@ -425,47 +397,17 @@ class _Scanner:
                         )))
                         break
 
-        # RC201 / freeze detection --------------------------------------
+        # RC203: construction cost inside loops --------------------------
         is_cache_ctor = (
             name == "CommCostCache"
             or (name == "for_graph" and "CommCostCache" in chain)
         )
-        if is_cache_ctor:
-            kwargs = {kw.arg: kw.value for kw in node.keywords if kw.arg}
-            contended = "contention" in kwargs and not (
-                isinstance(kwargs["contention"], ast.Constant)
-                and kwargs["contention"].value is None
-            )
-            if contended:
-                s.freezes = True
-                if not _in(self.mod.module, ("repro.arch",)):
-                    occ = kwargs.get("occupancy")
-                    if occ is None:
-                        s.unfrozen_pricing.append((line, (
-                            f"{dotted}(contention=...) without a frozen "
-                            "occupancy= snapshot"
-                        )))
-                    elif (isinstance(occ, ast.Call)
-                          and _dotted(occ.func)[-1:] == ["LinkOccupancy"]):
-                        s.unfrozen_pricing.append((line, (
-                            f"{dotted}(contention=...) priced against a "
-                            "bare empty LinkOccupancy(), not a snapshot "
-                            "frozen from an assignment"
-                        )))
-
-        # RC203: construction cost inside loops --------------------------
         is_hot_ctor = is_cache_ctor or (
             name == "from_assignment" and "LinkOccupancy" in chain
         )
         if is_hot_ctor and scope.loop_stack:
             s.hot_ctors.append(
                 (line, f"{dotted}(...) constructed inside a loop"))
-
-        # RC202: remap primitives consuming a frozen cache ----------------
-        if basename in REMAP_PRIMITIVES:
-            for kw in node.keywords:
-                if kw.arg == "comm" and isinstance(kw.value, ast.Name):
-                    s.remap_uses.append((line, kw.value.id))
 
     # -- statement walk ----------------------------------------------------
 
@@ -496,15 +438,8 @@ class _Scanner:
 
     def _check_iteration(self, iter_expr: ast.expr, line: int,
                          scope: _Scope) -> None:
-        s = scope.summary
-        if isinstance(iter_expr, ast.Call):
-            chain = _dotted(iter_expr.func)
-            if chain[-1:] == ["as_completed"] or (
-                    chain[-1:] == ["imap_unordered"]):
-                s.completion_order.append(
-                    (line, f"{'.'.join(chain)}(...)"))
         if self._set_ordered(iter_expr, scope):
-            s.set_iterations.append(line)
+            scope.summary.set_iterations.append(line)
 
     def _assign_targets(self, stmt: ast.stmt) -> list[str]:
         names: list[str] = []
@@ -530,8 +465,6 @@ class _Scanner:
         clock = self._clock_tainted(value, scope)
         setish = self._set_ordered(value, scope)
         cands = self._candidates(value, scope)
-        freeze = self._is_freeze_expr(value, scope)
-        ctorish = self._mentions_cache_ctor(value)
         for n in names:
             if clock:
                 scope.clock_vars.add(n)
@@ -539,42 +472,6 @@ class _Scanner:
                 scope.set_vars.add(n)
             if cands:
                 scope.def_refs.setdefault(n, set()).update(cands)
-            if freeze:
-                scope.summary.comm_assigns.setdefault(n, []).append(
-                    (stmt.lineno, True))
-            elif ctorish or n in scope.summary.comm_assigns:
-                scope.summary.comm_assigns.setdefault(n, []).append(
-                    (stmt.lineno, False))
-
-    def _mentions_cache_ctor(self, expr: ast.expr) -> bool:
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call):
-                chain = _dotted(node.func)
-                if chain[-1:] == ["CommCostCache"] or (
-                        chain[-1:] == ["for_graph"]
-                        and "CommCostCache" in chain):
-                    return True
-        return False
-
-    def _is_freeze_expr(self, expr: ast.expr, scope: _Scope) -> bool:
-        """Is the RHS a *contended* cache — built here with a
-        contention model, or returned by a freeze helper?"""
-        if isinstance(expr, ast.IfExp):
-            return (self._is_freeze_expr(expr.body, scope)
-                    or self._is_freeze_expr(expr.orelse, scope))
-        if not isinstance(expr, ast.Call):
-            return False
-        chain = _dotted(expr.func)
-        if chain[-1:] == ["CommCostCache"] or (
-                chain[-1:] == ["for_graph"] and "CommCostCache" in chain):
-            for kw in expr.keywords:
-                if kw.arg == "contention" and not (
-                        isinstance(kw.value, ast.Constant)
-                        and kw.value.value is None):
-                    return True
-            return False
-        target = self._known(self._resolve(chain, scope))
-        return target in self.know.freeze_returners
 
     def _scan_stmts(self, stmts: list[ast.stmt], scope: _Scope) -> None:
         for stmt in stmts:
@@ -609,18 +506,14 @@ class _Scanner:
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
             self._scan_expr(stmt.iter, scope)
             self._check_iteration(stmt.iter, stmt.lineno, scope)
-            extent = (stmt.lineno, stmt.end_lineno or stmt.lineno)
-            s.loop_extents.append(extent)
-            scope.loop_stack.append(extent)
+            scope.loop_stack.append(stmt.lineno)
             self._scan_stmts(stmt.body, scope)
             scope.loop_stack.pop()
             self._scan_stmts(stmt.orelse, scope)
             return
         if isinstance(stmt, ast.While):
             self._scan_expr(stmt.test, scope)
-            extent = (stmt.lineno, stmt.end_lineno or stmt.lineno)
-            s.loop_extents.append(extent)
-            scope.loop_stack.append(extent)
+            scope.loop_stack.append(stmt.lineno)
             self._scan_stmts(stmt.body, scope)
             scope.loop_stack.pop()
             self._scan_stmts(stmt.orelse, scope)
@@ -750,11 +643,9 @@ class FlowProgram:
                     n for n, s in summaries.items() if s.returns_clock),
                 set_returners=frozenset(
                     n for n, s in summaries.items() if s.returns_set),
-                freeze_returners=frozenset(
-                    n for n, s in summaries.items() if s.freezes),
             )
             self.summaries = summaries
-            if nxt.key() == know.key():
+            if nxt == know:
                 break
             know = nxt
 
@@ -814,15 +705,6 @@ class FlowProgram:
                 )
                 for line, what in s.clock_sites:
                     emit("RD103", s, line, f"{what} {where}")
-            for line, what in s.completion_order:
-                emit("RD104", s, line, (
-                    f"iterating {what} consumes results in worker "
-                    "completion order"
-                ))
-            for line, msg in s.unfrozen_pricing:
-                emit("RC201", s, line, msg)
-            for line, msg in self._stale_freezes(s):
-                emit("RC202", s, line, msg)
             for line, what in s.hot_ctors:
                 emit("RC203", s, line, what)
 
@@ -835,38 +717,3 @@ class FlowProgram:
                 seen.add(key)
                 unique.append(d)
         return unique
-
-    def _stale_freezes(self, s: FunctionSummary):
-        out = []
-        for line, var in s.remap_uses:
-            assigns = s.comm_assigns.get(var, [])
-            if not any(freeze for _, freeze in assigns):
-                continue  # contention-free or unknown-origin cache
-            prior = [a for a in assigns if a[0] < line]
-            if not prior:
-                continue
-            last_line, last_freeze = max(prior)
-            if not last_freeze:
-                continue
-            consumed = [
-                l for l, v in s.remap_uses
-                if v == var and last_line < l < line
-            ]
-            if consumed:
-                out.append((line, (
-                    f"{var!r} frozen at line {last_line} was already "
-                    f"consumed by the remap at line {consumed[0]}: "
-                    "re-freeze from the remapped assignment first"
-                )))
-                continue
-            loops = [e for e in s.loop_extents if e[0] < line <= e[1]]
-            if loops:
-                start, _ = max(loops)  # innermost = latest start
-                if last_line < start:
-                    out.append((line, (
-                        f"{var!r} frozen at line {last_line}, outside "
-                        f"the loop starting at line {start}: the "
-                        "snapshot goes stale after the first remap "
-                        "iteration"
-                    )))
-        return out

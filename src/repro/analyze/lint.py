@@ -21,9 +21,9 @@ the same parsed modules:
     observability sinks, not on stdout;
 
 * the interprocedural rules of :class:`~repro.analyze.flow.FlowProgram`
-  (``RD102``–``RD104``, ``RC201``–``RC203``), which follow calls
-  across functions and files; RD103 keeps wall-clock and environment
-  reads out of the core packages and everything they reach.
+  (``RD102``, ``RD103``, ``RC203``), which follow calls across
+  functions and files; RD103 keeps wall-clock and environment reads
+  out of the core packages and everything they reach.
 
 A finding on a line carrying ``# repro-lint: disable=CODE`` (several
 codes comma-separated, or ``disable=all``) is suppressed and counted in

@@ -13,8 +13,8 @@ Codes are grouped by what they analyze:
 * ``RD1xx`` — interprocedural determinism flow (iteration order or
   the wall clock reaching result-bearing paths, checked over the
   module-level call graph by :mod:`repro.analyze.flow`),
-* ``RC2xx`` — interprocedural engine contracts (the freeze-then-certify
-  contention pricing protocol, cache construction discipline).
+* ``RC2xx`` — interprocedural engine contracts (cache construction
+  discipline).
 
 Codes are *stable*: tests, CI annotations, suppression comments and
 ``docs/analysis.md`` all refer to them, so a code is never renumbered
@@ -316,39 +316,7 @@ RULES: dict[str, Rule] = _catalogue([
         "budgets and knobs as explicit config values, or suppress a "
         "deliberate budget check with a disable comment",
     ),
-    Rule(
-        "RD104", "error", "completion-order-accumulation",
-        "Results are consumed in worker *completion* order "
-        "(as_completed, imap_unordered): float accumulation and "
-        "first-wins merges then depend on thread timing.  The engine's "
-        "parallel driver must collect in submission (item) order, as "
-        "repro.perf.parallel.run_parallel does.",
-        "iterate futures in submission order (deque + popleft) and "
-        "reduce in item order",
-    ),
     # ------------------------------------------------------------- RC2xx
-    Rule(
-        "RC201", "error", "contended-pricing-without-frozen-snapshot",
-        "A CommCostCache is constructed with a contention model but "
-        "without a frozen LinkOccupancy snapshot (missing, or a bare "
-        "empty ledger) outside repro.arch.  The freeze-then-certify "
-        "protocol requires pricing against occupancy frozen from a "
-        "concrete assignment, so that cost(src, dst, volume) stays a "
-        "pure function during the certification that follows.",
-        "freeze first: occ = LinkOccupancy.from_assignment(graph, arch, "
-        "assignment), then CommCostCache.for_graph(..., contention=m, "
-        "occupancy=occ)",
-    ),
-    Rule(
-        "RC202", "error", "stale-occupancy-freeze-across-remap",
-        "A contended cache is used for a remap/compaction call without "
-        "re-freezing after an earlier remap (or a loop re-uses a "
-        "snapshot frozen outside it): the second remap prices against "
-        "occupancy the first one already invalidated, so the certified "
-        "costs drift from the placements actually produced.",
-        "rebuild the frozen cache from the current assignment "
-        "immediately before each contended remap round",
-    ),
     Rule(
         "RC203", "error", "cache-construction-in-hot-loop",
         "A CommCostCache or LinkOccupancy ledger is constructed inside "

@@ -1,7 +1,7 @@
 """The dynamic determinism sanitizer (``repro sanitize``).
 
 The source analyzer (``repro lint``) proves the determinism properties
-it can see syntactically (RL101, RD102-RD104); this module is the
+it can see syntactically (RL101, RD102, RD103); this module is the
 runtime backstop for everything it cannot.  The protocol is blunt and
 effective: run one target ``repro`` command **twice** with the two
 knobs most likely to expose hidden nondeterminism perturbed between
@@ -10,7 +10,8 @@ the runs —
 * ``PYTHONHASHSEED`` — flushes out ``dict``/``set`` iteration-order
   and salted-``hash()`` dependence (the RD102/RL101 classes);
 * ``--jobs`` — flushes out worker-count and completion-order
-  dependence in the parallel drivers (the RL101/RD104 classes);
+  dependence in the parallel drivers (the RL101 class, and results
+  harvested in completion order, which no static rule checks);
 
 — then byte-compare the two outputs after *canonicalization*, which
 scrubs exactly the tokens that legitimately differ between any two

@@ -74,8 +74,8 @@ class CommCostCache:
         ``arch.comm_cost``.
     occupancy:
         The frozen :class:`~repro.arch.contention.LinkOccupancy` the
-        surcharge is computed against (defaults to an empty ledger,
-        which prices exactly like the contention-free cache).  The
+        surcharge is computed against; required with ``contention``
+        (:class:`~repro.errors.ArchitectureError` otherwise).  The
         snapshot must belong to ``arch`` and must not be mutated after
         rows materialise — freeze-then-reprice keeps the price a pure
         function of ``(src, dst, volume)`` for the whole run.
@@ -106,7 +106,9 @@ class CommCostCache:
         if contention is None:
             occupancy = None
         elif occupancy is None:
-            occupancy = LinkOccupancy(arch)
+            raise ArchitectureError(
+                "a contended cache needs a frozen occupancy= snapshot"
+            )
         elif occupancy.arch is not arch:
             raise ArchitectureError(
                 "occupancy snapshot belongs to a different architecture "

@@ -9,6 +9,7 @@ bit-identically to the paper's contention-free model.
 
 from repro.arch import (
     CommCostCache,
+    LinkOccupancy,
     Ring,
     SerializedContention,
     contended_cost,
@@ -131,3 +132,34 @@ class TestContentionDisabledBitIdentical:
         result = contention_aware_schedule(graph, arch, config=cfg)
         assert result.model.name == "serialized"
         assert result.final_cost <= result.blind_cost
+
+
+class TestRoundPricing:
+    def test_each_round_prices_the_previous_rounds_placements(
+        self, monkeypatch
+    ):
+        # every contended round must be priced against occupancy frozen
+        # from the round before it: a snapshot hoisted out of the loop
+        # goes stale from the second round, and a bare LinkOccupancy()
+        # prices the first round blind
+        calls = []
+
+        def recording(graph, arch, *, config=None, comm=None):
+            result = cyclo_compact(graph, arch, config=config, comm=comm)
+            calls.append((comm, result))
+            return result
+
+        monkeypatch.setattr("repro.core.pipeline.cyclo_compact", recording)
+        graph, arch, cfg = bottleneck_case()
+        contention_aware_schedule(
+            graph, arch, config=cfg,
+            model=SerializedContention(weight=3), rounds=4,
+        )
+        assert calls[0][0] is None
+        for (_, before), (comm, _) in zip(calls, calls[1:]):
+            frozen = LinkOccupancy.from_assignment(
+                before.graph, arch, before.schedule.processor_map()
+            )
+            assert comm.occupancy.loads == frozen.loads
+        # the blind run plus four aware rounds (no early fixpoint here)
+        assert len(calls) == 5

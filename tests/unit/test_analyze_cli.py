@@ -156,9 +156,9 @@ class TestListRules:
                      "determinism flow", "engine contracts"):
             assert head in out
         for code in ("RA101", "RL101", "RL109",
-                     "RD102", "RD104", "RC201"):
+                     "RD102", "RD103", "RC203"):
             assert code in out
-        for retired in ("RL102", "RD101"):
+        for retired in ("RL102", "RD101", "RD104", "RC201", "RC202"):
             assert retired not in out
 
     def test_shows_severity_and_title(self, capsys):

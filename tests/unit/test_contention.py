@@ -249,6 +249,12 @@ class TestContendedCache:
                 arch, [1], contention=SerializedContention(), occupancy=other
             )
 
+    def test_contention_without_occupancy_rejected(self):
+        # no default ledger: a contended price needs a frozen snapshot
+        arch = LinearArray(4)
+        with pytest.raises(ArchitectureError, match="occupancy"):
+            CommCostCache(arch, [1], contention=SerializedContention())
+
     def test_warm_hit_rate_with_occupancy_enabled(self):
         arch, cache = self.build(weight=1, occupy=[(0, 3, 2)])
         # warm the bands once, then hammer lookups: row builds count as

@@ -44,9 +44,16 @@ def test_serial_equals_parallel():
     )
 
 
+def _sleep_then_echo(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
 def test_results_in_item_order():
-    items = [7, 3, 11, 1, 9, 2]
-    assert run_parallel(_square, items, jobs=3) == [x * x for x in items]
+    # run times fall along the items, so the workers finish in reverse
+    # item order: a harvest in completion order cannot pass by chance
+    items = [0.15, 0.10, 0.05, 0.0]
+    assert run_parallel(_sleep_then_echo, items, jobs=4) == items
 
 
 def test_empty_items():
