@@ -30,11 +30,7 @@ lives in :data:`RULES` and is documented in ``docs/analysis.md``.
 """
 
 from repro.analyze.arch_rules import check_arch
-from repro.analyze.config_rules import (
-    check_config,
-    check_target_length,
-    length_lower_bound,
-)
+from repro.analyze.config_rules import check_config, check_target_length
 from repro.analyze.diagnostics import (
     SEVERITIES,
     AnalysisReport,
@@ -81,7 +77,6 @@ __all__ = [
     "check_arch",
     "check_config",
     "check_target_length",
-    "length_lower_bound",
     "certify_schedule",
     "analyze_inputs",
     "load_graph_input",

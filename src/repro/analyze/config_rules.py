@@ -1,52 +1,22 @@
 """RA3xx — optimiser-config diagnostics and the static length bound.
 
-The centrepiece is :func:`length_lower_bound`: the largest schedule
-length floor provable from the graph and machine alone —
-
-* the **iteration bound** ``max_C ceil((sum t)/(sum d))`` (no static
-  cyclic schedule of any processor count beats the maximum cycle
-  ratio),
-* the **processor work bound** ``ceil(total work / usable PEs)``
-  (with pipelined PEs each task occupies one control step, so the
-  numerator becomes the task count),
-* the **longest task** ``max t(v)`` (the validator requires every task
-  to finish within the schedule length, and per-PE speed scales are
-  >= 1).
-
-A configured target below that floor is statically infeasible (RA301)
-— the scheduler need never run to reject it.
+RA305 reports the floor ``B`` of
+:func:`repro.core.bounds.length_lower_bound` (iteration bound,
+processor occupancy, longest task); a configured target below it is
+statically infeasible (RA301) — the scheduler need never run to reject
+it.
 """
 
 from __future__ import annotations
 
-import math
-
 from repro.analyze.diagnostics import Diagnostic
 from repro.analyze.rules import make
 from repro.arch.topology import Architecture
+from repro.core.bounds import length_lower_bound
 from repro.core.config import CycloConfig
 from repro.graph.csdfg import CSDFG
-from repro.graph.properties import iteration_bound
 
-__all__ = ["length_lower_bound", "check_config", "check_target_length"]
-
-
-def length_lower_bound(
-    graph: CSDFG, arch: Architecture, config: CycloConfig | None = None
-) -> int:
-    """The statically provable schedule-length floor ``B`` (>= 1)."""
-    if graph.num_nodes == 0:
-        return 1
-    pipelined = bool(config is not None and config.pipelined_pes)
-    alive = sum(1 for p in arch.processors if arch.is_alive(p))
-    occupancy_work = graph.num_nodes if pipelined else graph.total_work()
-    work_bound = -(-occupancy_work // max(1, alive))  # ceil division
-    longest = max(graph.time(v) for v in graph.nodes())
-    bound = max(1, work_bound, longest)
-    ib = iteration_bound(graph)
-    if ib > 0:
-        bound = max(bound, math.ceil(ib))
-    return bound
+__all__ = ["check_config", "check_target_length"]
 
 
 def check_config(config: CycloConfig) -> list[Diagnostic]:

@@ -6,15 +6,10 @@ from repro.baselines.exact import exact_minimum_length, find_schedule_of_length
 from repro.baselines.list_oblivious import oblivious_list_schedule
 from repro.baselines.result import BaselineResult, evaluate_under
 from repro.baselines.rotation_chao import rotation_schedule
-from repro.baselines.sequential import (
-    ScheduleBounds,
-    schedule_bounds,
-    sequential_schedule,
-)
+from repro.baselines.sequential import sequential_schedule
 
 __all__ = [
     "BaselineResult",
-    "ScheduleBounds",
     "comm_rotation_schedule",
     "etf_schedule",
     "evaluate_under",
@@ -22,6 +17,5 @@ __all__ = [
     "find_schedule_of_length",
     "oblivious_list_schedule",
     "rotation_schedule",
-    "schedule_bounds",
     "sequential_schedule",
 ]

@@ -20,12 +20,10 @@ as both endpoints are placed.
 
 from __future__ import annotations
 
-import math
-
 from repro.arch.topology import Architecture
+from repro.core.bounds import length_lower_bound
 from repro.errors import SchedulingError
 from repro.graph.csdfg import CSDFG, Node
-from repro.graph.properties import iteration_bound
 from repro.graph.validation import topological_order_zero_delay
 from repro.schedule.table import ScheduleTable
 from repro.schedule.validate import collect_violations
@@ -142,26 +140,15 @@ def exact_minimum_length(
     """The smallest legal schedule length for ``graph`` on ``arch``
     (no retiming), with a witness schedule.
 
-    Starts at the analytic lower bound (iteration bound, per-PE work,
-    largest task) and increases until a schedule exists;
-    ``max_length`` defaults to the single-PE sequential length.
+    Starts at the floor ``B``
+    (:func:`~repro.core.bounds.length_lower_bound`) and increases until
+    a schedule exists; ``max_length`` defaults to the single-PE
+    sequential length.
     """
-    work = sum(
-        min(arch.execution_time(p, graph.time(v)) for p in arch.processors)
-        for v in graph.nodes()
-    )
     upper = max_length if max_length is not None else max(
         1, sum(arch.execution_time(0, graph.time(v)) for v in graph.nodes())
     )
-    lower = max(
-        1,
-        math.ceil(iteration_bound(graph)),
-        -(-work // arch.num_pes),
-        max(
-            min(arch.execution_time(p, graph.time(v)) for p in arch.processors)
-            for v in graph.nodes()
-        ),
-    )
+    lower = length_lower_bound(graph, arch)
     for length in range(lower, upper + 1):
         schedule = find_schedule_of_length(
             graph, arch, length, node_budget=node_budget

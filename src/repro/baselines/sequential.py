@@ -1,26 +1,19 @@
-"""Single-processor schedule and analytic bounds.
+"""Single-processor schedule: the upper bracket on schedule length.
 
 The sequential schedule (all tasks on PE 0 in zero-delay topological
-order) upper-bounds any sensible parallel schedule; the iteration bound
-and the critical path lower-bound every schedule regardless of
-processor count.  Both brackets are used by the tests and the
-experiment reports to sanity-check scheduler outputs.
+order) upper-bounds any sensible parallel schedule.  The lower bracket
+is the floor ``B`` of :func:`repro.core.bounds.length_lower_bound`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
-
 from repro.arch.topology import Architecture
 from repro.core.psl import projected_schedule_length
 from repro.graph.csdfg import CSDFG
-from repro.graph.properties import critical_path_length, iteration_bound
 from repro.graph.validation import topological_order_zero_delay
 from repro.schedule.table import ScheduleTable
 
-__all__ = ["sequential_schedule", "ScheduleBounds", "schedule_bounds"]
+__all__ = ["sequential_schedule"]
 
 
 def sequential_schedule(graph: CSDFG, arch: Architecture) -> ScheduleTable:
@@ -38,41 +31,3 @@ def sequential_schedule(graph: CSDFG, arch: Architecture) -> ScheduleTable:
         cs += duration
     schedule.set_length(projected_schedule_length(graph, arch, schedule))
     return schedule
-
-
-@dataclass(frozen=True)
-class ScheduleBounds:
-    """Analytic brackets on the achievable schedule length.
-
-    Attributes
-    ----------
-    iteration_bound:
-        Max cycle ratio — no static schedule of any width beats it.
-    critical_path:
-        Longest zero-delay path — binds schedules that do not pipeline
-        across iterations (the start-up schedule).
-    work_bound:
-        ``ceil(total work / num PEs)`` — resource lower bound.
-    sequential:
-        Single-PE schedule length — the upper bracket.
-    """
-
-    iteration_bound: Fraction
-    critical_path: int
-    work_bound: int
-    sequential: int
-
-    @property
-    def lower(self) -> int:
-        """The tightest applicable lower bound for pipelined schedules."""
-        return max(math.ceil(self.iteration_bound), self.work_bound, 1)
-
-
-def schedule_bounds(graph: CSDFG, arch: Architecture) -> ScheduleBounds:
-    """Compute all brackets for ``graph`` on ``arch``."""
-    return ScheduleBounds(
-        iteration_bound=iteration_bound(graph),
-        critical_path=critical_path_length(graph),
-        work_bound=-(-graph.total_work() // arch.num_pes),
-        sequential=sequential_schedule(graph, arch).length,
-    )

@@ -96,9 +96,14 @@ from repro.arch import (
     make_architecture,
     paper_architectures,
 )
-from repro.baselines import schedule_bounds
+from repro.baselines import sequential_schedule
 from repro.codegen import generate_program
-from repro.core import CycloConfig, cyclo_compact, optimize
+from repro.core import (
+    CycloConfig,
+    cyclo_compact,
+    length_lower_bound,
+    optimize,
+)
 from repro.errors import ReproError
 from repro.graph import critical_path_length, iteration_bound, slowdown
 from repro.obs import (
@@ -881,10 +886,10 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
                 "stop_reason": result.stop_reason,
             },
         )
-    bounds = schedule_bounds(graph, arch)
     print(f"{graph.name} on {arch.name}: "
           f"{result.initial_length} -> {result.final_length} control steps "
-          f"(lower bound {bounds.lower}, sequential {bounds.sequential})")
+          f"(lower bound {length_lower_bound(graph, arch, cfg)}, "
+          f"sequential {sequential_schedule(graph, arch).length})")
     if contended is not None:
         rounds = len(contended.round_costs) - 1
         winner_name = (

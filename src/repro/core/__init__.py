@@ -5,9 +5,12 @@ High-level entry points:
 * :func:`repro.core.startup.start_up_schedule` — the §3
   communication-aware list scheduler,
 * :func:`repro.core.cyclo.cyclo_compact` — the §4 optimiser (rotation +
-  remapping with/without relaxation).
+  remapping with/without relaxation),
+* :func:`repro.core.bounds.length_lower_bound` — the floor ``B`` that
+  no legal schedule beats.
 """
 
+from repro.core.bounds import length_lower_bound
 from repro.core.config import CycloConfig
 from repro.core.cyclo import CycloResult, cyclo_compact
 from repro.core.mobility import mobility, mobility_map
@@ -46,6 +49,7 @@ __all__ = [
     "contention_aware_schedule",
     "cyclo_compact",
     "fifo_priority",
+    "length_lower_bound",
     "mobility",
     "mobility_map",
     "mobility_only_priority",

@@ -29,8 +29,9 @@ Pruning, between stages:
   during the last stage — it is stalled above an incumbent it would
   have to beat;
 * everything stops (``"lower-bound"``) once the best known length
-  reaches ``schedule_bounds(graph, arch).lower`` — no restart can beat
-  the analytic bound, so finishing the others is wasted work.
+  reaches ``length_lower_bound(graph, arch, config)`` — no restart can
+  beat the floor ``B`` (which counts pipelined PEs' issue slots, not
+  their work), so finishing the others is wasted work.
 
 Both prunings read only stage-boundary lengths, so they are as
 deterministic as the engine itself.  Wall-clock deadlines are stripped
@@ -45,7 +46,7 @@ import zlib
 from dataclasses import dataclass, replace
 
 from repro.arch.topology import Architecture
-from repro.baselines import schedule_bounds
+from repro.core.bounds import length_lower_bound
 from repro.core.config import CycloConfig
 from repro.core.cyclo import cyclo_compact
 from repro.core.priority import PriorityKey, paper_priority
@@ -209,7 +210,7 @@ def best_of_restarts(
         )
     cfg = config if config is not None else CycloConfig()
     total = cfg.iterations_for(graph.num_nodes)
-    lower = schedule_bounds(graph, arch).lower
+    lower = length_lower_bound(graph, arch, cfg)
 
     with span(
         "best_of_restarts",

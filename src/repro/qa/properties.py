@@ -34,8 +34,9 @@ workloads:
     retimed graph exactly, and preserves every cycle invariant
     (iteration bound); a freshly scheduled retimed graph validates.
 ``bounds``
-    Analytic brackets: every produced length is at least the iteration
-    bound (and the work bound where it applies) and compaction never
+    Analytic brackets: every produced length is at least the floor
+    ``B`` (:func:`repro.core.bounds.length_lower_bound`, on every
+    sample, pipelined and degraded ones too) and compaction never
     returns a best schedule longer than its start-up schedule; without
     relaxation, accepted pass lengths are monotone non-increasing
     (Theorem 4.4).  On tiny instances the exhaustive baseline
@@ -85,7 +86,6 @@ workloads:
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import Callable
@@ -104,6 +104,7 @@ from repro.arch.topology import Architecture
 from repro.baselines.etf import etf_schedule
 from repro.baselines.exact import exact_minimum_length
 from repro.baselines.sequential import sequential_schedule
+from repro.core.bounds import length_lower_bound
 from repro.core.config import CycloConfig
 from repro.core.cyclo import CycloResult, cyclo_compact
 from repro.core.pipeline import contention_aware_schedule
@@ -382,26 +383,17 @@ def prop_bounds(
 ) -> list[str]:
     problems: list[str] = []
     result = _compact(graph, arch, cfg)
-    bound = iteration_bound(graph)
-    floor = max(1, math.ceil(bound)) if bound > 0 else 1
+    floor = length_lower_bound(graph, arch, cfg)
     if result.final_length < floor:
         problems.append(
-            f"final length {result.final_length} beats the iteration "
-            f"bound {bound}"
+            f"final length {result.final_length} beats the length floor "
+            f"B = {floor}"
         )
     if result.final_length > result.initial_length:
         problems.append(
             f"best schedule ({result.final_length}) is longer than the "
             f"start-up schedule ({result.initial_length})"
         )
-    alive = [p for p in range(arch.num_pes) if arch.is_alive(p)]
-    if not cfg.pipelined_pes and not arch.is_heterogeneous:
-        work_bound = -(-graph.total_work() // max(1, len(alive)))
-        if result.final_length < work_bound:
-            problems.append(
-                f"final length {result.final_length} beats the work "
-                f"bound {work_bound}"
-            )
     if not cfg.relaxation:
         lengths = [
             r.length_after for r in result.trace.records if r.accepted

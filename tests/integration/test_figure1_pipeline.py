@@ -9,8 +9,13 @@ reach the paper's 5 control steps or better.
 import math
 
 from repro.analysis import run_cell
-from repro.baselines import schedule_bounds
-from repro.core import CycloConfig, cyclo_compact, start_up_schedule
+from repro.baselines import sequential_schedule
+from repro.core import (
+    CycloConfig,
+    cyclo_compact,
+    length_lower_bound,
+    start_up_schedule,
+)
 from repro.graph import iteration_bound
 from repro.retiming import apply_retiming
 from repro.schedule import render_table, validate_schedule
@@ -65,6 +70,6 @@ class TestCompactionMatchesPaper:
 class TestAgainstBounds:
     def test_final_inside_analytic_bracket(self):
         g, m = figure1_csdfg(), figure1_mesh()
-        b = schedule_bounds(g, m)
         result = cyclo_compact(g, m)
-        assert b.lower <= result.final_length <= b.sequential
+        assert length_lower_bound(g, m) <= result.final_length
+        assert result.final_length <= sequential_schedule(g, m).length

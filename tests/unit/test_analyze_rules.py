@@ -16,7 +16,6 @@ from repro.analyze import (
     check_graph,
     check_graph_payload,
     check_target_length,
-    length_lower_bound,
     load_graph_input,
     make,
     rule,
@@ -25,7 +24,7 @@ from repro.arch import make_architecture
 from repro.arch.degraded import DegradedTopology
 from repro.core import CycloConfig
 from repro.errors import AnalysisError
-from repro.graph import CSDFG, iteration_bound
+from repro.graph import CSDFG
 from repro.graph.io import to_json
 from repro.workloads import make_workload
 
@@ -229,33 +228,6 @@ class TestConfigAndBounds:
 
     def test_default_config_is_quiet(self):
         assert check_config(CycloConfig()) == []
-
-    def test_lower_bound_work_and_longest_task(self):
-        g = CSDFG("w")
-        g.add_node("a", 5)
-        g.add_node("b", 1)
-        g.add_edge("a", "b", 1, 1)
-        arch = make_architecture("linear", 2)
-        # work bound ceil(6/2)=3 < longest task 5
-        assert length_lower_bound(g, arch) == 5
-
-    def test_lower_bound_includes_iteration_bound(self, figure1):
-        arch = make_architecture("complete", 8)
-        b = length_lower_bound(figure1, arch)
-        assert b >= iteration_bound(figure1)
-
-    def test_pipelined_counts_issue_slots(self):
-        g = CSDFG("p")
-        for i in range(4):
-            g.add_node(f"n{i}", 3)
-        for i in range(3):
-            g.add_edge(f"n{i}", f"n{i+1}", 1, 1)
-        arch = make_architecture("linear", 2)
-        plain = length_lower_bound(g, arch)          # ceil(12/2) = 6
-        piped = length_lower_bound(
-            g, arch, CycloConfig(pipelined_pes=True)
-        )                                            # max(ceil(4/2), t=3)
-        assert plain == 6 and piped == 3
 
     def test_infeasible_target_is_ra301(self, figure1, mesh2x2):
         found = check_target_length(figure1, mesh2x2, None, 1)

@@ -7,11 +7,15 @@ from repro.baselines import (
     comm_rotation_schedule,
     oblivious_list_schedule,
     rotation_schedule,
-    schedule_bounds,
     sequential_schedule,
 )
-from repro.core import CycloConfig, cyclo_compact
-from repro.graph import CSDFG, scale_volumes
+from repro.core import CycloConfig, cyclo_compact, length_lower_bound
+from repro.graph import (
+    CSDFG,
+    critical_path_length,
+    iteration_bound,
+    scale_volumes,
+)
 from repro.schedule import is_valid_schedule
 
 
@@ -29,19 +33,16 @@ class TestSequential:
 
 class TestBounds:
     def test_brackets(self, figure1, mesh2x2):
-        b = schedule_bounds(figure1, mesh2x2)
-        assert b.iteration_bound == 3
-        assert b.critical_path == 6
-        assert b.work_bound == 2  # ceil(8 / 4)
-        assert b.sequential == 8
-        assert b.lower == 3
+        assert iteration_bound(figure1) == 3
+        assert critical_path_length(figure1) == 6
+        assert sequential_schedule(figure1, mesh2x2).length == 8
+        assert length_lower_bound(figure1, mesh2x2) == 3
 
     def test_schedulers_respect_bounds(self, figure7):
         arch = CompletelyConnected(8)
-        b = schedule_bounds(figure7, arch)
         result = cyclo_compact(figure7, arch)
-        assert result.final_length >= math.ceil(b.iteration_bound)
-        assert result.final_length >= b.work_bound
+        assert result.final_length >= math.ceil(iteration_bound(figure7))
+        assert result.final_length >= length_lower_bound(figure7, arch)
 
 
 class TestObliviousList:

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -97,6 +99,26 @@ class TestSchedule:
                 "none",
             ]
         ) == 0
+
+    def test_printed_lower_bound_is_a_floor(self, capsys):
+        # pipelined PEs issue one task per step: the floor counts tasks
+        assert main(
+            [
+                "schedule",
+                "--workload",
+                "fir8",
+                "--arch",
+                "complete",
+                "--pes",
+                "2",
+                "--pipelined",
+                "--render",
+                "none",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        found = re.search(r"-> (\d+) control steps \(lower bound (\d+)", out)
+        assert found and int(found.group(2)) <= int(found.group(1))
 
     def test_slowdown_flag(self, capsys):
         assert main(

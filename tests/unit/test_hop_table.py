@@ -84,13 +84,15 @@ def test_degraded_mesh_matches_networkx_over_survivors():
 
 
 def test_import_loads_no_numpy():
+    # the engine and its CLI load neither numpy nor the analyzer
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, repro, repro.cli; "
-        "sys.exit('numpy' in sys.modules)"
+        "sys.exit(sorted(m for m in sys.modules if m == 'numpy' "
+        "or m.startswith('repro.analyze')) or None)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
-    assert proc.returncode == 0, proc.stderr or "import repro loaded numpy"
+    assert proc.returncode == 0, f"import repro loaded {proc.stderr}"

@@ -63,6 +63,17 @@ class TestBestOfN:
         )
         assert report.final_length <= single.final_length
 
+    @pytest.mark.parametrize("kind,pes", [("complete", 2), ("linear", 3)])
+    def test_never_worse_than_single_run_when_pipelined(self, kind, pes):
+        # the early stop must use the pipelined floor (issue slots, not
+        # work), or restarts stop before restart 0 reaches its length
+        graph = make_workload("figure7")
+        arch = make_architecture(kind, pes)
+        cfg = CycloConfig(pipelined_pes=True)
+        single = cyclo_compact(graph, arch, config=cfg)
+        report = best_of_restarts(graph, arch, cfg, restarts=4)
+        assert report.final_length <= single.final_length
+
     def test_winning_schedule_is_legal(self):
         graph = make_workload("figure7")
         arch = make_architecture("mesh", 8)
