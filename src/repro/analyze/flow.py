@@ -132,7 +132,7 @@ def _dotted(node: ast.expr) -> list[str]:
 class FunctionSummary:
     """Everything the propagation needs to know about one function.
 
-    ``name`` is fully qualified (``repro.perf.restarts._run_stage``);
+    ``name`` is fully qualified (``repro.perf.restarts._run_restart``);
     the module-level statements of each file get a ``<module>``
     pseudo-function.
     """

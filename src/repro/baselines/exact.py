@@ -142,11 +142,12 @@ def exact_minimum_length(
 
     Starts at the floor ``B``
     (:func:`~repro.core.bounds.length_lower_bound`) and increases until
-    a schedule exists; ``max_length`` defaults to the single-PE
-    sequential length.
+    a schedule exists; ``max_length`` defaults to the sequential length
+    on the first live PE.
     """
+    pe = arch.processors[0]
     upper = max_length if max_length is not None else max(
-        1, sum(arch.execution_time(0, graph.time(v)) for v in graph.nodes())
+        1, sum(arch.execution_time(pe, graph.time(v)) for v in graph.nodes())
     )
     lower = length_lower_bound(graph, arch)
     for length in range(lower, upper + 1):

@@ -84,7 +84,6 @@ run-history store that ``repro obs`` aggregates; see
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 from typing import Sequence
@@ -170,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sched.add_argument(
         "--jobs", type=int, default=1, metavar="M",
-        help="worker processes for sharded restarts (wall-clock only; "
+        help="worker processes for restarts (wall-clock only; "
              "never changes the winner)",
     )
     p_sched.add_argument(
@@ -802,18 +801,6 @@ def _make_pair(args: argparse.Namespace):
     return graph, arch
 
 
-@dataclasses.dataclass(frozen=True)
-class _RestartResultView:
-    """Adapts a RestartReport to the CycloResult fields the schedule
-    command renders, so both paths share one output pipeline."""
-
-    graph: object
-    schedule: object
-    initial_length: int
-    final_length: int
-    stop_reason: str
-
-
 def _cmd_schedule(args: argparse.Namespace) -> int:
     graph, arch = _make_pair(args)
     contention = args.contention if args.contention != "none" else None
@@ -838,16 +825,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         if contention is not None:
             from repro.core import contention_aware_schedule
 
-            contended = contention_aware_schedule(graph, arch, config=cfg)
-            winner = (
-                contended.blind if contended.comm is None else contended.aware
-            )
-            result = _RestartResultView(
-                graph=contended.graph,
-                schedule=contended.schedule,
-                initial_length=contended.initial_length,
-                final_length=contended.final_length,
-                stop_reason=winner.stop_reason,
+            result = contended = contention_aware_schedule(
+                graph, arch, config=cfg
             )
         elif args.restarts > 1:
             from repro.perf import best_of_restarts
@@ -860,13 +839,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
                 jobs=args.jobs,
                 seed=args.restart_seed,
             )
-            result = _RestartResultView(
-                graph=report.graph,
-                schedule=report.schedule,
-                initial_length=report.winner.initial_length,
-                final_length=report.final_length,
-                stop_reason=report.winner.stop_reason,
-            )
+            result = report.result
         elif args.refine:
             result = optimize(graph, arch, config=cfg)
         else:
@@ -902,8 +875,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
               f"{contended.final_cost} ({winner_name})")
     if report is not None:
         print(f"best of {report.restarts} restarts "
-              f"(seed {report.seed}, {report.stages} stages): "
-              f"winner restart {report.winner.index}")
+              f"(seed {report.seed}): winner restart {report.winner.index}")
         for o in report.outcomes:
             marker = "*" if o.index == report.winner.index else " "
             print(f"  {marker} restart {o.index}: length {o.length} "

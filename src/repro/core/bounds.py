@@ -16,9 +16,8 @@ smallest speed scale among them (1 on a homogeneous machine)::
   task to finish within the schedule length.
 
 Every caller that needs a floor reads this one: the static analyzer's
-RA301/RA305, the exact search's starting length, the restart driver's
-early stop, ``repro schedule``'s report and the ``bounds`` fuzz
-property.
+RA301/RA305, the exact search's starting length, ``repro schedule``'s
+report and the ``bounds`` fuzz property.
 """
 
 from __future__ import annotations

@@ -177,6 +177,11 @@ class ContentionResult:
         return self.schedule.length
 
     @property
+    def stop_reason(self) -> str:
+        """Why the winning run's compaction loop ended."""
+        return (self.blind if self.aware is None else self.aware).stop_reason
+
+    @property
     def blind_cost(self) -> int:
         """Contended bill of the contention-blind baseline."""
         return self.blind_report.contended_cost

@@ -7,9 +7,9 @@ Three modules:
   suites, benchmark sweeps, resilience chaos campaigns), with
   per-worker observability metrics merged back into the parent
   registry.
-* :mod:`repro.perf.restarts` — :func:`best_of_restarts`, sharded
-  best-of-N priority-jittered compaction restarts with best-known-length
-  pruning between stages, deterministic for a fixed ``(seed, restarts)``
+* :mod:`repro.perf.restarts` — :func:`best_of_restarts`, best-of-N
+  priority-jittered compaction restarts, each an independent run over
+  :func:`run_parallel`, deterministic for a fixed ``(seed, restarts)``
   regardless of the worker count.
 * :mod:`repro.perf.reference` — the *pre-optimisation* scheduling
   engine, preserved verbatim: the naive cell-dict

@@ -59,7 +59,7 @@ workloads:
     The in-process face of the dynamic determinism sanitizer
     (``repro sanitize``, :mod:`repro.analyze.sanitize`): running the
     pipeline twice on the same inputs yields byte-identical canonical
-    schedule fingerprints, and (on small instances) the sharded
+    schedule fingerprints, and (on small instances) the best-of-N
     restart driver agrees with itself across repeated runs — the
     cross-process ``PYTHONHASHSEED``/``--jobs`` perturbation of the
     same contract lives in the CI sanitize smoke.
@@ -673,7 +673,7 @@ def prop_sanitizer_agrees(
         problems.append(
             f"cyclo_compact is not deterministic: {fp_a!r} != {fp_b!r}"
         )
-    # the sharded restart driver must agree with itself too; gate to
+    # the best-of-N restart driver must agree with itself too; gate to
     # small instances so a fuzz trial stays cheap
     if graph.num_nodes <= 8:
         from repro.perf.restarts import best_of_restarts

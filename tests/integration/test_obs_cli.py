@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -150,6 +152,26 @@ class TestHistoryRecording:
         assert rec.duration_seconds > 0
         assert "remap" in rec.phases
         assert rec.attrs["final_length"] <= rec.attrs["initial_length"]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--restarts", "3"], ["--contention", "serialized"]],
+        ids=["restarts", "contention"],
+    )
+    def test_quality_levers_record_the_winning_run(
+        self, tmp_path, capsys, extra
+    ):
+        from repro.obs.history import HistoryStore
+
+        hist = tmp_path / "history"
+        assert main(["schedule", "figure7", "--arch", "mesh", "--pes", "8",
+                     "--iterations", "12", "--render", "none",
+                     "--history-dir", str(hist), *extra]) == 0
+        out = capsys.readouterr().out
+        attrs = HistoryStore(hist).load("schedule")[0].attrs
+        assert attrs["stop_reason"] in {"completed", "converged", "patience"}
+        assert (f"{attrs['initial_length']} -> {attrs['final_length']} "
+                "control steps") in out
 
     def test_repeat_runs_accumulate_append_only(self, tmp_path):
         from repro.obs.history import HistoryStore

@@ -2,9 +2,16 @@
 
 import math
 
-from repro.arch import CompletelyConnected, LinearArray, Mesh2D
+from repro.arch import (
+    CompletelyConnected,
+    DegradedTopology,
+    LinearArray,
+    Mesh2D,
+    make_architecture,
+)
 from repro.baselines import (
     comm_rotation_schedule,
+    exact_minimum_length,
     oblivious_list_schedule,
     rotation_schedule,
     sequential_schedule,
@@ -16,7 +23,7 @@ from repro.graph import (
     iteration_bound,
     scale_volumes,
 )
-from repro.schedule import is_valid_schedule
+from repro.schedule import collect_violations, is_valid_schedule
 
 
 class TestSequential:
@@ -29,6 +36,26 @@ class TestSequential:
     def test_everything_on_pe0(self, figure7):
         s = sequential_schedule(figure7, LinearArray(8))
         assert all(p.pe == 0 for p in s.placements())
+
+
+class TestDeadPE0:
+    """Both baselines time and place on the first live PE, so a machine
+    whose PE 0 failed still gets a schedule (not DeadProcessorError)."""
+
+    def arch(self):
+        return DegradedTopology(make_architecture("mesh", 4), failed_pes=(0,))
+
+    def test_sequential_uses_live_pes_only(self, figure1):
+        arch = self.arch()
+        s = sequential_schedule(figure1, arch)
+        assert {p.pe for p in s.placements()} <= set(arch.processors)
+        assert collect_violations(figure1, arch, s) == []
+
+    def test_exact_witness_is_legal(self, figure1):
+        arch = self.arch()
+        length, witness = exact_minimum_length(figure1, arch)
+        assert length >= length_lower_bound(figure1, arch)
+        assert collect_violations(figure1, arch, witness) == []
 
 
 class TestBounds:
