@@ -20,82 +20,36 @@ algorithms), :mod:`repro.baselines`, :mod:`repro.workloads`,
 :mod:`repro.analysis`, :mod:`repro.obs` (tracing/metrics),
 :mod:`repro.resilience` (fault injection, schedule repair,
 checkpoint/resume, chaos harness).
+
+Every package exports its names lazily (:mod:`repro._exports`):
+importing one runs only its ``__init__``, and a name loads its module
+on first access.
 """
 
-from repro.arch import (
-    Architecture,
-    CompletelyConnected,
-    Hypercube,
-    LinearArray,
-    Mesh2D,
-    Ring,
-    make_architecture,
-    paper_architectures,
-)
-from repro.codegen import generate_program
-from repro.core import (
-    CycloConfig,
-    CycloResult,
-    OptimizeResult,
-    cyclo_compact,
-    optimize,
-    refine_schedule,
-    start_up_schedule,
-)
-from repro.errors import ReproError
-from repro.graph import CSDFG, iteration_bound, validate_csdfg
-from repro.schedule import (
-    ScheduleTable,
-    compute_metrics,
-    render_gantt,
-    render_table,
-    validate_schedule,
-)
-from repro.sim import buffer_requirements, simulate
-from repro.workloads import (
-    elliptic_wave_filter,
-    figure1_csdfg,
-    figure1_mesh,
-    figure7_csdfg,
-    lattice_filter,
-    make_workload,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Architecture",
-    "CSDFG",
-    "CompletelyConnected",
-    "CycloConfig",
-    "CycloResult",
-    "Hypercube",
-    "LinearArray",
-    "Mesh2D",
-    "OptimizeResult",
-    "ReproError",
-    "Ring",
-    "ScheduleTable",
-    "__version__",
-    "compute_metrics",
-    "cyclo_compact",
-    "elliptic_wave_filter",
-    "figure1_csdfg",
-    "figure1_mesh",
-    "figure7_csdfg",
-    "generate_program",
-    "iteration_bound",
-    "lattice_filter",
-    "make_architecture",
-    "make_workload",
-    "optimize",
-    "paper_architectures",
-    "refine_schedule",
-    "render_gantt",
-    "render_table",
-    "simulate",
-    "buffer_requirements",
-    "start_up_schedule",
-    "validate_csdfg",
-    "validate_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "arch": (
+        "Architecture", "CompletelyConnected", "Hypercube", "LinearArray",
+        "Mesh2D", "Ring", "make_architecture", "paper_architectures",
+    ),
+    "codegen": ("generate_program",),
+    "core": (
+        "CycloConfig", "CycloResult", "OptimizeResult", "cyclo_compact",
+        "optimize", "refine_schedule", "start_up_schedule",
+    ),
+    "errors": ("ReproError",),
+    "graph": ("CSDFG", "iteration_bound", "validate_csdfg"),
+    "schedule": (
+        "ScheduleTable", "compute_metrics", "render_gantt", "render_table",
+        "validate_schedule",
+    ),
+    "sim": ("buffer_requirements", "simulate"),
+    "workloads": (
+        "elliptic_wave_filter", "figure1_csdfg", "figure1_mesh",
+        "figure7_csdfg", "lattice_filter", "make_workload",
+    ),
+})
+__all__ += ["__version__"]

@@ -1,54 +1,23 @@
 """Experiment harness: runners, table formatting, ablations,
 convergence studies."""
 
-from repro.analysis.ablation import (
-    PRIORITY_VARIANTS,
-    CommAblationRow,
-    comm_awareness_ablation,
-    priority_ablation,
-    relaxation_ablation,
-)
-from repro.analysis.convergence import ConvergenceReport, convergence_study
-from repro.analysis.experiments import ExperimentCell, run_cell, run_grid
-from repro.analysis.full_report import generate_full_report
-from repro.analysis.recommend import ArchitectureScore, recommend_architecture
-from repro.analysis.report import (
-    PaperComparison,
-    markdown_comparison_table,
-    markdown_grid,
-)
-from repro.analysis.sweep import (
-    SweepPoint,
-    pe_count_sweep,
-    slowdown_sweep,
-    volume_sweep,
-)
-from repro.analysis.tables import format_cells, format_table11
-from repro.analysis.unfolding import UnfoldingPoint, unfolding_study
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CommAblationRow",
-    "ConvergenceReport",
-    "ExperimentCell",
-    "PRIORITY_VARIANTS",
-    "ArchitectureScore",
-    "PaperComparison",
-    "SweepPoint",
-    "UnfoldingPoint",
-    "comm_awareness_ablation",
-    "convergence_study",
-    "format_cells",
-    "format_table11",
-    "generate_full_report",
-    "markdown_comparison_table",
-    "markdown_grid",
-    "pe_count_sweep",
-    "priority_ablation",
-    "recommend_architecture",
-    "relaxation_ablation",
-    "run_cell",
-    "run_grid",
-    "slowdown_sweep",
-    "unfolding_study",
-    "volume_sweep",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ablation": (
+        "PRIORITY_VARIANTS", "CommAblationRow", "comm_awareness_ablation",
+        "priority_ablation", "relaxation_ablation",
+    ),
+    "convergence": ("ConvergenceReport", "convergence_study"),
+    "experiments": ("ExperimentCell", "run_cell", "run_grid"),
+    "full_report": ("generate_full_report",),
+    "recommend": ("ArchitectureScore", "recommend_architecture"),
+    "report": (
+        "PaperComparison", "markdown_comparison_table", "markdown_grid",
+    ),
+    "sweep": (
+        "SweepPoint", "pe_count_sweep", "slowdown_sweep", "volume_sweep",
+    ),
+    "tables": ("format_cells", "format_table11"),
+    "unfolding": ("UnfoldingPoint", "unfolding_study"),
+})

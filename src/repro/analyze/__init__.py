@@ -29,75 +29,25 @@ text, JSON or SARIF 2.1.0 (:func:`render_report`).  The rule catalogue
 lives in :data:`RULES` and is documented in ``docs/analysis.md``.
 """
 
-from repro.analyze.arch_rules import check_arch
-from repro.analyze.config_rules import check_config, check_target_length
-from repro.analyze.diagnostics import (
-    SEVERITIES,
-    AnalysisReport,
-    Diagnostic,
-    Severity,
-)
-from repro.analyze.emit import FORMATS, render_report, to_json, to_sarif
-from repro.analyze.flow import FlowProgram, FunctionSummary
-from repro.analyze.sanitize import (
-    RunOutcome,
-    SanitizeReport,
-    canonicalize_output,
-    sanitize_command,
-    schedule_fingerprint,
-)
-from repro.analyze.suppress import (
-    Suppressions,
-    apply_suppressions,
-    parse_suppressions,
-)
-from repro.analyze.engine import (
-    analyze_inputs,
-    build_architecture,
-    load_config_input,
-    load_graph_input,
-    load_schedule_input,
-)
-from repro.analyze.graph_rules import check_graph, check_graph_payload
-from repro.analyze.lint import infer_module, lint_paths, lint_source
-from repro.analyze.rules import RULES, Rule, make, rule
-from repro.analyze.schedule_cert import certify_schedule
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SEVERITIES",
-    "Severity",
-    "Diagnostic",
-    "AnalysisReport",
-    "Rule",
-    "RULES",
-    "rule",
-    "make",
-    "check_graph",
-    "check_graph_payload",
-    "check_arch",
-    "check_config",
-    "check_target_length",
-    "certify_schedule",
-    "analyze_inputs",
-    "load_graph_input",
-    "build_architecture",
-    "load_config_input",
-    "load_schedule_input",
-    "lint_source",
-    "lint_paths",
-    "infer_module",
-    "FlowProgram",
-    "FunctionSummary",
-    "sanitize_command",
-    "canonicalize_output",
-    "schedule_fingerprint",
-    "SanitizeReport",
-    "RunOutcome",
-    "Suppressions",
-    "parse_suppressions",
-    "apply_suppressions",
-    "FORMATS",
-    "render_report",
-    "to_json",
-    "to_sarif",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "arch_rules": ("check_arch",),
+    "config_rules": ("check_config", "check_target_length"),
+    "diagnostics": ("SEVERITIES", "AnalysisReport", "Diagnostic", "Severity"),
+    "emit": ("FORMATS", "render_report", "to_json", "to_sarif"),
+    "flow": ("FlowProgram", "FunctionSummary"),
+    "sanitize": (
+        "RunOutcome", "SanitizeReport", "canonicalize_output",
+        "sanitize_command", "schedule_fingerprint",
+    ),
+    "suppress": ("Suppressions", "apply_suppressions", "parse_suppressions"),
+    "engine": (
+        "analyze_inputs", "build_architecture", "load_config_input",
+        "load_graph_input", "load_schedule_input",
+    ),
+    "graph_rules": ("check_graph", "check_graph_payload"),
+    "lint": ("infer_module", "lint_paths", "lint_source"),
+    "rules": ("RULES", "Rule", "make", "rule"),
+    "schedule_cert": ("certify_schedule",),
+})

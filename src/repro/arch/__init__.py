@@ -7,102 +7,41 @@ counts by default; see :mod:`repro.arch.comm` for alternative cost
 models.
 """
 
-from repro.arch.cache import CommCostCache
-from repro.arch.cayley import (
-    BubbleSortGraph,
-    CayleyTopology,
-    Circulant,
-    PancakeGraph,
-    StarGraph,
-)
-from repro.arch.comm import (
-    CONTENTION_MODELS,
-    CommModel,
-    ConstantLatencyModel,
-    ContentionModel,
-    NoContention,
-    ScaledContention,
-    SerializedContention,
-    StoreAndForwardModel,
-    WormholeModel,
-    ZeroCommModel,
-    make_contention_model,
-)
-from repro.arch.complete import CompletelyConnected
-from repro.arch.contention import (
-    ContendedCostReport,
-    LinkLoadReport,
-    LinkOccupancy,
-    contended_cost,
-    link_loads,
-)
-from repro.arch.custom import (
-    CustomArchitecture,
-    from_adjacency,
-    load_architecture,
-    save_architecture,
-)
-from repro.arch.degraded import DegradedTopology
-from repro.arch.hypercube import Hypercube
-from repro.arch.linear import LinearArray
-from repro.arch.mesh import Mesh2D
-from repro.arch.registry import (
-    ARCHITECTURE_KINDS,
-    make_architecture,
-    paper_architectures,
-)
-from repro.arch.ring import Ring
-from repro.arch.routing import ecube_route, route, shortest_path, xy_route
-from repro.arch.star import Star
-from repro.arch.topology import Architecture
-from repro.arch.torus import Torus2D
-from repro.arch.visualize import render_architecture, render_processor_load
-from repro.arch.tree import BalancedTree
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ARCHITECTURE_KINDS",
-    "Architecture",
-    "BalancedTree",
-    "BubbleSortGraph",
-    "CONTENTION_MODELS",
-    "CayleyTopology",
-    "Circulant",
-    "CommCostCache",
-    "CommModel",
-    "CompletelyConnected",
-    "ConstantLatencyModel",
-    "ContendedCostReport",
-    "ContentionModel",
-    "CustomArchitecture",
-    "DegradedTopology",
-    "Hypercube",
-    "LinearArray",
-    "LinkLoadReport",
-    "LinkOccupancy",
-    "Mesh2D",
-    "NoContention",
-    "PancakeGraph",
-    "Ring",
-    "ScaledContention",
-    "SerializedContention",
-    "Star",
-    "StarGraph",
-    "StoreAndForwardModel",
-    "Torus2D",
-    "WormholeModel",
-    "ZeroCommModel",
-    "contended_cost",
-    "ecube_route",
-    "from_adjacency",
-    "link_loads",
-    "load_architecture",
-    "make_architecture",
-    "make_contention_model",
-    "paper_architectures",
-    "render_architecture",
-    "render_processor_load",
-    "route",
-    "save_architecture",
-    "shortest_path",
-    "xy_route",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": ("CommCostCache",),
+    "cayley": (
+        "BubbleSortGraph", "CayleyTopology", "Circulant", "PancakeGraph",
+        "StarGraph",
+    ),
+    "comm": (
+        "CONTENTION_MODELS", "CommModel", "ConstantLatencyModel",
+        "ContentionModel", "NoContention", "ScaledContention",
+        "SerializedContention", "StoreAndForwardModel", "WormholeModel",
+        "ZeroCommModel", "make_contention_model",
+    ),
+    "complete": ("CompletelyConnected",),
+    "contention": (
+        "ContendedCostReport", "LinkLoadReport", "LinkOccupancy",
+        "contended_cost", "link_loads",
+    ),
+    "custom": (
+        "CustomArchitecture", "from_adjacency", "load_architecture",
+        "save_architecture",
+    ),
+    "degraded": ("DegradedTopology",),
+    "hypercube": ("Hypercube",),
+    "linear": ("LinearArray",),
+    "mesh": ("Mesh2D",),
+    "registry": (
+        "ARCHITECTURE_KINDS", "make_architecture", "paper_architectures",
+    ),
+    "ring": ("Ring",),
+    "routing": ("ecube_route", "route", "shortest_path", "xy_route"),
+    "star": ("Star",),
+    "topology": ("Architecture",),
+    "torus": ("Torus2D",),
+    "visualize": ("render_architecture", "render_processor_load"),
+    "tree": ("BalancedTree",),
+})

@@ -217,6 +217,9 @@ class ContendedCostReport:
     transfers; ``contended_cost`` re-prices each transfer with the
     load of the *other* transfers sharing its route (self-exclusive,
     so the total does not depend on edge enumeration order).
+    ``occupancy`` is the ledger the transfers were priced against, so a
+    caller can freeze it into the next price snapshot without routing
+    the assignment again.
     """
 
     base_cost: int = 0
@@ -224,6 +227,9 @@ class ContendedCostReport:
     max_link_load: int = 0
     num_remote_edges: int = 0
     loads: dict[tuple[int, int], int] = field(default_factory=dict)
+    occupancy: LinkOccupancy | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def congestion_penalty(self) -> int:
@@ -272,4 +278,5 @@ def contended_cost(
         max_link_load=occ.max_load,
         num_remote_edges=remote,
         loads=occ.loads,
+        occupancy=occ,
     )

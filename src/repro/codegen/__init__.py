@@ -1,19 +1,10 @@
 """Code generation: per-PE programs from scheduling results."""
 
-from repro.codegen.program import (
-    ComputeOp,
-    LoopProgram,
-    PEProgram,
-    RecvOp,
-    SendOp,
-    generate_program,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ComputeOp",
-    "LoopProgram",
-    "PEProgram",
-    "RecvOp",
-    "SendOp",
-    "generate_program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "program": (
+        "ComputeOp", "LoopProgram", "PEProgram", "RecvOp", "SendOp",
+        "generate_program",
+    ),
+})

@@ -10,57 +10,30 @@ High-level entry points:
   no legal schedule beats.
 """
 
-from repro.core.bounds import length_lower_bound
-from repro.core.config import CycloConfig
-from repro.core.cyclo import CycloResult, cyclo_compact
-from repro.core.mobility import mobility, mobility_map
-from repro.core.pipeline import (
-    ContentionResult,
-    OptimizeResult,
-    contention_aware_schedule,
-    optimize,
-)
-from repro.core.priority import (
-    PriorityFn,
-    PriorityKey,
-    fifo_priority,
-    mobility_only_priority,
-    paper_priority,
-    volume_only_priority,
-)
-from repro.core.psl import projected_schedule_length, psl_edge_bound
-from repro.core.refine import RefineResult, refine_schedule
-from repro.core.remapping import RemapOutcome, remap_nodes
-from repro.core.rotation import rotate_schedule, undo_rotation
-from repro.core.startup import start_up_schedule
-from repro.core.trace import CompactionTrace, IterationRecord
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CompactionTrace",
-    "ContentionResult",
-    "CycloConfig",
-    "CycloResult",
-    "IterationRecord",
-    "OptimizeResult",
-    "PriorityFn",
-    "PriorityKey",
-    "RefineResult",
-    "RemapOutcome",
-    "contention_aware_schedule",
-    "cyclo_compact",
-    "fifo_priority",
-    "length_lower_bound",
-    "mobility",
-    "mobility_map",
-    "mobility_only_priority",
-    "optimize",
-    "paper_priority",
-    "projected_schedule_length",
-    "psl_edge_bound",
-    "refine_schedule",
-    "remap_nodes",
-    "rotate_schedule",
-    "start_up_schedule",
-    "undo_rotation",
-    "volume_only_priority",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bounds": ("length_lower_bound",),
+    "config": ("CycloConfig",),
+    "cyclo": ("CycloResult", "cyclo_compact"),
+    "mobility": ("mobility", "mobility_map"),
+    "pipeline": (
+        "ContentionResult", "OptimizeResult", "contention_aware_schedule",
+        "optimize",
+    ),
+    "priority": (
+        "PriorityFn", "PriorityKey", "fifo_priority", "mobility_only_priority",
+        "paper_priority", "volume_only_priority",
+    ),
+    "psl": ("projected_schedule_length", "psl_edge_bound"),
+    "refine": ("RefineResult", "refine_schedule"),
+    "remapping": ("RemapOutcome", "remap_nodes"),
+    "rotation": ("rotate_schedule", "undo_rotation"),
+    "startup": ("start_up_schedule",),
+    "trace": ("CompactionTrace", "IterationRecord"),
+})
+
+# Eager: ``mobility`` also names its submodule, and the first import of
+# a submodule binds it as a package attribute.  Importing it here, before
+# any caller can, leaves the function bound instead of the module.
+from repro.core.mobility import mobility

@@ -19,11 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.arch.cache import CommCostCache
 from repro.arch.comm import ContentionModel
-from repro.arch.contention import (
-    ContendedCostReport,
-    LinkOccupancy,
-    contended_cost,
-)
+from repro.arch.contention import ContendedCostReport, contended_cost
 from repro.arch.topology import Architecture
 from repro.core.config import CycloConfig
 from repro.core.cyclo import CycloResult, cyclo_compact
@@ -244,12 +240,12 @@ def contention_aware_schedule(
     best_aware: CycloResult | None = None
     round_costs = [blind_report.contended_cost]
 
-    occ = LinkOccupancy.from_assignment(
-        blind.graph, arch, blind.schedule.processor_map()
-    )
+    # each round is priced against the occupancy the previous report
+    # was billed on: the placements of the round before it
+    prev_report = blind_report
     for _ in range(num_rounds):
         comm = CommCostCache.for_graph(  # repro-lint: disable=RC203 (deliberate per-round reprice of the contention fixpoint)
-            arch, graph, contention=model, occupancy=occ
+            arch, graph, contention=model, occupancy=prev_report.occupancy
         )
         aware = cyclo_compact(graph, arch, config=cfg, comm=comm)
         report = contended_cost(
@@ -267,12 +263,9 @@ def contention_aware_schedule(
             best_run = aware
             best_comm = comm
             best_aware = aware
-        next_occ = LinkOccupancy.from_assignment(  # repro-lint: disable=RC203 (re-freeze from this round's placements)
-            aware.graph, arch, aware.schedule.processor_map()
-        )
-        if next_occ.loads == occ.loads:
+        if report.loads == prev_report.loads:
             break  # repricing fixpoint: the next round would repeat
-        occ = next_occ
+        prev_report = report
 
     return ContentionResult(
         schedule=best_run.schedule,

@@ -11,92 +11,33 @@ Public surface re-exported here; see the submodules for details:
 * :mod:`repro.graph.generators` — random and parametric builders.
 """
 
-from repro.graph.csdfg import CSDFG, Edge, Node
-from repro.graph.cycles import (
-    karp_maximum_cycle_ratio,
-    recursive_core,
-    scc_condensation,
-    strongly_connected_components,
-)
-from repro.graph.generators import (
-    chain_csdfg,
-    fork_join_csdfg,
-    layered_csdfg,
-    random_csdfg,
-    random_dag,
-    ring_csdfg,
-)
-from repro.graph.io import (
-    from_edge_list,
-    from_json,
-    load_json,
-    save_json,
-    to_dot,
-    to_edge_list,
-    to_json,
-)
-from repro.graph.properties import (
-    alap_times,
-    asap_times,
-    critical_path_length,
-    critical_path_nodes,
-    iteration_bound,
-    iteration_bound_exact,
-    parallelism_profile,
-)
-from repro.graph.transform import (
-    merge_parallel_edges,
-    reverse,
-    scale_times,
-    scale_volumes,
-    slowdown,
-    unfold,
-)
-from repro.graph.validation import (
-    collect_issues,
-    find_zero_delay_cycle,
-    is_legal,
-    topological_order_zero_delay,
-    validate_csdfg,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CSDFG",
-    "Edge",
-    "Node",
-    "alap_times",
-    "asap_times",
-    "chain_csdfg",
-    "collect_issues",
-    "critical_path_length",
-    "critical_path_nodes",
-    "find_zero_delay_cycle",
-    "fork_join_csdfg",
-    "from_edge_list",
-    "from_json",
-    "is_legal",
-    "iteration_bound",
-    "iteration_bound_exact",
-    "karp_maximum_cycle_ratio",
-    "layered_csdfg",
-    "load_json",
-    "merge_parallel_edges",
-    "parallelism_profile",
-    "random_csdfg",
-    "random_dag",
-    "recursive_core",
-    "reverse",
-    "ring_csdfg",
-    "save_json",
-    "scale_times",
-    "scc_condensation",
-    "strongly_connected_components",
-    "scale_volumes",
-    "slowdown",
-    "to_dot",
-    "to_edge_list",
-    "to_json",
-    "topological_order_zero_delay",
-    "unfold",
-    "validate_csdfg",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "csdfg": ("CSDFG", "Edge", "Node"),
+    "cycles": (
+        "karp_maximum_cycle_ratio", "recursive_core", "scc_condensation",
+        "strongly_connected_components",
+    ),
+    "generators": (
+        "chain_csdfg", "fork_join_csdfg", "layered_csdfg", "random_csdfg",
+        "random_dag", "ring_csdfg",
+    ),
+    "io": (
+        "from_edge_list", "from_json", "load_json", "save_json", "to_dot",
+        "to_edge_list", "to_json",
+    ),
+    "properties": (
+        "alap_times", "asap_times", "critical_path_length",
+        "critical_path_nodes", "iteration_bound", "iteration_bound_exact",
+        "parallelism_profile",
+    ),
+    "transform": (
+        "merge_parallel_edges", "reverse", "scale_times", "scale_volumes",
+        "slowdown", "unfold",
+    ),
+    "validation": (
+        "collect_issues", "find_zero_delay_cycle", "is_legal",
+        "topological_order_zero_delay", "validate_csdfg",
+    ),
+})

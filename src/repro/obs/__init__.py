@@ -27,67 +27,23 @@ the scheduling pipeline:
 See ``docs/observability.md`` for a guided tour.
 """
 
-from repro.obs import metrics
-from repro.obs.aggregate import (
-    detect_regressions,
-    diff_tables,
-    hotspot_table,
-    trace_stats,
-)
-from repro.obs.collapse import collapsed_stacks, self_times
-from repro.obs.history import (
-    DEFAULT_HISTORY_DIR,
-    HistoryStore,
-    RunRecord,
-    config_hash,
-)
-from repro.obs.export import (
-    chrome_trace_events,
-    metrics_report,
-    write_chrome_trace,
-)
-from repro.obs.profile import PhaseRow, format_breakdown, phase_breakdown
-from repro.obs.runtime import (
-    emit,
-    enabled,
-    install_sink,
-    installed_sinks,
-    remove_all_sinks,
-    remove_sink,
-    sink_installed,
-)
-from repro.obs.sinks import EventSink, InMemorySink, NDJSONSink
-from repro.obs.spans import NO_OP_SPAN, Span, span
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_HISTORY_DIR",
-    "EventSink",
-    "HistoryStore",
-    "RunRecord",
-    "collapsed_stacks",
-    "config_hash",
-    "detect_regressions",
-    "diff_tables",
-    "hotspot_table",
-    "self_times",
-    "trace_stats",
-    "InMemorySink",
-    "NDJSONSink",
-    "NO_OP_SPAN",
-    "PhaseRow",
-    "Span",
-    "chrome_trace_events",
-    "emit",
-    "enabled",
-    "format_breakdown",
-    "install_sink",
-    "installed_sinks",
-    "metrics",
-    "metrics_report",
-    "phase_breakdown",
-    "remove_all_sinks",
-    "remove_sink",
-    "sink_installed",
-    "span",
-    "write_chrome_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "aggregate": (
+        "detect_regressions", "diff_tables", "hotspot_table", "trace_stats",
+    ),
+    "collapse": ("collapsed_stacks", "self_times"),
+    "history": (
+        "DEFAULT_HISTORY_DIR", "HistoryStore", "RunRecord", "config_hash",
+    ),
+    "export": ("chrome_trace_events", "metrics_report", "write_chrome_trace"),
+    "profile": ("PhaseRow", "format_breakdown", "phase_breakdown"),
+    "runtime": (
+        "emit", "enabled", "install_sink", "installed_sinks",
+        "remove_all_sinks", "remove_sink", "sink_installed",
+    ),
+    "sinks": ("EventSink", "InMemorySink", "NDJSONSink"),
+    "spans": ("NO_OP_SPAN", "Span", "span"),
+})
+__all__ += ["metrics"]  # the submodule itself, imported on first access

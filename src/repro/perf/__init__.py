@@ -22,15 +22,10 @@ Three modules:
 See ``docs/performance.md``.
 """
 
-from repro.perf.parallel import run_parallel
-from repro.perf.reference import ReferenceScheduleTable, reference_cyclo_compact
-from repro.perf.restarts import RestartOutcome, RestartReport, best_of_restarts
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ReferenceScheduleTable",
-    "RestartOutcome",
-    "RestartReport",
-    "best_of_restarts",
-    "reference_cyclo_compact",
-    "run_parallel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "parallel": ("run_parallel",),
+    "reference": ("ReferenceScheduleTable", "reference_cyclo_compact"),
+    "restarts": ("RestartOutcome", "RestartReport", "best_of_restarts"),
+})

@@ -9,46 +9,19 @@ shrinker that turns failures into small JSON reproducers
 behind ``repro fuzz`` (:mod:`repro.qa.fuzz`).
 """
 
-from repro.qa.case import ReproCase, load_cases, replay_case
-from repro.qa.fuzz import FuzzReport, FuzzTrial, run_fuzz, trial_seed
-from repro.qa.generate import (
-    GRAPH_FAMILIES,
-    SIZED_FAMILIES,
-    ArchSpec,
-    GraphProfile,
-    sample_arch_spec,
-    sample_config,
-    sample_graph,
-    sample_sized_graph,
-)
-from repro.qa.properties import (
-    PROPERTIES,
-    architecture_automorphism,
-    check_all,
-    check_property,
-)
-from repro.qa.shrink import ShrinkResult, shrink_case
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ArchSpec",
-    "FuzzReport",
-    "FuzzTrial",
-    "GRAPH_FAMILIES",
-    "GraphProfile",
-    "PROPERTIES",
-    "ReproCase",
-    "SIZED_FAMILIES",
-    "ShrinkResult",
-    "architecture_automorphism",
-    "check_all",
-    "check_property",
-    "load_cases",
-    "replay_case",
-    "run_fuzz",
-    "sample_arch_spec",
-    "sample_config",
-    "sample_graph",
-    "sample_sized_graph",
-    "shrink_case",
-    "trial_seed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "case": ("ReproCase", "load_cases", "replay_case"),
+    "fuzz": ("FuzzReport", "FuzzTrial", "run_fuzz", "trial_seed"),
+    "generate": (
+        "GRAPH_FAMILIES", "SIZED_FAMILIES", "ArchSpec", "GraphProfile",
+        "sample_arch_spec", "sample_config", "sample_graph",
+        "sample_sized_graph",
+    ),
+    "properties": (
+        "PROPERTIES", "architecture_automorphism", "check_all",
+        "check_property",
+    ),
+    "shrink": ("ShrinkResult", "shrink_case"),
+})

@@ -26,38 +26,14 @@ invalid and must be remapped.  This package closes that loop:
 See ``docs/resilience.md``.
 """
 
-from repro.resilience.chaos import ChaosReport, ChaosTrial, run_chaos_campaign
-from repro.resilience.checkpoint import (
-    CompactionCheckpoint,
-    resume_compaction,
-)
-from repro.resilience.faults import (
-    FaultCampaign,
-    LinkFault,
-    PEFault,
-    random_campaign,
-)
-from repro.resilience.repair import RepairResult, degrade, repair_schedule
-from repro.resilience.simfault import (
-    FaultOutcome,
-    FaultSimulationResult,
-    simulate_with_faults,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ChaosReport",
-    "ChaosTrial",
-    "CompactionCheckpoint",
-    "FaultCampaign",
-    "FaultOutcome",
-    "FaultSimulationResult",
-    "LinkFault",
-    "PEFault",
-    "RepairResult",
-    "degrade",
-    "random_campaign",
-    "repair_schedule",
-    "resume_compaction",
-    "run_chaos_campaign",
-    "simulate_with_faults",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "chaos": ("ChaosReport", "ChaosTrial", "run_chaos_campaign"),
+    "checkpoint": ("CompactionCheckpoint", "resume_compaction"),
+    "faults": ("FaultCampaign", "LinkFault", "PEFault", "random_campaign"),
+    "repair": ("RepairResult", "degrade", "repair_schedule"),
+    "simfault": (
+        "FaultOutcome", "FaultSimulationResult", "simulate_with_faults",
+    ),
+})

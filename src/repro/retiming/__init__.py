@@ -1,36 +1,16 @@
 """Retiming substrate: basics, rotation primitive, Leiserson–Saxe,
 prologue/epilogue extraction."""
 
-from repro.retiming.basic import (
-    apply_retiming,
-    compose_retimings,
-    is_legal_retiming,
-    normalize_retiming,
-    retimed_delay,
-    zero_retiming,
-)
-from repro.retiming.incremental import can_rotate, rotate_nodes, unrotate_nodes
-from repro.retiming.leiserson_saxe import (
-    feasible_retiming_for_period,
-    min_period_retiming,
-    wd_matrices,
-)
-from repro.retiming.prologue import Instance, LoopCode, build_loop_code
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Instance",
-    "LoopCode",
-    "apply_retiming",
-    "build_loop_code",
-    "can_rotate",
-    "compose_retimings",
-    "feasible_retiming_for_period",
-    "is_legal_retiming",
-    "min_period_retiming",
-    "normalize_retiming",
-    "retimed_delay",
-    "rotate_nodes",
-    "unrotate_nodes",
-    "wd_matrices",
-    "zero_retiming",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "basic": (
+        "apply_retiming", "compose_retimings", "is_legal_retiming",
+        "normalize_retiming", "retimed_delay", "zero_retiming",
+    ),
+    "incremental": ("can_rotate", "rotate_nodes", "unrotate_nodes"),
+    "leiserson_saxe": (
+        "feasible_retiming_for_period", "min_period_retiming", "wd_matrices",
+    ),
+    "prologue": ("Instance", "LoopCode", "build_loop_code"),
+})

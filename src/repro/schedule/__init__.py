@@ -1,46 +1,20 @@
 """Schedule substrate: tables, validation, rendering, metrics."""
 
-from repro.schedule.io import (
-    load_schedule,
-    save_schedule,
-    schedule_from_json,
-    schedule_to_json,
-)
-from repro.schedule.metrics import (
-    ScheduleMetrics,
-    compute_metrics,
-    remote_edge_count,
-    speedup,
-    total_comm_cost,
-    utilization,
-)
-from repro.schedule.render import render_gantt, render_summary, render_table
-from repro.schedule.table import Placement, ScheduleTable
-from repro.schedule.validate import (
-    collect_violations,
-    is_valid_schedule,
-    minimum_feasible_length,
-    validate_schedule,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Placement",
-    "ScheduleMetrics",
-    "ScheduleTable",
-    "collect_violations",
-    "compute_metrics",
-    "is_valid_schedule",
-    "load_schedule",
-    "minimum_feasible_length",
-    "remote_edge_count",
-    "render_gantt",
-    "render_summary",
-    "render_table",
-    "save_schedule",
-    "schedule_from_json",
-    "schedule_to_json",
-    "speedup",
-    "total_comm_cost",
-    "utilization",
-    "validate_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "io": (
+        "load_schedule", "save_schedule", "schedule_from_json",
+        "schedule_to_json",
+    ),
+    "metrics": (
+        "ScheduleMetrics", "compute_metrics", "remote_edge_count", "speedup",
+        "total_comm_cost", "utilization",
+    ),
+    "render": ("render_gantt", "render_summary", "render_table"),
+    "table": ("Placement", "ScheduleTable"),
+    "validate": (
+        "collect_violations", "is_valid_schedule", "minimum_feasible_length",
+        "validate_schedule",
+    ),
+})

@@ -1,30 +1,15 @@
 """Execution simulator substrate: dynamic replay of static cyclic
 schedules, event timelines, buffer sizing and link-contention replay."""
 
-from repro.sim.buffers import BufferReport, buffer_requirements
-from repro.sim.contention import (
-    ContendedMessage,
-    ContentionReport,
-    simulate_contended,
-)
-from repro.sim.engine import (
-    LinkTraffic,
-    SimulationError,
-    SimulationResult,
-    simulate,
-)
-from repro.sim.events import MessageTransfer, TaskExecution
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BufferReport",
-    "ContendedMessage",
-    "ContentionReport",
-    "LinkTraffic",
-    "MessageTransfer",
-    "SimulationError",
-    "SimulationResult",
-    "TaskExecution",
-    "buffer_requirements",
-    "simulate",
-    "simulate_contended",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "buffers": ("BufferReport", "buffer_requirements"),
+    "contention": (
+        "ContendedMessage", "ContentionReport", "simulate_contended",
+    ),
+    "engine": (
+        "LinkTraffic", "SimulationError", "SimulationResult", "simulate",
+    ),
+    "events": ("MessageTransfer", "TaskExecution"),
+})

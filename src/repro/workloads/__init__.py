@@ -1,47 +1,21 @@
 """Benchmark workloads: the paper's examples, DSP filters, random
 suites."""
 
-from repro.workloads.dsp import (
-    all_pole_iir,
-    differential_equation_solver,
-    fir_filter,
-)
-from repro.workloads.filters import (
-    biquad_cascade,
-    elliptic_wave_filter,
-    lattice_filter,
-)
-from repro.workloads.kernels import correlator, fft_stage, volterra, wavefront
-from repro.workloads.paper_examples import (
-    FIGURE1_NODE_TIMES,
-    FIGURE7_NODE_TIMES,
-    figure1_csdfg,
-    figure1_mesh,
-    figure7_csdfg,
-)
-from repro.workloads.random_suite import SuiteSpec, layered_suite, random_suite
-from repro.workloads.registry import WORKLOADS, make_workload, workload_names
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FIGURE1_NODE_TIMES",
-    "FIGURE7_NODE_TIMES",
-    "SuiteSpec",
-    "WORKLOADS",
-    "all_pole_iir",
-    "biquad_cascade",
-    "correlator",
-    "differential_equation_solver",
-    "elliptic_wave_filter",
-    "figure1_csdfg",
-    "figure1_mesh",
-    "fft_stage",
-    "figure7_csdfg",
-    "fir_filter",
-    "lattice_filter",
-    "layered_suite",
-    "make_workload",
-    "random_suite",
-    "volterra",
-    "wavefront",
-    "workload_names",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "dsp": ("all_pole_iir", "differential_equation_solver", "fir_filter"),
+    "filters": ("biquad_cascade", "elliptic_wave_filter", "lattice_filter"),
+    "kernels": ("correlator", "fft_stage", "volterra", "wavefront"),
+    "paper_examples": (
+        "FIGURE1_NODE_TIMES", "FIGURE7_NODE_TIMES", "figure1_csdfg",
+        "figure1_mesh", "figure7_csdfg",
+    ),
+    "random_suite": ("SuiteSpec", "layered_suite", "random_suite"),
+    "registry": ("WORKLOADS", "make_workload", "workload_names"),
+})
+
+# Eager: ``random_suite`` also names its submodule, and the first import of
+# a submodule binds it as a package attribute.  Importing it here, before
+# any caller can, leaves the function bound instead of the module.
+from repro.workloads.random_suite import random_suite

@@ -163,3 +163,36 @@ class TestRoundPricing:
             assert comm.occupancy.loads == frozen.loads
         # the blind run plus four aware rounds (no early fixpoint here)
         assert len(calls) == 5
+
+
+class TestOccupancyBuilds:
+    def test_each_schedule_is_routed_once(self, monkeypatch):
+        # the occupancy a round's bill was priced against is the one the
+        # next round freezes: one ledger per schedule, blind run included
+        built = []
+        original = LinkOccupancy.from_assignment.__func__
+
+        def counting(cls, graph, arch, assignment):
+            built.append(graph)
+            return original(cls, graph, arch, assignment)
+
+        monkeypatch.setattr(
+            LinkOccupancy, "from_assignment", classmethod(counting)
+        )
+        graph, arch, cfg = bottleneck_case()
+        result = contention_aware_schedule(
+            graph, arch, config=cfg,
+            model=SerializedContention(weight=3), rounds=4,
+        )
+        assert len(built) == len(result.round_costs) == 5
+
+    def test_report_carries_the_occupancy_it_priced(self):
+        graph, arch, _ = bottleneck_case()
+        pes = arch.processors
+        assignment = {v: pes[i % len(pes)] for i, v in enumerate(graph.nodes())}
+        report = contended_cost(
+            graph, arch, assignment, SerializedContention(weight=3)
+        )
+        assert report.occupancy.loads == report.loads == (
+            LinkOccupancy.from_assignment(graph, arch, assignment).loads
+        )
