@@ -42,9 +42,7 @@ def table11():
     for workload, build in WORKLOADS.items():
         graph = build()
         for relaxation, label in ((False, "w/o"), (True, "with")):
-            cells = run_grid(
-                graph, archs, relaxation=relaxation, config=_cfg(relaxation)
-            )
+            cells = run_grid(graph, archs, config=_cfg(relaxation))
             rows.append((workload, label, cells))
             cells_by_key[(workload, label)] = cells
     write_report("table11_filters", format_table11(rows, ARCH_ORDER))
@@ -59,9 +57,7 @@ def test_bench_table11_cell(benchmark, workload, relaxation, table11):
     archs = paper_architectures(8)
 
     cells = benchmark.pedantic(
-        lambda: run_grid(
-            graph, archs, relaxation=relaxation, config=_cfg(relaxation)
-        ),
+        lambda: run_grid(graph, archs, config=_cfg(relaxation)),
         rounds=2,
         iterations=1,
     )

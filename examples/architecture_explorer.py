@@ -17,13 +17,14 @@ from repro.arch import (
     Hypercube,
     LinearArray,
     Mesh2D,
+    NoContention,
     Ring,
     Star,
     StoreAndForwardModel,
     Torus2D,
     WormholeModel,
     ZeroCommModel,
-    link_loads,
+    contended_cost,
 )
 from repro.core import CycloConfig
 from repro.schedule import compute_metrics
@@ -49,14 +50,15 @@ def topology_sweep() -> None:
     for arch in topologies:
         result = cyclo_compact(graph, arch, config=CFG)
         metrics = compute_metrics(result.graph, arch, result.schedule)
-        loads = link_loads(
-            result.graph, arch, result.schedule.processor_map()
+        loads = contended_cost(
+            result.graph, arch, result.schedule.processor_map(),
+            NoContention(),
         )
         print(
             f"{arch.name:14s} {arch.num_pes:3d} {arch.diameter:4d} "
             f"{result.initial_length:4d} {result.final_length:5d} "
             f"{metrics.utilization:5.2f} {metrics.comm_cost:4d} "
-            f"{loads.max_load:7d}"
+            f"{loads.max_link_load:7d}"
         )
 
 

@@ -13,7 +13,13 @@ import tempfile
 from pathlib import Path
 
 from repro import cyclo_compact, render_gantt
-from repro.arch import from_adjacency, link_loads, load_architecture, save_architecture
+from repro.arch import (
+    NoContention,
+    contended_cost,
+    from_adjacency,
+    load_architecture,
+    save_architecture,
+)
 from repro.core import CycloConfig
 from repro.graph import fork_join_csdfg
 
@@ -50,10 +56,12 @@ def main() -> None:
           f"control steps")
     print(render_gantt(result.schedule, title="compacted schedule:"))
 
-    report = link_loads(result.graph, arch, result.schedule.processor_map())
+    report = contended_cost(
+        result.graph, arch, result.schedule.processor_map(), NoContention()
+    )
     bridge = report.loads.get((3, 4), 0)
     print(f"\nper-iteration traffic over the bridge link (3,4): {bridge}")
-    print(f"total store-and-forward traffic: {report.total_traffic}")
+    print(f"total store-and-forward traffic: {report.base_cost}")
     print("the optimiser clusters communicating tasks to avoid the bridge.")
 
 

@@ -33,7 +33,7 @@ def main() -> None:
                 max_iterations=80,
                 validate_each_step=False,
             )
-            cells = run_grid(graph, archs, relaxation=relaxation, config=cfg)
+            cells = run_grid(graph, archs, config=cfg)
             rows.append((name, label, cells))
 
     print()

@@ -51,30 +51,25 @@ def run_cell(
     graph: CSDFG,
     arch: Architecture,
     *,
-    relaxation: bool = True,
     config: CycloConfig | None = None,
 ) -> tuple[ExperimentCell, CycloResult]:
     """Schedule ``graph`` on ``arch`` and summarise the outcome.
 
-    The initial schedule is validated here (``cyclo_compact`` certifies
-    the final one itself); the returned
-    :class:`~repro.core.cyclo.CycloResult` carries the full trace for
-    deeper inspection.
+    Every knob comes from ``config`` (default :class:`CycloConfig`).
+    The initial schedule is validated here, on the PE model the config
+    names (``cyclo_compact`` certifies the final one itself); the
+    returned :class:`~repro.core.cyclo.CycloResult` carries the full
+    trace for deeper inspection.
     """
-    cfg = config if config is not None else CycloConfig(relaxation=relaxation)
-    if cfg.relaxation != relaxation:
-        cfg = CycloConfig(
-            relaxation=relaxation,
-            max_iterations=cfg.max_iterations,
-            patience=cfg.patience,
-            validate_each_step=cfg.validate_each_step,
-        )
+    cfg = config if config is not None else CycloConfig()
     result = cyclo_compact(graph, arch, config=cfg)
-    validate_schedule(graph, arch, result.initial_schedule)
+    validate_schedule(
+        graph, arch, result.initial_schedule, pipelined_pes=cfg.pipelined_pes
+    )
     cell = ExperimentCell(
         workload=graph.name,
         architecture=arch.name,
-        relaxation=relaxation,
+        relaxation=cfg.relaxation,
         init=result.initial_length,
         after=result.final_length,
         passes_to_best=result.trace.passes_to_best,
@@ -87,14 +82,10 @@ def run_grid(
     graph: CSDFG,
     architectures: dict[str, Architecture],
     *,
-    relaxation: bool = True,
     config: CycloConfig | None = None,
 ) -> dict[str, ExperimentCell]:
     """Run one workload across several architectures (one table row)."""
-    cells: dict[str, ExperimentCell] = {}
-    for key, arch in architectures.items():
-        cell, _ = run_cell(
-            graph, arch, relaxation=relaxation, config=config
-        )
-        cells[key] = cell
-    return cells
+    return {
+        key: run_cell(graph, arch, config=config)[0]
+        for key, arch in architectures.items()
+    }

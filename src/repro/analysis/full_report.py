@@ -89,9 +89,7 @@ def generate_full_report(
                     relaxation=relaxation,
                     max_iterations=compaction_passes,
                 )
-                row = run_grid(
-                    graph, archs, relaxation=relaxation, config=row_cfg
-                )
+                row = run_grid(graph, archs, config=row_cfg)
                 lines.append(
                     f"| {label} | "
                     + " | ".join(

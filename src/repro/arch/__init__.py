@@ -23,8 +23,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "complete": ("CompletelyConnected",),
     "contention": (
-        "ContendedCostReport", "LinkLoadReport", "LinkOccupancy",
-        "contended_cost", "link_loads",
+        "ContendedCostReport", "LinkOccupancy", "contended_cost",
     ),
     "custom": (
         "CustomArchitecture", "from_adjacency", "load_architecture",

@@ -4,9 +4,8 @@ The paper assumes "the communication channels are multiple so that there
 is no congestion" (§3).  This module quantifies how optimistic that
 assumption is for a *given* schedule — it routes every cross-processor
 transfer along its deterministic path (:func:`repro.arch.routing.route`)
-and reports per-link load (:func:`link_loads`) — and, beyond analysis,
-provides the machinery that lets the scheduler be *charged* for the
-congestion it creates:
+and tallies per-link load — and lets the scheduler be *charged* for
+the congestion it creates:
 
 * :class:`LinkOccupancy` — a per-link reservation ledger for one
   steady-state iteration of an assignment, with deterministic route
@@ -39,73 +38,10 @@ from repro.errors import ArchitectureError
 from repro.graph.csdfg import CSDFG
 
 __all__ = [
-    "LinkLoadReport",
-    "link_loads",
     "LinkOccupancy",
     "ContendedCostReport",
     "contended_cost",
 ]
-
-
-@dataclass
-class LinkLoadReport:
-    """Per-link traffic of one steady-state iteration of a schedule.
-
-    Attributes
-    ----------
-    loads:
-        Data volume crossing each canonical undirected link per
-        iteration.
-    max_load:
-        Largest per-link load (the congestion hotspot).
-    total_traffic:
-        Sum of ``volume * hops`` over all remote transfers — the total
-        store-and-forward work per iteration.
-    num_remote_edges:
-        How many dependence edges cross processors.
-    """
-
-    loads: dict[tuple[int, int], int] = field(default_factory=dict)
-    max_load: int = 0
-    total_traffic: int = 0
-    num_remote_edges: int = 0
-
-    def hotspots(self, top: int = 3) -> list[tuple[tuple[int, int], int]]:
-        """The ``top`` most loaded links, descending."""
-        return sorted(self.loads.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
-
-
-def link_loads(
-    graph: CSDFG,
-    arch: Architecture,
-    assignment: dict,
-) -> LinkLoadReport:
-    """Route every cross-PE dependence and accumulate per-link volume.
-
-    Parameters
-    ----------
-    assignment:
-        Mapping node -> PE id (e.g. ``schedule.processor_map()``).
-    """
-    counter: Counter[tuple[int, int]] = Counter()
-    total = 0
-    remote = 0
-    for edge in graph.edges():
-        src_pe = assignment[edge.src]
-        dst_pe = assignment[edge.dst]
-        if src_pe == dst_pe:
-            continue
-        remote += 1
-        path = route(arch, src_pe, dst_pe)
-        total += (len(path) - 1) * edge.volume
-        for a, b in zip(path, path[1:]):
-            counter[(min(a, b), max(a, b))] += edge.volume
-    return LinkLoadReport(
-        loads=dict(counter),
-        max_load=max(counter.values(), default=0),
-        total_traffic=total,
-        num_remote_edges=remote,
-    )
 
 
 class LinkOccupancy:

@@ -34,10 +34,11 @@ Commands
     trials delta-debugged into small JSON reproducers.  ``--replay``
     re-runs checked-in reproducers (``tests/corpus/``) instead of
     fuzzing.
-``faults inject|repair|campaign``
+``faults inject|repair``
     Resilience drivers (``docs/resilience.md``): execute a schedule
-    under a seeded fault campaign, repair a schedule after explicit
-    PE/link failures, or run the randomized chaos harness.
+    under a seeded fault campaign, or repair a schedule after explicit
+    PE/link failures.  The randomized recovery invariant is the
+    ``faults-recover`` fuzz property.
 ``analyze``
     Static analysis of scheduler inputs (``docs/analysis.md``): graph
     liveness/annotations, topology diagnostics, target-length
@@ -75,7 +76,7 @@ Observability
 (write a Chrome trace-event JSON viewable in ``chrome://tracing`` /
 https://ui.perfetto.dev) and ``--profile`` (print the per-phase time
 breakdown and collected metrics after the run).  ``schedule``,
-``sweep``, ``fuzz`` and ``faults campaign`` additionally accept
+``sweep`` and ``fuzz`` additionally accept
 ``--history-dir DIR`` to append a provenance-stamped run record to the
 run-history store that ``repro obs`` aggregates; see
 ``docs/observability.md``.
@@ -88,35 +89,17 @@ import sys
 import time
 from typing import Sequence
 
-from repro.analysis import format_cells, format_table11, run_cell, run_grid
 from repro.arch import (
     ARCHITECTURE_KINDS,
     CONTENTION_MODELS,
     make_architecture,
     paper_architectures,
 )
-from repro.baselines import sequential_schedule
-from repro.codegen import generate_program
-from repro.core import (
-    CycloConfig,
-    cyclo_compact,
-    length_lower_bound,
-    optimize,
-)
+from repro.core import CycloConfig, cyclo_compact, length_lower_bound
 from repro.errors import ReproError
 from repro.graph import critical_path_length, iteration_bound, slowdown
-from repro.obs import (
-    InMemorySink,
-    format_breakdown,
-    install_sink,
-    metrics,
-    metrics_report,
-    phase_breakdown,
-    remove_sink,
-    write_chrome_trace,
-)
+from repro.obs import InMemorySink, install_sink, metrics, remove_sink
 from repro.schedule import compute_metrics, render_gantt, render_table
-from repro.sim import buffer_requirements, simulate
 from repro.workloads import make_workload, workload_names
 
 __all__ = ["main", "build_parser"]
@@ -323,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_history_arg(p_fuzz)
 
     p_faults = sub.add_parser(
-        "faults", help="fault injection, schedule repair, chaos harness"
+        "faults", help="fault injection and schedule repair"
     )
     faults_sub = p_faults.add_subparsers(dest="faults_command", required=True)
 
@@ -372,33 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="table",
         help="render the repaired schedule",
     )
-
-    p_chaos = faults_sub.add_parser(
-        "campaign", help="run the randomized chaos harness"
-    )
-    p_chaos.add_argument(
-        "--trials", type=int, default=50, help="seeded trials to run"
-    )
-    p_chaos.add_argument(
-        "--seed", type=int, default=0, help="campaign seed"
-    )
-    p_chaos.add_argument("--pes", type=int, default=8, help="processor count")
-    p_chaos.add_argument(
-        "--max-faults", type=int, default=3, help="faults per trial (upper)"
-    )
-    p_chaos.add_argument(
-        "--transient", type=float, default=0.25, metavar="FRACTION",
-        help="fraction of faults that heal (0..1)",
-    )
-    p_chaos.add_argument(
-        "--time-budget", type=float, default=None, metavar="SECONDS",
-        help="stop launching trials after this long (CI smoke mode)",
-    )
-    p_chaos.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (1 = serial; trial outcomes are identical)",
-    )
-    _add_history_arg(p_chaos)
 
     p_an = sub.add_parser(
         "analyze", help="static analysis of scheduler inputs"
@@ -659,6 +615,9 @@ class _ObsSession:
         install_sink(self.sink)
 
     def finish(self, *, sim=None) -> None:
+        from repro.obs.export import metrics_report, write_chrome_trace
+        from repro.obs.profile import format_breakdown, phase_breakdown
+
         remove_sink(self.sink)
         if self.trace_path:
             path = write_chrome_trace(
@@ -802,6 +761,8 @@ def _make_pair(args: argparse.Namespace):
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
+    from repro.baselines import sequential_schedule
+
     graph, arch = _make_pair(args)
     contention = args.contention if args.contention != "none" else None
     cfg = CycloConfig(
@@ -841,6 +802,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             )
             result = report.result
         elif args.refine:
+            from repro.core import optimize
+
             result = optimize(graph, arch, config=cfg)
         else:
             result = cyclo_compact(graph, arch, config=cfg)
@@ -891,6 +854,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.sim import buffer_requirements, simulate
+
     graph, arch = _make_pair(args)
     cfg = CycloConfig(max_iterations=40)
     session = _obs_session(args)
@@ -936,6 +901,8 @@ def _print_load_summary(sim) -> None:
 
 
 def _cmd_codegen(args: argparse.Namespace) -> int:
+    from repro.codegen import generate_program
+
     graph, arch = _make_pair(args)
     cfg = CycloConfig(max_iterations=40)
     result = cyclo_compact(graph, arch, config=cfg)
@@ -969,6 +936,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.analysis import (
+        format_cells,
+        format_table11,
+        run_cell,
+        run_grid,
+    )
+
     cfg = CycloConfig(max_iterations=args.iterations)
     if args.name == "figure1":
         from repro.workloads import figure1_csdfg, figure1_mesh
@@ -1000,12 +974,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 relaxation=relaxation,
                 max_iterations=args.iterations,
             )
-            cells = run_grid(
-                graph,
-                paper_architectures(8),
-                relaxation=relaxation,
-                config=run_cfg,
-            )
+            cells = run_grid(graph, paper_architectures(8), config=run_cfg)
             rows.append((name, label, cells))
     print(format_table11(rows))
     return 0
@@ -1086,12 +1055,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.obs.export import metrics_report, write_chrome_trace
+    from repro.obs.profile import format_breakdown, phase_breakdown
+
     graph, arch = _make_pair(args)
     if args.runs < 1:
         raise ReproError(f"--runs must be >= 1, got {args.runs}")
-    cfg = CycloConfig(
-        max_iterations=args.iterations, validate_each_step=True
-    )
+    cfg = CycloConfig(max_iterations=args.iterations)
     sink = InMemorySink()
     metrics.reset()
     install_sink(sink)
@@ -1411,9 +1381,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_faults(args: argparse.Namespace) -> int:
     if args.faults_command == "inject":
         return _cmd_faults_inject(args)
-    if args.faults_command == "repair":
-        return _cmd_faults_repair(args)
-    return _cmd_faults_campaign(args)
+    return _cmd_faults_repair(args)
 
 
 def _compacted(args: argparse.Namespace):
@@ -1493,45 +1461,6 @@ def _cmd_faults_repair(args: argparse.Namespace) -> int:
     if args.render == "table":
         print(render_table(rep.schedule, title="repaired schedule:"))
     return 0
-
-
-def _cmd_faults_campaign(args: argparse.Namespace) -> int:
-    from repro.resilience import run_chaos_campaign
-
-    session = _obs_session(args)
-    try:
-        report = run_chaos_campaign(
-            trials=args.trials,
-            seed=args.seed,
-            num_pes=args.pes,
-            max_faults=args.max_faults,
-            transient_fraction=args.transient,
-            time_budget_seconds=args.time_budget,
-            jobs=args.jobs,
-        )
-    finally:
-        if session is not None:
-            session.finish()
-    if session is not None:
-        session.record_history(
-            "chaos",
-            workload="chaos-campaign",
-            arch=f"pes{args.pes}",
-            config={
-                "trials": args.trials,
-                "seed": args.seed,
-                "pes": args.pes,
-                "max_faults": args.max_faults,
-                "transient": args.transient,
-                "jobs": args.jobs,
-            },
-            attrs={
-                "trials_run": len(report.trials),
-                "invariant_holds": report.invariant_holds,
-            },
-        )
-    print(report.describe())
-    return 0 if report.invariant_holds else 1
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:

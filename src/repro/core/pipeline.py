@@ -193,8 +193,6 @@ def contention_aware_schedule(
     arch: Architecture,
     *,
     config: CycloConfig | None = None,
-    model: ContentionModel | None = None,
-    rounds: int | None = None,
 ) -> ContentionResult:
     """Two-phase contention-sensitive scheduling.
 
@@ -204,29 +202,26 @@ def contention_aware_schedule(
     cache with the surcharged prices and re-runs compaction under them
     — transfers routed through congested links now look expensive, so
     the remapper is steered away from the hotspots it created.  The
-    reprice-and-reschedule step repeats up to ``rounds`` times (the
-    occupancy snapshot refreshed from the latest schedule each round,
-    stopping early at an occupancy fixpoint), and the schedule with
-    the lowest *contended* communication bill wins; the blind baseline
-    competes too, so the result is never worse than ignoring
-    contention.
+    reprice-and-reschedule step repeats up to
+    ``config.contention_rounds`` times (the occupancy snapshot
+    refreshed from the latest schedule each round, stopping early at an
+    occupancy fixpoint), and the schedule with the lowest *contended*
+    communication bill wins; the blind baseline competes too, so the
+    result is never worse than ignoring contention.
 
-    ``model`` defaults to ``config.resolve_contention()`` and must be
-    non-``None`` one way or the other; ``rounds`` defaults to
-    ``config.contention_rounds``.  Every candidate is scheduled against
-    a frozen price snapshot, so within each run the engine's legality
-    guarantees hold verbatim — the winner is validator-legal under the
-    returned ``comm`` cache.
+    The model is ``config.resolve_contention()`` and must not be
+    ``None``.  Every candidate is scheduled against a frozen price
+    snapshot, so within each run the engine's legality guarantees hold
+    verbatim — the winner is validator-legal under the returned
+    ``comm`` cache.
     """
     cfg = config if config is not None else CycloConfig()
-    if model is None:
-        model = cfg.resolve_contention()
+    model = cfg.resolve_contention()
     if model is None:
         raise SchedulingError(
-            "contention_aware_schedule needs a contention model: pass "
-            "model= or set config.contention_model"
+            "contention_aware_schedule needs a contention model: set "
+            "config.contention_model"
         )
-    num_rounds = rounds if rounds is not None else cfg.contention_rounds
 
     blind = cyclo_compact(graph, arch, config=cfg)
     blind_report = contended_cost(
@@ -243,7 +238,7 @@ def contention_aware_schedule(
     # each round is priced against the occupancy the previous report
     # was billed on: the placements of the round before it
     prev_report = blind_report
-    for _ in range(num_rounds):
+    for _ in range(cfg.contention_rounds):
         comm = CommCostCache.for_graph(  # repro-lint: disable=RC203 (deliberate per-round reprice of the contention fixpoint)
             arch, graph, contention=model, occupancy=prev_report.occupancy
         )

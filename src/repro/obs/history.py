@@ -1,7 +1,7 @@
 """The append-only run-history store (``repro.obs.history``).
 
-One NDJSON file per run *kind* (``schedule``, ``sweep``, ``fuzz``,
-``chaos`` …) under a history directory, one provenance-stamped
+One NDJSON file per run *kind* (``schedule``, ``sweep``, ``fuzz`` …)
+under a history directory, one provenance-stamped
 :class:`RunRecord` per line.  The store never rewrites a line: records
 accumulate across sessions, so ``repro obs regressions`` can fit a
 baseline from genuinely historical data and ``repro obs diff`` can
@@ -92,7 +92,7 @@ class RunRecord:
     ----------
     kind:
         What produced the record: ``"schedule"``, ``"sweep"``,
-        ``"fuzz"``, ``"chaos"`` …
+        ``"fuzz"`` …
     workload / arch:
         Graph name and architecture name — together with ``kind`` and
         ``config_hash`` they form the baseline grouping key.

@@ -4,7 +4,7 @@ Three modules:
 
 * :mod:`repro.perf.parallel` — :func:`run_parallel`, a deterministic
   seeded process-pool map for embarrassingly-parallel workloads (random
-  suites, benchmark sweeps, resilience chaos campaigns), with
+  suites, benchmark sweeps, fuzz campaigns), with
   per-worker observability metrics merged back into the parent
   registry.
 * :mod:`repro.perf.restarts` — :func:`best_of_restarts`, best-of-N

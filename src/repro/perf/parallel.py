@@ -2,8 +2,9 @@
 
 :func:`run_parallel` is the one fan-out primitive the repo uses for
 embarrassingly-parallel work: parameter sweeps
-(:mod:`repro.analysis.sweep`), chaos campaigns
-(:mod:`repro.resilience.chaos`) and the speedup benchmark.  Guarantees:
+(:mod:`repro.analysis.sweep`), fuzz campaigns (:mod:`repro.qa.fuzz`),
+best-of-N restarts (:mod:`repro.perf.restarts`) and the speedup
+benchmark.  Guarantees:
 
 * **Determinism** — results come back in *item order* regardless of
   which worker finished first, so a parallel sweep is byte-identical to
@@ -13,7 +14,7 @@ embarrassingly-parallel work: parameter sweeps
   enabled (:func:`repro.obs.runtime.enabled`), each worker records its
   metrics into a fresh registry and ships a snapshot home; the parent
   merges them (counters add, histograms combine) so campaign-level
-  statistics such as ``resilience.chaos.trial_seconds`` percentiles
+  statistics such as ``qa.fuzz.trial_seconds`` percentiles
   cover every trial no matter where it ran.
 * **Budgets** — ``time_budget_seconds`` stops dispatching new items
   once the wall-clock budget is spent; completed items are returned (a

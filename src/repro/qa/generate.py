@@ -14,7 +14,7 @@ are drawn from a :class:`GraphProfile`; every sample is checked against
 :func:`repro.graph.validation.is_legal` before it is handed out, so a
 generator bug can never masquerade as a scheduler bug.
 
-Architectures are sampled across **all eight registered topology
+Architectures are sampled across **all twelve registered topology
 kinds** (:data:`repro.arch.registry.ARCHITECTURE_KINDS`), respecting
 each kind's PE-count constraints (hypercubes need powers of two,
 balanced trees need ``2**k - 1``).  An :class:`ArchSpec` is the

@@ -82,10 +82,19 @@ workloads:
     certifies, found here by trying every length up to a bound past
     which no delayed edge can still constrain ``L``, and ``None`` when
     none works.
+``faults-recover``
+    Fault recovery (:func:`~repro.resilience.simfault.simulate_with_faults`,
+    which repairs with the paper's communication-sensitive remapping)
+    under a seeded campaign of PE and link faults, some transient,
+    struck at the sample's start-up schedule: every run ends on a
+    schedule the validator accepts on the surviving topology, or in a
+    typed error (disconnected, infeasible, stalled).  Any other
+    exception escapes to the driver, which counts it as a failure.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 from typing import Callable
@@ -115,13 +124,23 @@ from repro.core.priority import (
     volume_only_priority,
 )
 from repro.core.startup import start_up_schedule
-from repro.errors import ArchitectureError, QAError, ReproError, SchedulingError
+from repro.errors import (
+    ArchitectureError,
+    DisconnectedTopologyError,
+    InfeasibleScheduleError,
+    QAError,
+    ReproError,
+    SchedulingError,
+    StallDetectedError,
+)
 from repro.graph.csdfg import CSDFG
 from repro.graph.properties import iteration_bound
 from repro.perf.reference import (
     reference_cyclo_compact,
     reference_start_up_schedule,
 )
+from repro.resilience.faults import random_campaign
+from repro.resilience.simfault import simulate_with_faults
 from repro.retiming.basic import apply_retiming, is_legal_retiming
 from repro.schedule.table import ScheduleTable
 from repro.schedule.validate import collect_violations, minimum_feasible_length
@@ -554,9 +573,13 @@ def prop_contention_legal(
     """Contention-aware scheduling stays legal and never loses to the
     contention-blind baseline on its own metric."""
     model = _contention_model(rng)
-    result = contention_aware_schedule(
-        graph, arch, config=cfg, model=model, rounds=1
+    contended = dataclasses.replace(
+        cfg,
+        contention_model=model.name,
+        contention_weight=model.weight,
+        contention_rounds=1,
     )
+    result = contention_aware_schedule(graph, arch, config=contended)
     problems: list[str] = []
 
     # the winner must validate under exactly the pricing it carries
@@ -863,6 +886,58 @@ def prop_feasible_length_minimal(
     return problems
 
 
+#: Loop iterations each faulted run executes, the most faults one
+#: campaign strikes, and the share of them that heal again.
+_FAULT_ITERATIONS = 4
+_MAX_FAULTS = 3
+_TRANSIENT_FRACTION = 0.25
+
+
+def prop_faults_recover(
+    graph: CSDFG, arch: Architecture, cfg: CycloConfig, rng: random.Random
+) -> list[str]:
+    """A seeded fault campaign against the start-up schedule ends on a
+    validator-legal schedule of the surviving machine or in a typed
+    error."""
+    schedule = start_up_schedule(
+        graph, arch, pipelined_pes=cfg.pipelined_pes
+    )
+    campaign = random_campaign(
+        arch,
+        seed=rng.randrange(2**31),
+        num_faults=rng.randint(1, _MAX_FAULTS),
+        # faults strike before the last iteration starts
+        horizon=max(1, (_FAULT_ITERATIONS - 1) * schedule.length),
+        link_fraction=0.5,
+        transient_fraction=_TRANSIENT_FRACTION,
+    )
+    try:
+        run = simulate_with_faults(
+            graph,
+            arch,
+            schedule,
+            _FAULT_ITERATIONS,
+            campaign,
+            pipelined_pes=cfg.pipelined_pes,
+        )
+    except (
+        DisconnectedTopologyError,
+        InfeasibleScheduleError,
+        StallDetectedError,
+    ):
+        return []
+    # re-validated here, independently of the simulator's own checks
+    return [
+        f"{campaign.name}: {violation}"
+        for violation in collect_violations(
+            run.final_graph,
+            run.final_topology,
+            run.final_schedule,
+            pipelined_pes=cfg.pipelined_pes,
+        )
+    ]
+
+
 #: Registry of every property, in the order the fuzzer runs them.
 PROPERTIES: dict[str, PropertyFn] = {
     "schedules-legal": prop_schedules_legal,
@@ -877,6 +952,7 @@ PROPERTIES: dict[str, PropertyFn] = {
     "sanitizer-agrees": prop_sanitizer_agrees,
     "feasible-length-minimal": prop_feasible_length_minimal,
     "startup-equivalent": prop_startup_equivalent,
+    "faults-recover": prop_faults_recover,
 }
 
 

@@ -1,4 +1,4 @@
-"""``repro.resilience`` — fault injection, schedule repair, chaos.
+"""``repro.resilience`` — fault injection and schedule repair.
 
 The paper's schedules are *architecture-dependent*: when the
 architecture degrades (a PE dies, a link is cut) the static schedule is
@@ -17,11 +17,12 @@ invalid and must be remapped.  This package closes that loop:
   resume;
 * **fault-injecting simulator** (:mod:`repro.resilience.simfault`) —
   executes a schedule while a campaign kills PEs/links mid-run,
-  repairing at iteration boundaries under a progress watchdog;
-* **chaos harness** (:mod:`repro.resilience.chaos`) — randomized
-  campaigns over the workload/topology registries asserting the
-  invariant: *every run ends in a validated-legal degraded schedule or
-  a typed error — never a silent corrupt schedule or a hang*.
+  repairing at iteration boundaries under a progress watchdog.
+
+The ``faults-recover`` fuzz property (:mod:`repro.qa.properties`)
+drives seeded campaigns through the simulator and asserts the
+invariant: *every run ends in a validated-legal degraded schedule or a
+typed error — never a silent corrupt schedule or a hang*.
 
 See ``docs/resilience.md``.
 """
@@ -29,7 +30,6 @@ See ``docs/resilience.md``.
 from repro._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "chaos": ("ChaosReport", "ChaosTrial", "run_chaos_campaign"),
     "checkpoint": ("CompactionCheckpoint", "resume_compaction"),
     "faults": ("FaultCampaign", "LinkFault", "PEFault", "random_campaign"),
     "repair": ("RepairResult", "degrade", "repair_schedule"),

@@ -6,7 +6,8 @@ global control step of the simulated execution), and for how long
 (``duration=None`` means permanent; a transient fault heals after
 ``duration`` control steps).  A :class:`FaultCampaign` is an ordered,
 JSON round-trippable list of faults — the unit consumed by the repair
-engine, the fault-injecting simulator and the chaos harness.
+engine, the fault-injecting simulator and the ``faults-recover`` fuzz
+property.
 
 Campaigns are *deterministic*: :func:`random_campaign` derives every
 choice from a seed, so a failing campaign can be replayed bit-for-bit

@@ -13,15 +13,20 @@ remaining active faults and the current schedule (still legal: more
 hardware never lengthens a route) keeps running.
 
 Every reconfiguration is re-validated, so the execution can only end in
-one of two ways — the invariant the chaos harness asserts:
+one of two ways — the invariant the ``faults-recover`` fuzz property
+asserts:
 
 * all requested iterations completed, each on a schedule that passed
-  ``collect_violations`` for its topology, or
+  validation for its topology, or
 * a typed error: :class:`~repro.errors.DisconnectedTopologyError`,
   :class:`~repro.errors.InfeasibleScheduleError`, or
   :class:`~repro.errors.StallDetectedError` from the progress watchdog
   (which fires when reconfigurations stop advancing the iteration
   clock).
+
+An illegal schedule reaching an iteration raises
+:class:`~repro.errors.ScheduleValidationError` instead: repair
+validates its output, so that is a defect, not an ending.
 
 Per-fault outcomes are published to the :mod:`repro.obs` metrics
 registry (``resilience.sim.*``).
@@ -43,7 +48,7 @@ from repro.obs import metrics, span
 from repro.resilience.faults import Fault, FaultCampaign
 from repro.resilience.repair import degrade, repair_schedule
 from repro.schedule.table import ScheduleTable
-from repro.schedule.validate import collect_violations
+from repro.schedule.validate import validate_schedule
 from repro.sim.engine import SimulationError
 
 __all__ = ["FaultOutcome", "FaultSimulationResult", "simulate_with_faults"]
@@ -305,18 +310,15 @@ def _run(
                     length_after=current_schedule.length,
                 ))
 
-        # 2. execute one iteration on the (possibly repaired) schedule -
-        violations = collect_violations(
+        # 2. execute one iteration on the (possibly repaired) schedule;
+        # repair validates its output, so an illegal table here is a
+        # defect, not an infeasible machine
+        validate_schedule(
             current_graph,
             current_arch,
             current_schedule,
             pipelined_pes=pipelined_pes,
         )
-        if violations:  # pragma: no cover - repair validates its output
-            raise InfeasibleScheduleError(
-                "illegal schedule reached the execution loop: "
-                + "; ".join(violations)
-            )
         now += current_schedule.length
         completed += 1
         segment_iters += 1

@@ -102,8 +102,8 @@ class ContentionReport:
     def hotspots(self, top: int = 3) -> list[tuple[tuple[int, int], int]]:
         """Directed links that caused the most queueing, descending;
         ties fall back to busy time then link id.  The empirical
-        counterpart of the static per-link loads in
-        :func:`repro.arch.contention.link_loads`."""
+        counterpart of the static per-link loads of
+        :func:`repro.arch.contention.contended_cost`."""
         return sorted(
             self.link_queueing.items(),
             key=lambda kv: (-kv[1], -self.link_busy.get(kv[0], 0), kv[0]),

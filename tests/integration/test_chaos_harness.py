@@ -1,75 +1,128 @@
-"""Chaos harness: the resilience subsystem's end-to-end invariant.
+"""Fault recovery: the resilience subsystem's end-to-end invariant.
 
-Every seeded trial must end in a validated-legal schedule on the
-surviving topology or in a typed error — never a silent corrupt
-schedule and never a hang.  The acceptance bar is 200+ campaigns
-across at least 3 topologies and 3 workloads.
+The ``faults-recover`` fuzz property strikes a seeded fault campaign at
+a start-up schedule and runs it under fault injection: every run must
+end on a validated-legal schedule of the surviving topology or in a
+typed error — never a silent corrupt schedule and never a hang.  The
+campaign driver itself (trial seeding, ``--jobs`` determinism, time
+budgets, worker metrics) is pinned by ``test_fuzz_smoke.py`` and
+``tests/unit/test_perf_parallel.py``.
 """
+
+import dataclasses
 
 import pytest
 
+from repro.arch import make_architecture
+from repro.core import CycloConfig
 from repro.errors import StallDetectedError
-from repro.obs import metrics
-from repro.resilience import run_chaos_campaign
-from repro.resilience.chaos import run_chaos_trial
+from repro.qa import properties
+from repro.qa.case import ReproCase, replay_case
+from repro.qa.fuzz import run_fuzz
+from repro.qa.properties import check_property
+from repro.resilience import simfault
 from repro.resilience.simfault import simulate_with_faults
+from repro.workloads import make_workload
+
+WORKLOADS = ("figure1", "biquad2", "diffeq")
+TOPOLOGIES = ("linear", "ring", "mesh", "hypercube")
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """``(campaign, ending)`` of every faulted run the property starts."""
+    seen = []
+
+    def recording(graph, arch, schedule, iterations, campaign, **kwargs):
+        try:
+            run = simulate_with_faults(
+                graph, arch, schedule, iterations, campaign, **kwargs
+            )
+        except Exception as exc:
+            seen.append((campaign.to_dict(), type(exc).__name__))
+            raise
+        seen.append((campaign.to_dict(), "survived"))
+        return run
+
+    monkeypatch.setattr(properties, "simulate_with_faults", recording)
+    return seen
+
+
+def grid_trial(index):
+    """Trial ``index`` of the workload x topology grid at 8 PEs."""
+    graph = make_workload(WORKLOADS[(index // len(TOPOLOGIES)) % 3])
+    arch = make_architecture(TOPOLOGIES[index % len(TOPOLOGIES)], 8)
+    return check_property(
+        "faults-recover", graph, arch, CycloConfig(), rng=2026 + index
+    )
 
 
 class TestChaosInvariant:
-    def test_200_campaigns_hold_the_invariant(self):
-        report = run_chaos_campaign(
-            trials=200,
-            seed=2026,
-            topologies=("linear", "ring", "mesh", "hypercube"),
-            workloads=("figure1", "biquad2", "diffeq"),
-            transient_fraction=0.25,
-        )
-        assert len(report.trials) == 200
-        assert report.invariant_holds, report.describe()
-        counts = report.counts()
-        # the campaign must actually exercise both sides of the contract
-        assert counts.get("survived", 0) > 0, report.describe()
-        assert counts.get("disconnected", 0) > 0, report.describe()
-        # every trial covered at least one fault
-        assert all(t.num_faults >= 1 for t in report.trials)
-        # coverage: all requested topologies and workloads were hit
-        assert {t.topology for t in report.trials} == {
-            "linear", "ring", "mesh", "hypercube"
-        }
-        assert {t.workload for t in report.trials} == {
-            "figure1", "biquad2", "diffeq"
-        }
+    def test_200_campaigns_hold_the_invariant(self, runs):
+        for index in range(200):
+            assert grid_trial(index) == [], index
+        assert len(runs) == 200
+        endings = {ending for _, ending in runs}
+        # the grid must exercise both sides of the contract
+        assert "survived" in endings
+        assert "DisconnectedTopologyError" in endings
+        assert all(campaign["faults"] for campaign, _ in runs)
 
-    def test_trials_are_replayable(self):
-        a = run_chaos_trial(99, 5)
-        b = run_chaos_trial(99, 5)
-        assert a.outcome == b.outcome
-        assert a.campaign == b.campaign
-        assert a.makespan == b.makespan
+    def test_trials_are_replayable(self, runs):
+        grid_trial(5)
+        grid_trial(5)
+        assert runs[0] == runs[1]
 
     def test_outcomes_reach_metrics(self):
-        from repro.obs import InMemorySink, install_sink, remove_sink
+        from repro.obs import InMemorySink, install_sink, metrics, remove_sink
 
         sink = InMemorySink()
         install_sink(sink)  # metrics are no-ops without a sink
         try:
             metrics.reset()
-            run_chaos_campaign(trials=6, seed=0)
+            run_fuzz(trials=6, seed=0, properties=("faults-recover",))
             counters = metrics.snapshot()["counters"]
         finally:
             remove_sink(sink)
-        assert counters.get("resilience.chaos.trials") == 6
-        assert sum(
-            v
-            for k, v in counters.items()
-            if k.startswith("resilience.chaos.outcome.")
-        ) == 6
+        assert counters.get("qa.fuzz.trials") == 6
+        assert counters.get("qa.fuzz.outcome.ok") == 6
+        # the simulator's per-fault outcomes land in the registry too
+        assert counters.get("resilience.sim.fault_events", 0) >= 6
 
-    def test_time_budget_stops_early(self):
-        report = run_chaos_campaign(
-            trials=10_000, seed=1, time_budget_seconds=0.0
+
+class TestSeededBreaches:
+    """A fault-recovery defect fails the property, and the fuzzer
+    shrinks it to a reproducer that fails again on replay."""
+
+    @staticmethod
+    def assert_caught(trials):
+        report = run_fuzz(
+            trials=trials, seed=0, properties=("faults-recover",)
         )
-        assert len(report.trials) == 0
+        assert report.failures, report.describe()
+        for trial in report.failures:
+            shrunk = ReproCase.from_json(trial.shrunk_json)
+            assert shrunk.graph.num_nodes <= trial.num_nodes
+            assert replay_case(shrunk)
+
+    def test_illegal_repair_fails_the_property(self, monkeypatch):
+        repair = simfault.repair_schedule
+
+        def dropping_a_task(*args, **kwargs):
+            result = repair(*args, **kwargs)
+            broken = result.schedule.copy()
+            broken.remove(next(iter(broken.nodes())))
+            return dataclasses.replace(result, schedule=broken)
+
+        monkeypatch.setattr(simfault, "repair_schedule", dropping_a_task)
+        self.assert_caught(trials=2)
+
+    def test_untyped_error_fails_the_property(self, monkeypatch):
+        def crashing(*args, **kwargs):
+            raise RuntimeError("seeded crash")
+
+        monkeypatch.setattr(properties, "simulate_with_faults", crashing)
+        self.assert_caught(trials=2)
 
 
 class TestWatchdog:
@@ -77,10 +130,8 @@ class TestWatchdog:
         """A campaign with more strikes than the watchdog allows
         consecutive reconfigurations must end in a typed error, not
         spin."""
-        from repro.arch import make_architecture
         from repro.core import start_up_schedule
         from repro.resilience import FaultCampaign, LinkFault
-        from repro.workloads import make_workload
 
         graph = make_workload("figure1")
         arch = make_architecture("complete", 4)
@@ -95,56 +146,3 @@ class TestWatchdog:
             simulate_with_faults(
                 graph, arch, schedule, 3, campaign, watchdog_limit=0
             )
-
-
-class TestParallelDeterminism:
-    """Regression guard: ``--jobs > 1`` must reproduce the serial
-    campaign trial-for-trial, in item order."""
-
-    @staticmethod
-    def _key(trial):
-        # compare everything deterministic (elapsed_seconds is wall
-        # clock and legitimately differs between runs)
-        return (
-            trial.index,
-            trial.seed,
-            trial.topology,
-            trial.workload,
-            trial.num_faults,
-            trial.outcome,
-            trial.campaign,
-            trial.iterations,
-            trial.makespan,
-            trial.reconfigurations,
-            trial.regression,
-            trial.error,
-        )
-
-    def test_jobs2_matches_serial_in_order(self):
-        serial = run_chaos_campaign(trials=12, seed=42)
-        parallel = run_chaos_campaign(trials=12, seed=42, jobs=2)
-        assert [self._key(t) for t in parallel.trials] == [
-            self._key(t) for t in serial.trials
-        ]
-        assert [t.index for t in parallel.trials] == list(range(12))
-
-    def test_jobs2_merges_worker_metrics(self):
-        from repro.obs import InMemorySink, install_sink, remove_sink
-
-        sink = InMemorySink()
-        install_sink(sink)
-        try:
-            metrics.reset()
-            run_chaos_campaign(trials=6, seed=0, jobs=2)
-            snap = metrics.snapshot()
-            counters = snap["counters"]
-        finally:
-            remove_sink(sink)
-        # per-trial counters were recorded inside the workers and must
-        # have been merged back into this process's registry
-        assert counters.get("resilience.chaos.trials") == 6
-        assert sum(
-            v
-            for k, v in counters.items()
-            if k.startswith("resilience.chaos.outcome.")
-        ) == 6

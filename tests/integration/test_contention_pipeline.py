@@ -7,6 +7,8 @@ schedule — and with contention disabled, everything prices
 bit-identically to the paper's contention-free model.
 """
 
+from dataclasses import replace
+
 from repro.arch import (
     CommCostCache,
     LinkOccupancy,
@@ -36,12 +38,19 @@ def bottleneck_case():
     return graph, arch, cfg
 
 
+def serialized(cfg, weight=3, **fields):
+    """``cfg`` with serialized contention pricing switched on."""
+    return replace(
+        cfg, contention_model="serialized", contention_weight=weight,
+        **fields,
+    )
+
+
 class TestAcceptanceCriterion:
     def test_aware_schedule_beats_blind_on_contended_bill(self):
         graph, arch, cfg = bottleneck_case()
-        model = SerializedContention(weight=3)
         result = contention_aware_schedule(
-            graph, arch, config=cfg, model=model
+            graph, arch, config=serialized(cfg)
         )
         assert result.final_cost < result.blind_cost
         # the winner really is an aware round, priced by its own cache
@@ -50,9 +59,8 @@ class TestAcceptanceCriterion:
 
     def test_winner_is_validator_legal_under_its_pricing(self):
         graph, arch, cfg = bottleneck_case()
-        model = SerializedContention(weight=3)
         result = contention_aware_schedule(
-            graph, arch, config=cfg, model=model
+            graph, arch, config=serialized(cfg)
         )
         violations = collect_violations(
             result.graph, arch, result.schedule, comm=result.comm
@@ -65,8 +73,7 @@ class TestAcceptanceCriterion:
         graph = layered_csdfg([2, 2], seed=3)
         arch = make_architecture("complete", 4)
         result = contention_aware_schedule(
-            graph, arch, config=CycloConfig(validate_each_step=False),
-            model=SerializedContention(weight=1),
+            graph, arch, config=serialized(CycloConfig(), weight=1)
         )
         assert result.final_cost <= result.blind_cost
         assert result.round_costs[0] == result.blind_cost
@@ -75,7 +82,7 @@ class TestAcceptanceCriterion:
         graph, arch, cfg = bottleneck_case()
         model = SerializedContention(weight=3)
         result = contention_aware_schedule(
-            graph, arch, config=cfg, model=model
+            graph, arch, config=serialized(cfg)
         )
         again = contended_cost(
             result.graph, arch, result.schedule.processor_map(), model
@@ -152,8 +159,7 @@ class TestRoundPricing:
         monkeypatch.setattr("repro.core.pipeline.cyclo_compact", recording)
         graph, arch, cfg = bottleneck_case()
         contention_aware_schedule(
-            graph, arch, config=cfg,
-            model=SerializedContention(weight=3), rounds=4,
+            graph, arch, config=serialized(cfg, contention_rounds=4)
         )
         assert calls[0][0] is None
         for (_, before), (comm, _) in zip(calls, calls[1:]):
@@ -181,8 +187,7 @@ class TestOccupancyBuilds:
         )
         graph, arch, cfg = bottleneck_case()
         result = contention_aware_schedule(
-            graph, arch, config=cfg,
-            model=SerializedContention(weight=3), rounds=4,
+            graph, arch, config=serialized(cfg, contention_rounds=4)
         )
         assert len(built) == len(result.round_costs) == 5
 

@@ -63,7 +63,7 @@ class TestCompactionMatchesPaper:
     def test_both_policies_improve(self):
         g, m = figure1_csdfg(), figure1_mesh()
         for relaxation in (True, False):
-            cell, _ = run_cell(g, m, relaxation=relaxation)
+            cell, _ = run_cell(g, m, config=CycloConfig(relaxation=relaxation))
             assert cell.after < cell.init
 
 

@@ -24,8 +24,8 @@ def filter_cells(request):
         "lattice": lambda: slowdown(lattice_filter(8), 3),
     }[request.param]()
     archs = paper_architectures(8)
-    with_relax = run_grid(graph, archs, relaxation=True, config=CFG_RELAX)
-    without = run_grid(graph, archs, relaxation=False, config=CFG_STRICT)
+    with_relax = run_grid(graph, archs, config=CFG_RELAX)
+    without = run_grid(graph, archs, config=CFG_STRICT)
     return request.param, with_relax, without
 
 

@@ -110,6 +110,16 @@ class TestProfileCommand:
         assert 99.0 <= percent <= 100.5
         assert "startup" in out and "remap" in out
 
+    def test_profiles_the_production_mode(self, capsys):
+        # one certifying validate per run, not one per pass
+        assert main(["profile", "figure7", "--arch", "mesh", "--pes", "8",
+                     "--runs", "3"]) == 0
+        validate = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("validate")
+        ][0]
+        assert validate.split()[1] == "3"
+
     def test_rejects_bad_runs(self, capsys):
         assert main(["profile", "figure1", "--runs", "0"]) == 1
         assert "--runs" in capsys.readouterr().err

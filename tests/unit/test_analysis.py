@@ -1,5 +1,7 @@
 """Unit tests for the experiment harness."""
 
+from dataclasses import replace
+
 from repro.analysis import (
     PRIORITY_VARIANTS,
     comm_awareness_ablation,
@@ -11,8 +13,13 @@ from repro.analysis import (
     run_cell,
     run_grid,
 )
-from repro.arch import CompletelyConnected, LinearArray, paper_architectures
-from repro.core import CycloConfig
+from repro.arch import (
+    CompletelyConnected,
+    LinearArray,
+    Ring,
+    paper_architectures,
+)
+from repro.core import CycloConfig, cyclo_compact
 
 FAST = CycloConfig(max_iterations=15, validate_each_step=False)
 
@@ -29,8 +36,34 @@ class TestRunCell:
         assert result.final_length == cell.after
 
     def test_relaxation_flag_respected(self, figure1, mesh2x2):
-        cell, _ = run_cell(figure1, mesh2x2, relaxation=False, config=FAST)
+        cell, _ = run_cell(
+            figure1, mesh2x2, config=replace(FAST, relaxation=False)
+        )
         assert cell.relaxation is False
+
+    def test_config_relaxation_is_the_one_run(self, figure1, mesh2x2):
+        strict = CycloConfig(relaxation=False)
+        cell, result = run_cell(figure1, mesh2x2, config=strict)
+        direct = cyclo_compact(figure1, mesh2x2, config=strict)
+        assert cell.relaxation is False
+        assert result.trace == direct.trace
+
+    def test_every_config_field_reaches_the_run(self, figure7):
+        arch = Ring(8)
+        cfg = CycloConfig(
+            relaxation=False, remap_strategy="first-fit", max_iterations=30
+        )
+        cell, result = run_cell(figure7, arch, config=cfg)
+        direct = cyclo_compact(figure7, arch, config=cfg)
+        assert cell.after == direct.final_length
+        assert result.schedule.same_placements(direct.schedule)
+
+    def test_pipelined_config_validates_its_startup(self, figure7):
+        arch = LinearArray(8)
+        cfg = CycloConfig(pipelined_pes=True, max_iterations=15)
+        cell, _ = run_cell(figure7, arch, config=cfg)
+        direct = cyclo_compact(figure7, arch, config=cfg)
+        assert cell.after == direct.final_length
 
     def test_bound_is_floor(self, figure7):
         cell, _ = run_cell(figure7, CompletelyConnected(8), config=FAST)

@@ -256,10 +256,15 @@ class TestFaults:
         assert "failure of pe1" in capsys.readouterr().out
 
     def test_campaign_smoke(self, capsys):
+        # seeded fault campaigns run as the `faults-recover` property
         assert main(
-            ["faults", "campaign", "--trials", "4", "--seed", "0"]
+            ["fuzz", "--properties", "faults-recover", "--trials", "20",
+             "--seed", "0"]
         ) == 0
-        assert "INVARIANT HOLDS" in capsys.readouterr().out
+        assert "ALL PROPERTIES HOLD" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["faults", "campaign"])
+        assert exc.value.code == 2
 
 
 class TestParser:

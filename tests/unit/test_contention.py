@@ -11,7 +11,6 @@ from repro.arch import (
     ScaledContention,
     SerializedContention,
     contended_cost,
-    link_loads,
     make_contention_model,
 )
 from repro.errors import ArchitectureError
@@ -28,27 +27,36 @@ def chain_graph():
 
 
 class TestLinkLoads:
+    """Per-link tallies come from the uncontended bill."""
+
     def test_local_assignment_no_traffic(self):
         g = chain_graph()
-        report = link_loads(g, LinearArray(3), {"a": 0, "b": 0, "c": 0})
-        assert report.total_traffic == 0
+        report = contended_cost(
+            g, LinearArray(3), {"a": 0, "b": 0, "c": 0}, NoContention()
+        )
+        assert report.base_cost == 0
         assert report.num_remote_edges == 0
-        assert report.max_load == 0
+        assert report.max_link_load == 0
 
     def test_spread_assignment(self):
         g = chain_graph()
         arch = LinearArray(3)
-        report = link_loads(g, arch, {"a": 0, "b": 1, "c": 2})
+        report = contended_cost(
+            g, arch, {"a": 0, "b": 1, "c": 2}, NoContention()
+        )
         # a->b: 2 over link (0,1); b->c: 3 over (1,2); c->a: 1 over both
         assert report.loads[(0, 1)] == 3
         assert report.loads[(1, 2)] == 4
-        assert report.max_load == 4
-        assert report.total_traffic == 2 + 3 + 2
+        assert report.max_link_load == 4
+        # store-and-forward: the base bill is sum(volume * hops)
+        assert report.base_cost == 2 + 3 + 2
         assert report.num_remote_edges == 3
 
     def test_hotspots_sorted(self):
         g = chain_graph()
-        report = link_loads(g, LinearArray(3), {"a": 0, "b": 1, "c": 2})
+        report = contended_cost(
+            g, LinearArray(3), {"a": 0, "b": 1, "c": 2}, NoContention()
+        )
         hot = report.hotspots(1)
         assert hot == [((1, 2), 4)]
 

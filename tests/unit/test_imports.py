@@ -33,6 +33,13 @@ ENGINE_EXCLUDED = (
     "multiprocessing", "concurrent.futures",
 )
 
+#: Packages and modules only some CLI commands need; each command
+#: imports them itself.
+CLI_EXCLUDED = (
+    "repro.analysis", "repro.codegen", "repro.sim", "repro.baselines",
+    "repro.obs.export", "repro.obs.profile",
+)
+
 
 def fresh(code: str, *args: str) -> str:
     """Run ``code`` with ``args`` in a new interpreter; return its
@@ -65,6 +72,17 @@ def test_engine_entry_points_stay_within_budget():
     assert excluded == []
     # 40 today: the engine, its substrate packages and their inits
     assert len([m for m in mods if m.startswith("repro")]) <= 40
+
+
+def test_cli_imports_each_commands_modules_inside_it():
+    mods = loaded_after("import repro.cli")
+    excluded = [
+        m for m in mods
+        if any(m == x or m.startswith(x + ".") for x in CLI_EXCLUDED)
+    ]
+    assert excluded == []
+    # 59 today: the engine plus the workloads, renderers and parser
+    assert len([m for m in mods if m.startswith("repro")]) <= 60
 
 
 def test_shadowed_names_stay_functions():
