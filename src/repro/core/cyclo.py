@@ -66,7 +66,8 @@ class CycloResult:
         The best (shortest) legal schedule found.
     graph:
         The retimed CSDFG matching ``schedule`` (the original input
-        graph is never mutated).
+        graph is never mutated).  When the working state ends on the
+        best retiming this is the same object as ``final_graph``.
     retiming:
         Cumulative retiming mapping the input graph to ``graph``
         (``graph == apply_retiming(input, retiming)``).
@@ -110,7 +111,9 @@ class CycloResult:
 @dataclass
 class _LoopState:
     """Mutable optimiser state threaded through the pass loop (and
-    restored verbatim by a checkpoint resume)."""
+    restored verbatim by a checkpoint resume).  ``tracker`` is the PSL
+    tracker a fresh start-up run already seeded; ``None`` makes
+    :func:`_run_passes` seed one from the working schedule."""
 
     working: CSDFG
     schedule: ScheduleTable
@@ -125,6 +128,7 @@ class _LoopState:
     trace: CompactionTrace
     stall: int = 0
     next_index: int = 1
+    tracker: PSLTracker | None = None
 
 
 class _TopoRankCache:
@@ -279,10 +283,20 @@ def _initial_state(
     comm: CommCostCache,
 ) -> _LoopState:
     working = graph.copy()
+    tracker = None
     if initial is None:
+        # one PSL walk: the run's tracker is seeded from the unpadded
+        # placements and pads the table (start-up's own pad would walk
+        # every edge a second time)
         schedule = start_up_schedule(
-            working, arch, pipelined_pes=cfg.pipelined_pes, comm=comm
+            working, arch, pipelined_pes=cfg.pipelined_pes, comm=comm,
+            pad_for_delayed_edges=False,
         )
+        tracker = PSLTracker(
+            working, arch, schedule, comm=comm,
+            pipelined_pes=cfg.pipelined_pes,
+        )
+        schedule.set_length(tracker.projected_length())
     else:
         violations = collect_violations(
             working, arch, initial, pipelined_pes=cfg.pipelined_pes, comm=comm
@@ -302,6 +316,7 @@ def _initial_state(
         best_retiming=dict(retiming),
         initial_schedule=schedule.copy(),
         trace=CompactionTrace(initial_length=schedule.length),
+        tracker=tracker,
     )
 
 
@@ -320,15 +335,18 @@ def _run_passes(
     stop_reason = "completed"
     total = cfg.iterations_for(state.working.num_nodes)
 
-    # the tracker is seeded from the (legal) working schedule and
+    # the tracker is seeded from the (legal) working schedule — by
+    # start-up on a fresh run, here on a resumed or given one — and
     # updated incrementally by each remapping pass
-    tracker = PSLTracker(
-        state.working,
-        arch,
-        state.schedule,
-        comm=comm,
-        pipelined_pes=cfg.pipelined_pes,
-    )
+    tracker = state.tracker
+    if tracker is None:
+        tracker = PSLTracker(
+            state.working,
+            arch,
+            state.schedule,
+            comm=comm,
+            pipelined_pes=cfg.pipelined_pes,
+        )
     topo_cache = _TopoRankCache()
     for index in range(state.next_index, total + 1):
         if (
@@ -363,11 +381,16 @@ def _run_passes(
 
     best_graph = state.best_graph
     if best_graph is None:
-        # copy-on-write: materialise the best graph from the retiming
-        # (same name the eager working.copy() used to carry)
-        best_graph = apply_retiming(
-            graph, state.best_retiming, name=graph.name
-        )
+        if stop_reason != "error" and state.best_retiming == state.retiming:
+            # the working graph is the best one (a pass that raised may
+            # have left it half-rotated, so it is not trusted then)
+            best_graph = state.working
+        else:
+            # copy-on-write: materialise the best graph from the
+            # retiming (same name the eager working.copy() used to carry)
+            best_graph = apply_retiming(
+                graph, state.best_retiming, name=graph.name
+            )
     # certify what is returned, under the prices that steered the run
     violations = collect_violations(
         best_graph, arch, state.best_schedule,

@@ -1,12 +1,12 @@
-"""Array-at-a-time kernels of the scheduling engine.
+"""The scheduling engine's inner loops over flat sequences.
 
-Profiles of thousand-node compactions show three python-level loops
-dominating: communication-cost row construction
-(:mod:`repro.arch.cache`), the batch PSL edge-bound evaluation
-(:class:`repro.core.psl.PSLTracker.refresh`) and the per-PE
-anticipation folds of the remapping slot search
-(:func:`repro.core.remapping._find_spot`).  This module holds each of
-them as one plain-python function over flat sequences.
+Three loops run over many elements per call: communication-cost row
+construction (:mod:`repro.arch.cache`), the batch PSL edge-bound
+evaluation (:meth:`repro.core.psl.PSLTracker.refresh`, once per
+compaction run) and the per-PE anticipation folds of the remapping
+slot search (:func:`repro.core.remapping._find_spot`).  This module
+holds each of them as one plain-python function over lists and
+tuples of python ints.
 
 All arithmetic is integer-exact: ceil division is ``-(-a // b)``.
 

@@ -27,15 +27,22 @@ tracker reads the table's stored records
 (:meth:`~repro.schedule.table.ScheduleTable.stored_placements`) without
 converting them.
 
-Two refinements keep the tracker O(touched edges) even on
-thousand-edge graphs:
+Three refinements keep the tracker cheap on thousand-edge graphs:
 
 * :meth:`refresh` gathers every edge once and evaluates all bounds in
   one :func:`repro.core.kernels.edge_bounds` call;
+* only delayed edges keep a bound: a zero-delay edge never bounds
+  ``L`` (it is either satisfied as placed or no length is legal), so it
+  is only checked for violation, and the makespan stands in for it;
 * :meth:`projected_length` reads the maximum bound from a lazy-deletion
   max-heap maintained alongside ``_bounds`` — updated edges are pushed
   and stale heap tops discarded on read, so the per-pass cost tracks
   the dirty set instead of rescanning every edge's bound.
+
+A compaction run seeds its tracker once, from the unpadded start-up
+placements, and pads the start-up table with
+:meth:`PSLTracker.projected_length` — the same length
+:func:`projected_schedule_length` gives, without a second walk.
 """
 
 from __future__ import annotations
@@ -96,12 +103,14 @@ def projected_schedule_length(
 class PSLTracker:
     """Incremental per-edge PSL bounds for one (graph, schedule) pair.
 
-    The tracker stores, for every edge, the length bound it induces (0
-    for a satisfied zero-delay edge — those constrain nothing through
-    ``L``).  After a remapping pass only edges incident to the moved
-    nodes are recomputed (:meth:`update_nodes`); rejected passes call
-    :meth:`restore` with the snapshot taken before the update so the
-    bounds always match the schedule the caller sees.
+    The tracker stores, for every delayed edge, the length bound it
+    induces; zero-delay edges constrain nothing through ``L`` and are
+    only checked for violation.  After a remapping pass only edges
+    incident to the moved nodes are recomputed (:meth:`update_nodes`);
+    an edge whose delay a rotation took to zero loses its bound, one
+    that gained a delay gets one.  Rejected passes call :meth:`restore`
+    with the snapshot taken before the update so the bounds always
+    match the schedule the caller sees.
 
     The graph and schedule are held *by reference*: retiming mutations
     and placements are picked up at the next update.  Rebuild the
@@ -144,7 +153,8 @@ class PSLTracker:
 
     # ------------------------------------------------------------------
     def refresh(self) -> None:
-        """Recompute every edge bound from scratch (batched).
+        """Recompute every delayed-edge bound from scratch (batched)
+        and check every zero-delay edge.
 
         Raises :class:`InfeasibleScheduleError` when the current
         placements violate a zero-delay dependence (the tracker must be
@@ -174,7 +184,9 @@ class PSLTracker:
                 f"edge ({src!r}, {dst!r}) violates an "
                 "intra-iteration dependence as placed"
             )
-        self._bounds = dict(zip(keys, bounds))
+        self._bounds = {
+            k: b for k, b, d in zip(keys, bounds, delays) if d
+        }
         self._heap = [(-b, k) for k, b in self._bounds.items()]
         heapify(self._heap)
 
@@ -192,15 +204,14 @@ class PSLTracker:
                     yield e
 
     # ------------------------------------------------------------------
-    def snapshot(self, nodes: Iterable[Node]) -> dict[tuple[Node, Node], int]:
+    def snapshot(
+        self, nodes: Iterable[Node]
+    ) -> dict[tuple[Node, Node], int | None]:
         """Bounds of every edge incident to ``nodes`` (for
-        :meth:`restore` after a rejected pass)."""
+        :meth:`restore` after a rejected pass); ``None`` records an edge
+        without a bound, so restoring removes one it gained since."""
         bounds = self._bounds
-        return {
-            e.key: bounds[e.key]
-            for e in self._incident_edges(nodes)
-            if e.key in bounds
-        }
+        return {e.key: bounds.get(e.key) for e in self._incident_edges(nodes)}
 
     def update_nodes(self, nodes: Iterable[Node]) -> int | None:
         """Recompute bounds of edges incident to ``nodes`` and return
@@ -212,7 +223,7 @@ class PSLTracker:
         cost = self._cost
         graph = self.graph
         seen: set[tuple[Node, Node]] = set()
-        fresh: dict[tuple[Node, Node], int] = {}
+        fresh: dict[tuple[Node, Node], int | None] = {}
         for n in nodes:
             for e in graph._pred[n].values():
                 key = e.key
@@ -229,7 +240,7 @@ class PSLTracker:
                 if delay == 0:
                     if slack > 0:
                         return None
-                    fresh[key] = 0
+                    fresh[key] = None
                 else:
                     fresh[key] = -(-slack // delay)
             for e in graph._succ[n].values():
@@ -247,28 +258,26 @@ class PSLTracker:
                 if delay == 0:
                     if slack > 0:
                         return None
-                    fresh[key] = 0
+                    fresh[key] = None
                 else:
                     fresh[key] = -(-slack // delay)
-        bounds = self._bounds
-        heap = self._heap
-        for key, bound in fresh.items():
-            if bounds.get(key) != bound:
-                bounds[key] = bound
-                heappush(heap, (-bound, key))
+        self.restore(fresh)  # commit: the same install as a rollback
         return self.projected_length()
 
-    def restore(self, snapshot: dict[tuple[Node, Node], int]) -> None:
-        """Re-install bounds saved by :meth:`snapshot`."""
+    def restore(self, snapshot: dict[tuple[Node, Node], int | None]) -> None:
+        """Re-install bounds saved by :meth:`snapshot` (``None``: the
+        edge has no bound; its heap entries go stale)."""
         bounds = self._bounds
         heap = self._heap
         for key, bound in snapshot.items():
-            if bounds.get(key) != bound:
+            if bound is None:
+                bounds.pop(key, None)
+            elif bounds.get(key) != bound:
                 bounds[key] = bound
                 heappush(heap, (-bound, key))
 
     def projected_length(self) -> int:
-        """``max(makespan, all edge bounds, 1)`` — identical to
+        """``max(makespan, all delayed-edge bounds, 1)`` — identical to
         :func:`projected_schedule_length` for a complete, conflict-free
         placement set.
 

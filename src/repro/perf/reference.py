@@ -510,7 +510,8 @@ class _UncachedComm:
 
 class _RescanPSL:
     """Stand-in for :class:`~repro.core.psl.PSLTracker`: recomputes the
-    projected schedule length by a full rescan after every pass."""
+    projected schedule length by a full rescan after every pass, and
+    for the start-up pad (:meth:`projected_length`)."""
 
     def __init__(
         self,
@@ -534,12 +535,15 @@ class _RescanPSL:
 
     def update_nodes(self, nodes) -> int | None:
         try:
-            return projected_schedule_length(
-                self.graph, self.arch, self.schedule,
-                pipelined_pes=self.pipelined_pes,
-            )
+            return self.projected_length()
         except InfeasibleScheduleError:  # pragma: no cover - defensive
             return None
+
+    def projected_length(self) -> int:
+        return projected_schedule_length(
+            self.graph, self.arch, self.schedule,
+            pipelined_pes=self.pipelined_pes,
+        )
 
 
 class _KahnRanks:

@@ -88,8 +88,10 @@ workloads:
     under a seeded campaign of PE and link faults, some transient,
     struck at the sample's start-up schedule: every run ends on a
     schedule the validator accepts on the surviving topology, or in a
-    typed error (disconnected, infeasible, stalled).  Any other
-    exception escapes to the driver, which counts it as a failure.
+    typed error (disconnected, infeasible, stalled).  The simulator's
+    own validation (on entry and after every reconfiguration) raising
+    is reported as the violations it names; any other exception
+    escapes to the fuzzer, which counts it as a failure.
 """
 
 from __future__ import annotations
@@ -130,6 +132,7 @@ from repro.errors import (
     InfeasibleScheduleError,
     QAError,
     ReproError,
+    ScheduleValidationError,
     SchedulingError,
     StallDetectedError,
 )
@@ -926,6 +929,9 @@ def prop_faults_recover(
         StallDetectedError,
     ):
         return []
+    except ScheduleValidationError as exc:
+        # an illegal table on entry or out of a repair is a defect
+        return [f"{campaign.name}: {v}" for v in exc.violations]
     # re-validated here, independently of the simulator's own checks
     return [
         f"{campaign.name}: {violation}"

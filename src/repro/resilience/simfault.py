@@ -12,9 +12,10 @@ machine degrades, the schedule is repaired on the surviving topology
 remaining active faults and the current schedule (still legal: more
 hardware never lengthens a route) keeps running.
 
-Every reconfiguration is re-validated, so the execution can only end in
-one of two ways — the invariant the ``faults-recover`` fuzz property
-asserts:
+The schedule is validated on entry and again after every
+reconfiguration (nothing else changes it), so the execution can only
+end in one of two ways — the invariant the ``faults-recover`` fuzz
+property asserts:
 
 * all requested iterations completed, each on a schedule that passed
   validation for its topology, or
@@ -24,7 +25,7 @@ asserts:
   (which fires when reconfigurations stop advancing the iteration
   clock).
 
-An illegal schedule reaching an iteration raises
+An illegal schedule, on entry or out of a reconfiguration, raises
 :class:`~repro.errors.ScheduleValidationError` instead: repair
 validates its output, so that is a defect, not an ending.
 
@@ -215,6 +216,19 @@ def _run(
             result.segments.append((segment_iters, current_schedule.length))
             segment_iters = 0
 
+    def check_current() -> None:
+        # only a reconfiguration changes what runs, so the schedule is
+        # checked on entry and after each one; repair validates its
+        # output, so an illegal table here is a defect, not an
+        # infeasible machine
+        validate_schedule(
+            current_graph,
+            current_arch,
+            current_schedule,
+            pipelined_pes=pipelined_pes,
+        )
+
+    check_current()
     while completed < iterations:
         # 1. apply every fault event due by `now` ----------------------
         due = [f for f in pending if f.at_step <= now] or (
@@ -309,16 +323,9 @@ def _run(
                     length_before=length_before,
                     length_after=current_schedule.length,
                 ))
+            check_current()
 
-        # 2. execute one iteration on the (possibly repaired) schedule;
-        # repair validates its output, so an illegal table here is a
-        # defect, not an infeasible machine
-        validate_schedule(
-            current_graph,
-            current_arch,
-            current_schedule,
-            pipelined_pes=pipelined_pes,
-        )
+        # 2. execute one iteration on the (possibly repaired) schedule
         now += current_schedule.length
         completed += 1
         segment_iters += 1

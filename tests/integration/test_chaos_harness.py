@@ -15,7 +15,7 @@ import pytest
 
 from repro.arch import make_architecture
 from repro.core import CycloConfig
-from repro.errors import StallDetectedError
+from repro.errors import ScheduleValidationError, StallDetectedError
 from repro.qa import properties
 from repro.qa.case import ReproCase, replay_case
 from repro.qa.fuzz import run_fuzz
@@ -146,3 +146,50 @@ class TestWatchdog:
             simulate_with_faults(
                 graph, arch, schedule, 3, campaign, watchdog_limit=0
             )
+
+
+class TestValidationWalks:
+    """Only a reconfiguration changes the running schedule, so it is
+    validated on entry and after each reconfiguration, not before every
+    iteration."""
+
+    @staticmethod
+    def run(monkeypatch):
+        from repro.core import start_up_schedule
+        from repro.resilience import FaultCampaign, LinkFault
+
+        walks = []
+        validate = simfault.validate_schedule
+
+        def counting(*args, **kwargs):
+            walks.append(args[2])
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(simfault, "validate_schedule", counting)
+        graph = make_workload("figure7")
+        arch = make_architecture("mesh", 8)
+        result = simulate_with_faults(
+            graph, arch, start_up_schedule(graph, arch), 50,
+            FaultCampaign([LinkFault(0, 1, at_step=20)]),
+        )
+        return result, walks
+
+    def test_one_walk_on_entry_and_one_per_reconfiguration(self, monkeypatch):
+        result, walks = self.run(monkeypatch)
+        assert result.iterations == 50
+        assert result.reconfigurations == 1
+        assert len(walks) == 1 + result.reconfigurations
+        assert walks[-1] is result.final_schedule
+
+    def test_corrupt_repaired_table_still_raises(self, monkeypatch):
+        repair = simfault.repair_schedule
+
+        def dropping_a_task(*args, **kwargs):
+            result = repair(*args, **kwargs)
+            broken = result.schedule.copy()
+            broken.remove(next(iter(broken.nodes())))
+            return dataclasses.replace(result, schedule=broken)
+
+        monkeypatch.setattr(simfault, "repair_schedule", dropping_a_task)
+        with pytest.raises(ScheduleValidationError, match="not scheduled"):
+            self.run(monkeypatch)

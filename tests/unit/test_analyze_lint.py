@@ -267,6 +267,8 @@ class TestMutationSeeding:
     """The acceptance gate: inject ``time.time()`` into a copy of
     ``repro/core/cyclo.py`` and the lint must reject it with RD103."""
 
+    PLANTED = "    _t0 = time.time()"
+
     def plant(self, tmp_path: Path) -> Path:
         victim = tmp_path / "repro" / "core" / "cyclo.py"
         victim.parent.mkdir(parents=True)
@@ -275,16 +277,17 @@ class TestMutationSeeding:
         marker = "stop_reason = \"completed\""
         assert marker in text
         victim.write_text(text.replace(
-            marker, marker + "\n    _t0 = time.time()", 1
+            marker, marker + "\n" + self.PLANTED, 1
         ))
         return victim
 
     def test_mutated_core_fails_with_rd103(self, tmp_path, capsys):
         victim = self.plant(tmp_path)
+        line = victim.read_text().splitlines().index(self.PLANTED) + 1
         assert main(["lint", str(victim)]) == 1
         out = capsys.readouterr().out
         assert "RD103" in out and "time.time" in out
-        assert f"{victim}:321" in out
+        assert f"{victim}:{line}]" in out
 
     def test_pristine_copy_still_passes(self, tmp_path, capsys):
         victim = tmp_path / "repro" / "core" / "cyclo.py"

@@ -224,3 +224,58 @@ class TestReturnedScheduleCertified:
             )
         names = [e["name"] for e in sink.spans()]
         assert names.count("validate") == 1
+
+
+class TestBestGraph:
+    """The best graph is the working graph, not a clone, when the run
+    ends on the best retiming."""
+
+    @pytest.mark.parametrize("relaxation", [True, False])
+    @pytest.mark.parametrize("passes", [3, 10, None])
+    @pytest.mark.parametrize("workload", ["figure1", "figure7", "biquad2"])
+    def test_graph_is_final_graph_exactly_when_retimings_match(
+        self, workload, passes, relaxation
+    ):
+        from repro.workloads import make_workload
+
+        graph = make_workload(workload)
+        result = cyclo_compact(
+            graph, make_architecture("ring", 8),
+            config=CycloConfig(relaxation=relaxation, max_iterations=passes),
+        )
+        same = result.retiming == result.final_retiming
+        assert (result.graph is result.final_graph) == same
+        assert result.graph.structurally_equal(
+            apply_retiming(graph, result.retiming)
+        )
+
+    def test_both_outcomes_occur(self, figure7):
+        arch = make_architecture("ring", 8)
+        shared = cyclo_compact(
+            figure7, arch, config=CycloConfig(max_iterations=3)
+        )
+        cloned = cyclo_compact(figure7, arch)
+        assert shared.graph is shared.final_graph
+        assert cloned.graph is not cloned.final_graph
+
+    def test_half_rotated_working_graph_is_not_returned(
+        self, figure7, monkeypatch
+    ):
+        # the pass raises after rotating the graph but before the
+        # retiming is counted: the retimings still match, the working
+        # graph does not
+        rotate = cyclo_mod.rotate_schedule
+
+        def rotate_then_raise(graph, schedule):
+            rotate(graph, schedule)
+            raise RuntimeError("injected pass failure")
+
+        monkeypatch.setattr(cyclo_mod, "rotate_schedule", rotate_then_raise)
+        result = cyclo_compact(
+            figure7, make_architecture("ring", 8),
+            config=CycloConfig(recover_on_error=True),
+        )
+        assert result.stop_reason == "error"
+        assert result.retiming == result.final_retiming
+        assert result.graph is not result.final_graph
+        assert result.graph.structurally_equal(figure7)

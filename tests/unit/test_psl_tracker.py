@@ -3,13 +3,17 @@
 ``refresh`` is the batch path (one ``kernels.edge_bounds`` call over
 every edge); ``update_nodes``/``snapshot``/``restore`` are the
 per-pass path the compaction loop drives.  Both must agree with the
-full rescan ``projected_schedule_length``.
+full rescan ``projected_schedule_length``.  Only delayed edges keep a
+bound, and a compaction run seeds one tracker from the unpadded
+start-up placements, which also pads the start-up table.
 """
 
 import pytest
 
 from repro.arch import LinearArray
 from repro.arch.cache import CommCostCache
+from repro.arch.comm import make_contention_model
+from repro.arch.contention import LinkOccupancy
 from repro.arch.degraded import DegradedTopology
 from repro.arch.registry import make_architecture
 from repro.core import (
@@ -21,6 +25,7 @@ from repro.core import (
 from repro.core.psl import PSLTracker
 from repro.errors import InfeasibleScheduleError
 from repro.graph import CSDFG
+from repro.qa import sample_sized_graph
 from repro.schedule import ScheduleTable
 from repro.workloads import make_workload
 
@@ -163,3 +168,111 @@ class TestSnapshotRestore:
         tracker.restore(snap)
         assert tracker.projected_length() == length
         assert tracker._bounds == bounds
+
+    def test_restore_is_exact_across_a_delay_flip(self):
+        """Rotating ``v`` takes its in-edge to zero delay and gives its
+        out-edge one: the update drops one bound and adds another, and
+        the restore of a rejected pass must undo both."""
+        g = CSDFG("flip")
+        for n in ("u", "v", "x"):
+            g.add_node(n, 1)
+        g.add_edge("u", "v", 1, 2)
+        g.add_edge("v", "x", 0, 2)
+        arch = LinearArray(3)
+        s = ScheduleTable(3)
+        s.place("u", 0, 1, 1)
+        s.place("v", 2, 1, 1)  # u -> v: 1 + M(pe1, pe3) 4 + 1 - 1 = 5
+        s.place("x", 2, 2, 1)
+        tracker = PSLTracker(g, arch, s)
+        assert tracker.projected_length() == 5
+        bounds = dict(tracker._bounds)
+        assert set(bounds) == {("u", "v")}  # delayed edges only
+
+        g.set_delay("u", "v", 0)
+        g.set_delay("v", "x", 1)
+        snap = tracker.snapshot(["v"])
+        assert snap == {("u", "v"): 5, ("v", "x"): None}
+        _move(s, "v", 0, 3)  # v -> x: 3 + M(pe1, pe3) 4 + 1 - 2 = 6
+        assert tracker.update_nodes(["v"]) == 6
+        assert projected_schedule_length(g, arch, s) == 6
+        assert set(tracker._bounds) == {("v", "x")}
+
+        # reject the pass: undo the rotation, then restore the bounds;
+        # a leaked v -> x bound would read 6
+        g.set_delay("u", "v", 1)
+        g.set_delay("v", "x", 0)
+        _move(s, "v", 2, 1)
+        tracker.restore(snap)
+        assert tracker._bounds == bounds
+        assert tracker.projected_length() == 5
+        assert projected_schedule_length(g, arch, s) == 5
+
+
+def _contended_cache(graph, arch):
+    blind = start_up_schedule(graph, arch)
+    return CommCostCache.for_graph(
+        arch, graph,
+        contention=make_contention_model("serialized", weight=2),
+        occupancy=LinkOccupancy.from_assignment(
+            graph, arch, blind.processor_map()
+        ),
+    )
+
+
+class TestSeededOnce:
+    """``cyclo_compact`` seeds one tracker from the unpadded start-up
+    placements and pads the start-up table with it."""
+
+    @pytest.mark.parametrize(
+        "machine", ["plain", "pipelined", "contended", "degraded"]
+    )
+    @pytest.mark.parametrize("workload", ["elliptic5", "diffeq", "biquad2"])
+    def test_initial_length_is_the_padded_start_up(self, workload, machine):
+        graph = make_workload(workload)
+        arch = MACHINES["mesh8-minus-0-6" if machine == "degraded" else "ring8"]()
+        pipelined = machine == "pipelined"
+        comm = (
+            _contended_cache(graph, arch) if machine == "contended"
+            else CommCostCache.for_graph(arch, graph)
+        )
+        raw = start_up_schedule(
+            graph, arch, pad_for_delayed_edges=False, pipelined_pes=pipelined,
+            comm=comm,
+        )
+        padded = start_up_schedule(
+            graph, arch, pipelined_pes=pipelined, comm=comm
+        )
+        result = cyclo_compact(
+            graph, arch, comm=comm,
+            config=CycloConfig(max_iterations=0, pipelined_pes=pipelined),
+        )
+        want = projected_schedule_length(
+            graph, arch, raw, pipelined_pes=pipelined, comm=comm
+        )
+        assert result.initial_length == want == padded.length
+        assert result.initial_schedule.same_placements(padded)
+
+    def test_the_pad_is_exercised(self):
+        graph = make_workload("elliptic5")
+        arch = make_architecture("ring", 8)
+        raw = start_up_schedule(graph, arch, pad_for_delayed_edges=False)
+        assert cyclo_compact(
+            graph, arch, config=CycloConfig(max_iterations=0)
+        ).initial_length > raw.length
+
+    @pytest.mark.parametrize("kind", ["mesh", "ring", "complete"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_checked_monotone_runs_match_the_rescan(self, kind, seed):
+        """``validate_each_step`` compares the incremental PSL with a
+        full rescan after every pass (and raises on a mismatch); the
+        monotone mode snapshots the bounds every pass."""
+        graph = sample_sized_graph("layered", 40, seed=seed)
+        arch = make_architecture(kind, 8)
+        result = cyclo_compact(
+            graph, arch,
+            config=CycloConfig(
+                relaxation=False, validate_each_step=True, max_iterations=40
+            ),
+        )
+        assert result.trace.records
+        assert result.final_length <= result.initial_length
