@@ -19,7 +19,7 @@ validator), :mod:`repro.retiming`, :mod:`repro.core` (the paper's
 algorithms), :mod:`repro.baselines`, :mod:`repro.workloads`,
 :mod:`repro.analysis`, :mod:`repro.obs` (tracing/metrics),
 :mod:`repro.resilience` (fault injection, schedule repair,
-checkpoint/resume).
+fault-injecting simulation).
 
 Every package exports its names lazily (:mod:`repro._exports`):
 importing one runs only its ``__init__``, and a name loads its module

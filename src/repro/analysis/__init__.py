@@ -11,7 +11,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "convergence": ("ConvergenceReport", "convergence_study"),
     "experiments": ("ExperimentCell", "run_cell", "run_grid"),
     "full_report": ("generate_full_report",),
-    "recommend": ("ArchitectureScore", "recommend_architecture"),
     "report": (
         "PaperComparison", "markdown_comparison_table", "markdown_grid",
     ),

@@ -77,7 +77,7 @@ PARALLEL_DISPATCH = frozenset({"run_parallel", "submit"})
 #: Entry points whose arguments must not carry clock/env taint (RD103a).
 SCHEDULE_ENTRY_POINTS = frozenset({
     "start_up_schedule", "cyclo_compact", "remap_nodes", "optimize",
-    "best_of_restarts", "resume_compaction", "contention_aware_schedule",
+    "best_of_restarts", "contention_aware_schedule",
     "CycloConfig",
 })
 
@@ -94,7 +94,6 @@ BUDGET_KEYWORDS = frozenset({
 #: anywhere under a ``repro`` tree.
 CORE_ENTRY_POINTS = frozenset({
     "cyclo_compact", "start_up_schedule", "remap_nodes", "optimize",
-    "resume_compaction",
 })
 
 #: Instrumentation may read the clock; the closure does not descend

@@ -223,12 +223,6 @@ class Architecture:
             time_scales=time_scales,
         )
 
-    def is_isomorphic_to(self, other: "Architecture") -> bool:
-        """Topology isomorphism test (delegates to networkx VF2)."""
-        import networkx as nx
-
-        return nx.is_isomorphic(self.to_networkx(), other.to_networkx())
-
     def to_networkx(self):
         """The underlying undirected link graph as ``networkx.Graph``."""
         import networkx as nx

@@ -59,12 +59,11 @@ Commands
     ``--jobs``, canonicalize both outputs (scrubbing durations, rates
     and paths) and diff them — any surviving byte difference is a
     determinism bug; non-zero exit on a diff.
-``obs report|top|diff|regressions``
+``obs report|top|diff``
     The observatory (``docs/observability.md``): aggregate traces and
     run history into hotspot tables and latency percentiles, rank
-    spans by self time (with flamegraph-collapsed stacks), compare two
-    runs or history windows phase-by-phase, and detect runs slower
-    than a baseline fitted from history (non-zero exit).
+    spans by self time (with flamegraph-collapsed stacks), and compare
+    two runs or history windows phase-by-phase.
 
 Unknown workload or architecture names exit with a one-line error
 listing the registered names (they are resolved by the registries, not
@@ -498,29 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_odiff.add_argument(
         "--kind", default=None, metavar="KIND",
         help="restrict history inputs to one record kind",
-    )
-
-    p_oreg = obs_sub.add_parser(
-        "regressions",
-        help="detect runs exceeding a baseline fitted from history "
-             "(non-zero exit on regression)",
-    )
-    p_oreg.add_argument(
-        "--history-dir", default="benchmarks/out/history", metavar="DIR",
-        help="history store to fit the baseline from",
-    )
-    p_oreg.add_argument(
-        "--kind", default=None, metavar="KIND",
-        help="restrict to one record kind (default: all)",
-    )
-    p_oreg.add_argument(
-        "--threshold", type=float, default=1.3, metavar="RATIO",
-        help="flag latest runs slower than RATIO x the baseline median",
-    )
-    p_oreg.add_argument(
-        "--min-seconds", type=float, default=0.0, metavar="S",
-        help="ignore groups whose latest run is faster than this "
-             "(noise floor)",
     )
     return parser
 
@@ -1468,9 +1444,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return _cmd_obs_report(args)
     if args.obs_command == "top":
         return _cmd_obs_top(args)
-    if args.obs_command == "diff":
-        return _cmd_obs_diff(args)
-    return _cmd_obs_regressions(args)
+    return _cmd_obs_diff(args)
 
 
 def _is_history_path(raw: str) -> bool:
@@ -1562,34 +1536,6 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
     rows = diff_tables(a, b)
     print(format_diff(rows, a_label=args.a, b_label=args.b))
     return 0
-
-
-def _cmd_obs_regressions(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.obs.aggregate import (
-        detect_regressions,
-        fit_baselines,
-        format_regressions,
-    )
-    from repro.obs.history import HistoryStore
-
-    if args.threshold <= 1.0:
-        raise ReproError(
-            f"--threshold must exceed 1.0, got {args.threshold}"
-        )
-    root = Path(args.history_dir)
-    store = HistoryStore(root)
-    records = store.load(args.kind)
-    if not records:
-        print(f"no history records under {root}")
-        return 0
-    found = detect_regressions(
-        records, threshold=args.threshold, min_seconds=args.min_seconds
-    )
-    checked = len(fit_baselines(records))
-    print(format_regressions(found, checked=checked))
-    return 1 if found else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

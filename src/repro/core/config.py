@@ -139,7 +139,8 @@ class CycloConfig:
         return 3 * max(1, num_nodes)
 
     def to_dict(self) -> dict:
-        """JSON-safe snapshot (used by compaction checkpoints)."""
+        """JSON-safe snapshot (used by fuzz reproducer cases and CLI
+        history records)."""
         return {
             "relaxation": self.relaxation,
             "max_iterations": self.max_iterations,

@@ -21,16 +21,13 @@ Hardened budgets (``repro.resilience``): the loop honours a wall-clock
 inside a pass — instead of propagating — stops the loop and returns
 the best legal schedule found before it.  Both paths go through the
 same best-schedule bookkeeping, so budget exhaustion can never hand
-back a half-mutated table.  The final *working* state (schedule,
-retimed graph, retiming, stall counter) rides along on the result so
-:mod:`repro.resilience.checkpoint` can serialize an interrupted run
-and resume it exactly.
+back a half-mutated table.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.cache import CommCostCache
 from repro.arch.topology import Architecture
@@ -81,11 +78,10 @@ class CycloResult:
         ``"patience"`` (no improvement streak), ``"deadline"``
         (wall-clock budget exhausted) or ``"error"`` (a pass raised and
         ``recover_on_error`` was set).
-    final_schedule / final_graph / final_retiming / final_stall:
-        The *working* optimiser state when the loop stopped — what a
-        checkpoint must capture to resume the run exactly (the best-*
-        fields alone are not enough: the working schedule may be longer
-        than the best one).
+    final_schedule / final_graph:
+        The *working* schedule and retimed graph when the loop stopped.
+        The working schedule may be longer than the best one; the
+        ``schedules-legal`` fuzz property checks that it is legal too.
     """
 
     schedule: ScheduleTable
@@ -93,11 +89,9 @@ class CycloResult:
     retiming: dict[Node, int]
     initial_schedule: ScheduleTable
     trace: CompactionTrace
-    stop_reason: str = "completed"
-    final_schedule: ScheduleTable | None = None
-    final_graph: CSDFG | None = None
-    final_retiming: dict[Node, int] = field(default_factory=dict)
-    final_stall: int = 0
+    stop_reason: str
+    final_schedule: ScheduleTable
+    final_graph: CSDFG
 
     @property
     def initial_length(self) -> int:
@@ -110,25 +104,22 @@ class CycloResult:
 
 @dataclass
 class _LoopState:
-    """Mutable optimiser state threaded through the pass loop (and
-    restored verbatim by a checkpoint resume).  ``tracker`` is the PSL
-    tracker a fresh start-up run already seeded; ``None`` makes
-    :func:`_run_passes` seed one from the working schedule."""
+    """Mutable optimiser state threaded through the pass loop.
+    ``tracker`` is the PSL tracker seeded from the working schedule and
+    updated incrementally by each remapping pass.  The best graph is
+    not kept: it differs from the working graph purely by retiming
+    counts, so it is materialised from ``best_retiming`` only when the
+    result is built."""
 
     working: CSDFG
     schedule: ScheduleTable
     retiming: dict[Node, int]
     best_schedule: ScheduleTable
-    # None = copy-on-write: the best graph is materialised from
-    # best_retiming only when the result is built (the working graph
-    # differs from it purely by retiming counts)
-    best_graph: CSDFG | None
     best_retiming: dict[Node, int]
     initial_schedule: ScheduleTable
     trace: CompactionTrace
+    tracker: PSLTracker
     stall: int = 0
-    next_index: int = 1
-    tracker: PSLTracker | None = None
 
 
 class _TopoRankCache:
@@ -269,8 +260,7 @@ def cyclo_compact(
         # working table carries the probe/shift counts; best/initial
         # copies start from fresh zeros)
         comm.publish_stats()
-        if result.final_schedule is not None:
-            result.final_schedule.publish_stats()
+        result.final_schedule.publish_stats()
     return result
 
 
@@ -283,7 +273,6 @@ def _initial_state(
     comm: CommCostCache,
 ) -> _LoopState:
     working = graph.copy()
-    tracker = None
     if initial is None:
         # one PSL walk: the run's tracker is seeded from the unpadded
         # placements and pads the table (start-up's own pad would walk
@@ -292,11 +281,6 @@ def _initial_state(
             working, arch, pipelined_pes=cfg.pipelined_pes, comm=comm,
             pad_for_delayed_edges=False,
         )
-        tracker = PSLTracker(
-            working, arch, schedule, comm=comm,
-            pipelined_pes=cfg.pipelined_pes,
-        )
-        schedule.set_length(tracker.projected_length())
     else:
         violations = collect_violations(
             working, arch, initial, pipelined_pes=cfg.pipelined_pes, comm=comm
@@ -306,13 +290,17 @@ def _initial_state(
                 ["initial schedule is illegal"] + violations
             )
         schedule = initial.copy()
+    tracker = PSLTracker(
+        working, arch, schedule, comm=comm, pipelined_pes=cfg.pipelined_pes,
+    )
+    if initial is None:
+        schedule.set_length(tracker.projected_length())
     retiming = {v: 0 for v in working.nodes()}
     return _LoopState(
         working=working,
         schedule=schedule,
         retiming=retiming,
         best_schedule=schedule.copy(),
-        best_graph=None,
         best_retiming=dict(retiming),
         initial_schedule=schedule.copy(),
         trace=CompactionTrace(initial_length=schedule.length),
@@ -328,27 +316,13 @@ def _run_passes(
     *,
     comm: CommCostCache,
 ) -> CycloResult:
-    """Drive passes ``state.next_index .. z``, honouring every budget,
-    and certify the best schedule before returning it (the one check
-    shared by a fresh run and a resumed checkpoint)."""
+    """Drive passes ``1 .. z``, honouring every budget, and certify the
+    best schedule before returning it."""
     started = time.monotonic()  # repro-lint: disable=RD103 (deadline budget, result-neutral)
     stop_reason = "completed"
     total = cfg.iterations_for(state.working.num_nodes)
-
-    # the tracker is seeded from the (legal) working schedule — by
-    # start-up on a fresh run, here on a resumed or given one — and
-    # updated incrementally by each remapping pass
-    tracker = state.tracker
-    if tracker is None:
-        tracker = PSLTracker(
-            state.working,
-            arch,
-            state.schedule,
-            comm=comm,
-            pipelined_pes=cfg.pipelined_pes,
-        )
     topo_cache = _TopoRankCache()
-    for index in range(state.next_index, total + 1):
+    for index in range(1, total + 1):
         if (
             cfg.deadline_seconds is not None
             and time.monotonic() - started >= cfg.deadline_seconds  # repro-lint: disable=RD103 (deadline budget, result-neutral)
@@ -363,7 +337,6 @@ def _run_passes(
                 cfg,
                 index,
                 comm=comm,
-                tracker=tracker,
                 topo_cache=topo_cache,
             )
         except Exception:  # repro-lint: disable=RL105 (recover_on_error boundary)
@@ -374,23 +347,18 @@ def _run_passes(
             metrics.inc("cyclo.recovered_errors")
             stop_reason = "error"
             break
-        state.next_index = index + 1
         if outcome_reason is not None:
             stop_reason = outcome_reason
             break
 
-    best_graph = state.best_graph
-    if best_graph is None:
-        if stop_reason != "error" and state.best_retiming == state.retiming:
-            # the working graph is the best one (a pass that raised may
-            # have left it half-rotated, so it is not trusted then)
-            best_graph = state.working
-        else:
-            # copy-on-write: materialise the best graph from the
-            # retiming (same name the eager working.copy() used to carry)
-            best_graph = apply_retiming(
-                graph, state.best_retiming, name=graph.name
-            )
+    if stop_reason != "error" and state.best_retiming == state.retiming:
+        # the working graph is the best one (a pass that raised may
+        # have left it half-rotated, so it is not trusted then)
+        best_graph = state.working
+    else:
+        # copy-on-write: materialise the best graph from the retiming
+        # (same name the eager working.copy() used to carry)
+        best_graph = apply_retiming(graph, state.best_retiming, name=graph.name)
     # certify what is returned, under the prices that steered the run
     violations = collect_violations(
         best_graph, arch, state.best_schedule,
@@ -409,8 +377,6 @@ def _run_passes(
         stop_reason=stop_reason,
         final_schedule=state.schedule,
         final_graph=state.working,
-        final_retiming=dict(state.retiming),
-        final_stall=state.stall,
     )
 
 
@@ -421,11 +387,11 @@ def _one_pass(
     index: int,
     *,
     comm: CommCostCache,
-    tracker: PSLTracker,
     topo_cache: _TopoRankCache,
 ) -> str | None:
     """One rotate+remap pass; a stop reason string ends the loop."""
     working, schedule, retiming = state.working, state.schedule, state.retiming
+    tracker = state.tracker
     with span("pass", index=index) as pass_span:
         metrics.inc("cyclo.passes")
         previous_length = schedule.length
@@ -487,7 +453,6 @@ def _one_pass(
         if improved:
             metrics.inc("cyclo.improved")
             state.best_schedule = schedule.copy()
-            state.best_graph = None  # rebuilt from best_retiming on demand
             state.best_retiming = dict(retiming)
             state.stall = 0
         else:

@@ -24,7 +24,6 @@ __all__ = [
     "SchedulingError",
     "InfeasibleScheduleError",
     "StallDetectedError",
-    "CheckpointError",
     "WorkloadError",
     "QAError",
     "AnalysisError",
@@ -123,11 +122,6 @@ class InfeasibleScheduleError(SchedulingError):
 class StallDetectedError(SchedulingError):
     """The fault-injecting simulator's progress watchdog fired: no
     forward progress within the configured window."""
-
-
-class CheckpointError(SchedulingError):
-    """A compaction checkpoint does not match the run being resumed
-    (wrong graph/architecture/config, or a corrupted trace)."""
 
 
 class WorkloadError(ReproError):

@@ -18,11 +18,10 @@ the scheduling pipeline:
   aggregation behind ``repro profile`` and ``--profile``;
 * **run history** (:mod:`repro.obs.history`) — the append-only NDJSON
   store of provenance-stamped run records that ``repro obs
-  report|diff|regressions`` aggregate over;
+  report|top|diff`` aggregate over;
 * **analysis** (:mod:`repro.obs.aggregate`,
-  :mod:`repro.obs.collapse`) — hotspot/self-time tables, phase diffs,
-  baseline fitting + regression detection, and flamegraph-compatible
-  collapsed stacks.
+  :mod:`repro.obs.collapse`) — hotspot/self-time tables, phase diffs
+  and flamegraph-compatible collapsed stacks.
 
 See ``docs/observability.md`` for a guided tour.
 """
@@ -30,9 +29,7 @@ See ``docs/observability.md`` for a guided tour.
 from repro._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "aggregate": (
-        "detect_regressions", "diff_tables", "hotspot_table", "trace_stats",
-    ),
+    "aggregate": ("diff_tables", "hotspot_table", "trace_stats"),
     "collapse": ("collapsed_stacks", "self_times"),
     "history": (
         "DEFAULT_HISTORY_DIR", "HistoryStore", "RunRecord", "config_hash",

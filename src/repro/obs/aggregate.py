@@ -1,19 +1,14 @@
-"""Aggregation over traces and run history: hotspots, diffs, regressions.
+"""Aggregation over traces and run history: hotspots and diffs.
 
-Three consumers share this module:
+Two consumers share this module:
 
 * ``repro obs report`` — per-span-name hotspot tables (calls, total,
   self time, latency percentiles) over one or many trace files;
 * ``repro obs diff`` — phase-by-phase comparison of two runs (traces)
-  or two history windows;
-* ``repro obs regressions`` — baseline fitting over the run-history
-  store and slowdown detection.
+  or two history windows.
 
-Baselines are deliberately simple and robust: the **median** duration
-of the prior runs in a group.  Runs are only grouped when their
-``(kind, workload, arch, config_hash)`` keys match exactly, so a config
-or topology change starts a fresh baseline instead of poisoning an old
-one (provenance stamping exists precisely for this).
+Performance regressions are judged by ``bench/compare.py`` over paired
+parent/change benchmark runs, not here.
 """
 
 from __future__ import annotations
@@ -38,10 +33,6 @@ __all__ = [
     "DiffRow",
     "diff_tables",
     "format_diff",
-    "Regression",
-    "fit_baselines",
-    "detect_regressions",
-    "format_regressions",
 ]
 
 
@@ -262,108 +253,3 @@ def format_diff(
         )
     return "\n".join(lines)
 
-
-@dataclass(frozen=True)
-class Regression:
-    """One run group whose latest run exceeds the fitted baseline."""
-
-    kind: str
-    workload: str
-    arch: str
-    config_hash: str
-    baseline_seconds: float
-    latest_seconds: float
-    threshold: float
-    samples: int  # baseline sample count (prior runs)
-
-    @property
-    def ratio(self) -> float:
-        return (
-            self.latest_seconds / self.baseline_seconds
-            if self.baseline_seconds
-            else float("inf")
-        )
-
-
-def fit_baselines(
-    records: Sequence[RunRecord],
-) -> dict[tuple, dict]:
-    """Per-group baseline fit: ``key -> {"baseline", "latest",
-    "samples"}``.
-
-    Within each ``(kind, workload, arch, config_hash)`` group the
-    records stay in append order; the last record is the candidate
-    under test and the baseline is the **median** of all prior runs.
-    Groups with fewer than two records fit no baseline (``baseline``
-    is ``None``) — a first run can never regress against itself.
-    """
-    groups: dict[tuple, list[RunRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.key(), []).append(rec)
-    out: dict[tuple, dict] = {}
-    for key, group in groups.items():
-        latest = group[-1]
-        prior = [r.duration_seconds for r in group[:-1]]
-        out[key] = {
-            "baseline": percentile(prior, 50) if prior else None,
-            "latest": latest.duration_seconds,
-            "samples": len(prior),
-        }
-    return out
-
-
-def detect_regressions(
-    records: Sequence[RunRecord],
-    *,
-    threshold: float = 1.3,
-    min_seconds: float = 0.0,
-) -> list[Regression]:
-    """Flag groups whose latest run is ``> threshold x`` the baseline.
-
-    ``min_seconds`` suppresses noise on sub-millisecond runs: a group
-    is only flagged when the latest duration also exceeds it.  Sorted
-    by descending slowdown ratio.
-    """
-    if threshold <= 1.0:
-        raise ValueError(f"threshold must exceed 1.0, got {threshold}")
-    found: list[Regression] = []
-    for key, fit in fit_baselines(records).items():
-        baseline = fit["baseline"]
-        latest = fit["latest"]
-        if baseline is None or baseline <= 0:
-            continue
-        if latest > threshold * baseline and latest >= min_seconds:
-            kind, workload, arch, cfg = key
-            found.append(Regression(
-                kind=kind,
-                workload=workload,
-                arch=arch,
-                config_hash=cfg,
-                baseline_seconds=baseline,
-                latest_seconds=latest,
-                threshold=threshold,
-                samples=fit["samples"],
-            ))
-    found.sort(key=lambda r: -r.ratio)
-    return found
-
-
-def format_regressions(
-    found: Sequence[Regression], *, checked: int
-) -> str:
-    """Human-readable summary for the CLI / CI log."""
-    if not found:
-        return f"no regressions across {checked} run group(s)"
-    lines = [
-        f"{len(found)} regression(s) across {checked} run group(s):",
-        "| kind | workload | arch | baseline (s) | latest (s) | ratio "
-        "| threshold |",
-        "|---|---|---|---:|---:|---:|---:|",
-    ]
-    for r in found:
-        lines.append(
-            f"| {r.kind} | {r.workload} | {r.arch} "
-            f"| {r.baseline_seconds:.6f} | {r.latest_seconds:.6f} "
-            f"| {r.ratio:.2f}x | {r.threshold:.2f}x |"
-        )
-    return "\n".join(lines)

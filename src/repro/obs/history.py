@@ -3,16 +3,15 @@
 One NDJSON file per run *kind* (``schedule``, ``sweep``, ``fuzz`` …)
 under a history directory, one provenance-stamped
 :class:`RunRecord` per line.  The store never rewrites a line: records
-accumulate across sessions, so ``repro obs regressions`` can fit a
-baseline from genuinely historical data and ``repro obs diff`` can
-compare any two runs or windows.
+accumulate across sessions, so ``repro obs report|top|diff`` can
+summarise and compare any runs or windows.
 
-Design rules (all load-bearing for tests and ``repro obs regressions``):
+Design rules (all load-bearing for tests and ``repro obs diff``):
 
 * **Provenance** — every record carries the engine version
   (``repro.__version__``) and a ``config_hash`` (sha256 of the
-  canonical-JSON config), so a baseline is only fit from runs of the
-  same code + configuration + workload + topology.
+  canonical-JSON config), so runs are only grouped when they share
+  code + configuration + workload + topology.
 * **Byte stability** — serialization is sorted-key, separator-pinned
   JSON with floats rounded to fixed precision; a record built from the
   same inputs and the same clock value is byte-identical.  The clock is
@@ -126,7 +125,7 @@ class RunRecord:
     attrs: dict = field(default_factory=dict)
 
     def key(self) -> tuple[str, str, str, str]:
-        """The baseline grouping key: runs are only comparable within
+        """The grouping key: runs are only comparable within
         one (kind, workload, arch, config_hash) group."""
         return (self.kind, self.workload, self.arch, self.config_hash)
 

@@ -238,13 +238,12 @@ def prop_schedules_legal(
 
     check("startup", graph, result.initial_schedule, pipelined=cfg.pipelined_pes)
     check("compacted", result.graph, result.schedule, pipelined=cfg.pipelined_pes)
-    if result.final_schedule is not None and result.final_graph is not None:
-        check(
-            "final-working",
-            result.final_graph,
-            result.final_schedule,
-            pipelined=cfg.pipelined_pes,
-        )
+    check(
+        "final-working",
+        result.final_graph,
+        result.final_schedule,
+        pipelined=cfg.pipelined_pes,
+    )
     if not arch.is_heterogeneous and all(arch.is_alive(p) for p in range(arch.num_pes)):
         check("etf", graph, etf_schedule(graph, arch), pipelined=False)
     check("sequential", graph, sequential_schedule(graph, arch), pipelined=False)

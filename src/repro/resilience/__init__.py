@@ -12,9 +12,6 @@ invalid and must be remapped.  This package closes that loop:
   communication-sensitive remapping pass on the surviving PEs
   (:class:`~repro.arch.degraded.DegradedTopology`), falling back to a
   full re-optimisation when local repair regresses too far;
-* **checkpoint/resume** (:mod:`repro.resilience.checkpoint`) —
-  JSON round-trip of an interrupted compaction run, verified replay on
-  resume;
 * **fault-injecting simulator** (:mod:`repro.resilience.simfault`) —
   executes a schedule while a campaign kills PEs/links mid-run,
   repairing at iteration boundaries under a progress watchdog.
@@ -30,7 +27,6 @@ See ``docs/resilience.md``.
 from repro._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "checkpoint": ("CompactionCheckpoint", "resume_compaction"),
     "faults": ("FaultCampaign", "LinkFault", "PEFault", "random_campaign"),
     "repair": ("RepairResult", "degrade", "repair_schedule"),
     "simfault": (

@@ -257,57 +257,3 @@ class TestObsReportAndTop:
         assert "| remap |" in out
         assert "1.000" in out  # every ratio is exactly 1
 
-
-class TestRegressionGate:
-    def test_identical_matrix_runs_report_no_regression(
-        self, tmp_path, capsys
-    ):
-        from repro.obs.history import HistoryStore
-
-        hist = tmp_path / "history"
-        store = HistoryStore(hist)
-        cells = [("figure7", "mesh8", 0.003), ("figure7", "hypercube8", 0.004),
-                 ("lattice4", "ring4", 0.002)]
-        for _ in range(2):
-            for workload, arch, seconds in cells:
-                store.record("schedule", workload=workload, arch=arch,
-                             duration_seconds=seconds)
-        # --min-seconds 0 keeps every millisecond cell gated
-        assert main(["obs", "regressions", "--history-dir", str(hist),
-                     "--kind", "schedule", "--threshold", "1.5",
-                     "--min-seconds", "0"]) == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_seeded_slowdown_trips_the_gate(self, tmp_path, capsys):
-        from repro.obs.history import HistoryStore
-
-        hist = tmp_path / "history"
-        store = HistoryStore(hist)
-
-        def run(seconds):
-            store.record("schedule", workload="figure7", arch="mesh8",
-                         duration_seconds=seconds)
-
-        def regressions():
-            return main(["obs", "regressions", "--history-dir", str(hist),
-                         "--kind", "schedule", "--threshold", "1.5"])
-
-        run(0.10)
-        run(0.10)
-        assert regressions() == 0
-        assert "no regressions" in capsys.readouterr().out
-        run(1.10)
-        assert regressions() == 1
-        out = capsys.readouterr().out
-        assert "regression(s)" in out and "schedule" in out
-
-    def test_empty_history_is_not_a_failure(self, tmp_path, capsys):
-        assert main(["obs", "regressions",
-                     "--history-dir", str(tmp_path / "nothing")]) == 0
-        assert "no history records" in capsys.readouterr().out
-
-    def test_bad_threshold_is_a_usage_error(self, tmp_path, capsys):
-        assert main(["obs", "regressions",
-                     "--history-dir", str(tmp_path),
-                     "--threshold", "0.9"]) == 1
-        assert "--threshold" in capsys.readouterr().err

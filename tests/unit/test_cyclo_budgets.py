@@ -6,7 +6,7 @@ import repro.core.cyclo as cyclo_mod
 from repro.arch import Mesh2D
 from repro.core import CycloConfig, cyclo_compact
 from repro.errors import SchedulingError
-from repro.schedule import collect_violations
+from repro.schedule import collect_violations, schedule_to_json
 from repro.workloads import figure1_csdfg, figure7_csdfg
 
 
@@ -23,15 +23,17 @@ class TestDeadline:
         assert collect_violations(result.graph, arch, result.schedule) == []
         assert result.schedule.length == result.initial_length
 
-    def test_deadline_preserves_working_state_for_checkpoint(self):
+    def test_deadline_keeps_start_as_working_state(self):
         graph = figure1_csdfg()
         arch = Mesh2D(2, 2)
         result = cyclo_compact(
             graph, arch, config=CycloConfig(deadline_seconds=0.0)
         )
-        assert result.final_schedule is not None
-        assert result.final_graph is not None
-        assert set(result.final_retiming) == set(result.final_graph.nodes())
+        assert result.trace.records == []
+        assert result.final_graph.structurally_equal(graph)
+        assert schedule_to_json(result.final_schedule) == schedule_to_json(
+            result.initial_schedule
+        )
 
     def test_no_deadline_runs_to_completion(self):
         graph = figure1_csdfg()

@@ -1,14 +1,11 @@
-"""Hotspot stats, phase diffs, and regression detection."""
+"""Hotspot stats and phase diffs."""
 
 import pytest
 
 from repro.obs.aggregate import (
     DiffRow,
-    detect_regressions,
     diff_tables,
-    fit_baselines,
     format_diff,
-    format_regressions,
     hotspot_table,
     percentile,
     phase_totals,
@@ -113,57 +110,3 @@ class TestDiff:
         }
         assert record_phases([]) == {}
 
-
-class TestRegressions:
-    def test_identical_runs_no_regression(self):
-        recs = [_record(1.0), _record(1.0)]
-        assert detect_regressions(recs, threshold=1.3) == []
-
-    def test_seeded_slowdown_detected(self):
-        recs = [_record(1.0), _record(1.0), _record(1.0), _record(2.0)]
-        found = detect_regressions(recs, threshold=1.3)
-        assert len(found) == 1
-        r = found[0]
-        assert r.baseline_seconds == pytest.approx(1.0)
-        assert r.latest_seconds == pytest.approx(2.0)
-        assert r.ratio == pytest.approx(2.0)
-        assert r.samples == 3
-
-    def test_single_run_fits_no_baseline(self):
-        assert detect_regressions([_record(5.0)], threshold=1.3) == []
-        fit = fit_baselines([_record(5.0)])
-        assert fit[("gate", "w", "a", "h")]["baseline"] is None
-
-    def test_groups_isolated_by_provenance(self):
-        # same workload, different config hash: no cross-contamination
-        recs = [
-            _record(1.0, cfg="old"),
-            _record(10.0, cfg="new"),  # first run of the new config
-        ]
-        assert detect_regressions(recs, threshold=1.3) == []
-
-    def test_min_seconds_suppresses_noise(self):
-        recs = [_record(0.0001), _record(0.001)]
-        assert detect_regressions(
-            recs, threshold=1.3, min_seconds=0.01
-        ) == []
-        assert detect_regressions(recs, threshold=1.3, min_seconds=0.0)
-
-    def test_threshold_domain(self):
-        with pytest.raises(ValueError):
-            detect_regressions([], threshold=1.0)
-
-    def test_baseline_is_median_of_priors(self):
-        recs = [_record(1.0), _record(100.0), _record(1.2), _record(1.3)]
-        fit = fit_baselines(recs)[("gate", "w", "a", "h")]
-        assert fit["baseline"] == pytest.approx(1.2)  # median, not mean
-        assert fit["latest"] == pytest.approx(1.3)
-
-    def test_format_regressions(self):
-        recs = [_record(1.0), _record(1.0), _record(3.0)]
-        found = detect_regressions(recs, threshold=1.3)
-        text = format_regressions(found, checked=1)
-        assert "1 regression(s)" in text and "3.00x" in text
-        assert format_regressions([], checked=2) == (
-            "no regressions across 2 run group(s)"
-        )

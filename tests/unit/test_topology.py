@@ -90,11 +90,6 @@ class TestCommCost:
 
 
 class TestNetworkx:
-    def test_isomorphism(self):
-        a = Architecture(3, [(0, 1), (1, 2)])
-        b = Architecture(3, [(2, 1), (1, 0)])
-        assert a.is_isomorphic_to(b)
-
     def test_to_networkx(self):
         g = path3().to_networkx()
         assert g.number_of_nodes() == 3
