@@ -223,15 +223,6 @@ class Architecture:
             time_scales=time_scales,
         )
 
-    def to_networkx(self):
-        """The underlying undirected link graph as ``networkx.Graph``."""
-        import networkx as nx
-
-        g = nx.Graph(name=self.name)
-        g.add_nodes_from(self.processors)
-        g.add_edges_from(self._links)
-        return g
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Architecture(name={self.name!r}, num_pes={self.num_pes}, "

@@ -15,10 +15,7 @@ from repro._exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "csdfg": ("CSDFG", "Edge", "Node"),
-    "cycles": (
-        "karp_maximum_cycle_ratio", "recursive_core", "scc_condensation",
-        "strongly_connected_components",
-    ),
+    "cycles": ("recursive_core", "strongly_connected_components"),
     "generators": (
         "chain_csdfg", "fork_join_csdfg", "layered_csdfg", "random_csdfg",
         "random_dag", "ring_csdfg",
@@ -29,8 +26,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "properties": (
         "alap_times", "asap_times", "critical_path_length",
-        "critical_path_nodes", "iteration_bound", "iteration_bound_exact",
-        "parallelism_profile",
+        "critical_path_nodes", "iteration_bound", "parallelism_profile",
     ),
     "transform": (
         "merge_parallel_edges", "reverse", "scale_times", "scale_volumes",

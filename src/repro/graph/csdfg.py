@@ -14,11 +14,13 @@ The CSDFG is the input model of the ICPP'95 paper: a directed graph
 A CSDFG is *legal* when every directed cycle carries a strictly positive
 total delay; :mod:`repro.graph.validation` checks this.
 
-The class is a thin, explicit adjacency structure rather than a networkx
-wrapper: the scheduling inner loops touch predecessor/successor lists and
-edge attributes millions of times, and attribute-dict indirection dominates
-profiles.  :meth:`CSDFG.to_networkx` converts when graph-library algorithms
-are wanted.
+The class is a thin, explicit adjacency structure rather than a wrapper
+around a graph library: the scheduling inner loops touch
+predecessor/successor lists and edge attributes millions of times, and
+attribute-dict indirection dominates profiles.  The package needs no
+graph library at all; a graph held in one converts with an
+:meth:`CSDFG.add_node` / :meth:`CSDFG.add_edge` loop or
+:func:`repro.graph.io.from_edge_list`.
 """
 
 from __future__ import annotations
@@ -344,35 +346,6 @@ class CSDFG:
             if edge.delay == 0:
                 sub.add_edge(edge.src, edge.dst, 0, edge.volume)
         return sub
-
-    def to_networkx(self):
-        """Convert to a :class:`networkx.DiGraph`.
-
-        Node attribute ``time`` and edge attributes ``delay``/``volume``
-        carry the CSDFG annotations.
-        """
-        import networkx as nx
-
-        g = nx.DiGraph(name=self.name)
-        for node, time in self._time.items():
-            g.add_node(node, time=time)
-        for edge in self.edges():
-            g.add_edge(edge.src, edge.dst, delay=edge.delay, volume=edge.volume)
-        return g
-
-    @classmethod
-    def from_networkx(cls, g, name: str | None = None) -> "CSDFG":
-        """Build a CSDFG from a networkx digraph.
-
-        Missing attributes default to ``time=1``, ``delay=0``,
-        ``volume=1``.
-        """
-        graph = cls(name if name is not None else (g.name or "csdfg"))
-        for node, data in g.nodes(data=True):
-            graph.add_node(node, data.get("time", 1))
-        for src, dst, data in g.edges(data=True):
-            graph.add_edge(src, dst, data.get("delay", 0), data.get("volume", 1))
-        return graph
 
     # ------------------------------------------------------------------
     # equality / repr

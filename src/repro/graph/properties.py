@@ -11,8 +11,7 @@ on:
   ``max over cycles C of (sum of t) / (sum of d)`` — which lower-bounds
   the initiation interval of *any* static schedule regardless of
   processor count.  :func:`iteration_bound` runs Howard's policy
-  iteration per strongly connected component; the brute-force cycle
-  enumeration :func:`iteration_bound_exact` is the test oracle.
+  iteration per strongly connected component.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "critical_path_length",
     "critical_path_nodes",
     "iteration_bound",
-    "iteration_bound_exact",
     "parallelism_profile",
 ]
 
@@ -169,34 +167,6 @@ def iteration_bound(graph: CSDFG) -> Fraction:
         (_howard_cycle_ratio(graph, comp) for comp in recursive_core(graph)),
         default=Fraction(0),
     )
-
-
-def iteration_bound_exact(graph: CSDFG, max_cycles: int = 2_000_000) -> Fraction:
-    """Iteration bound by enumerating simple cycles (Johnson's algorithm).
-
-    Exponential in the worst case; intended for tests and small
-    benchmark graphs.  ``max_cycles`` guards runaway enumeration.
-    """
-    import networkx as nx
-
-    g = graph.to_networkx()
-    best = Fraction(0)
-    count = 0
-    for cycle in nx.simple_cycles(g):
-        count += 1
-        if count > max_cycles:
-            raise GraphError("cycle enumeration exceeded max_cycles")
-        time = sum(graph.time(v) for v in cycle)
-        delay = 0
-        for i, u in enumerate(cycle):
-            v = cycle[(i + 1) % len(cycle)]
-            delay += graph.delay(u, v)
-        if delay <= 0:
-            raise GraphError("illegal CSDFG: nonpositive-delay cycle")
-        ratio = Fraction(time, delay)
-        if ratio > best:
-            best = ratio
-    return best
 
 
 # -- helpers -----------------------------------------------------------

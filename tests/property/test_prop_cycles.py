@@ -5,13 +5,11 @@ from hypothesis import given, settings
 
 from repro.graph import (
     iteration_bound,
-    iteration_bound_exact,
-    karp_maximum_cycle_ratio,
     recursive_core,
-    scc_condensation,
     strongly_connected_components,
 )
 
+from ..oracles import iteration_bound_exact, karp_maximum_cycle_ratio
 from .conftest import csdfgs
 
 
@@ -38,27 +36,6 @@ class TestSccProperties:
         seen = [v for comp in comps for v in comp]
         assert sorted(map(str, seen)) == sorted(map(str, g.nodes()))
         assert len(seen) == g.num_nodes  # no duplicates
-
-    @given(csdfgs())
-    @settings(max_examples=30, deadline=None)
-    def test_condensation_acyclic(self, g):
-        comps, edges = scc_condensation(g)
-        # a DAG admits a topological order: Kahn over the condensation
-        indeg = [0] * len(comps)
-        adj: dict[int, list[int]] = {i: [] for i in range(len(comps))}
-        for a, b in edges:
-            adj[a].append(b)
-            indeg[b] += 1
-        frontier = [i for i, k in enumerate(indeg) if k == 0]
-        seen = 0
-        while frontier:
-            node = frontier.pop()
-            seen += 1
-            for nxt in adj[node]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    frontier.append(nxt)
-        assert seen == len(comps)
 
     @given(csdfgs())
     @settings(max_examples=30, deadline=None)

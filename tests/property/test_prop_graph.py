@@ -11,7 +11,6 @@ from repro.graph import (
     from_json,
     is_legal,
     iteration_bound,
-    iteration_bound_exact,
     slowdown,
     to_edge_list,
     to_json,
@@ -19,6 +18,7 @@ from repro.graph import (
     validate_csdfg,
 )
 
+from ..oracles import iteration_bound_exact
 from .conftest import csdfgs
 
 

@@ -1,6 +1,5 @@
 """Property tests: retiming invariants (Lemma-level guarantees)."""
 
-import networkx as nx
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,14 +13,14 @@ from repro.retiming import (
     unrotate_nodes,
 )
 
+from ..oracles import simple_cycles
 from .conftest import csdfgs
 
 
 def cycle_delay_sums(g):
     """Total delay of each simple cycle, keyed by the node tuple."""
-    nxg = g.to_networkx()
     out = {}
-    for cycle in nx.simple_cycles(nxg):
+    for cycle in simple_cycles(g):
         delay = 0
         for i, u in enumerate(cycle):
             delay += g.delay(u, cycle[(i + 1) % len(cycle)])

@@ -239,19 +239,6 @@ class TestClones:
         assert twice.structurally_equal(unsorted_preds)
 
 
-class TestNetworkxBridge:
-    def test_round_trip(self, figure1):
-        nxg = figure1.to_networkx()
-        back = CSDFG.from_networkx(nxg)
-        assert figure1.structurally_equal(back)
-
-    def test_attributes_exported(self, figure1):
-        nxg = figure1.to_networkx()
-        assert nxg.nodes["B"]["time"] == 2
-        assert nxg.edges["D", "A"]["delay"] == 3
-        assert nxg.edges["D", "A"]["volume"] == 3
-
-
 class TestEdgeDataclass:
     def test_key_and_with_delay(self):
         e = Edge("a", "b", 2, 3)

@@ -1,16 +1,12 @@
-"""Unit tests for SCC decomposition and the Karp-style cycle ratio."""
+"""Unit tests for SCC decomposition, and Howard's iteration bound
+against the Karp-style cycle-ratio oracle."""
 
 from fractions import Fraction
 
-import pytest
-
 from repro.graph import CSDFG, chain_csdfg, iteration_bound, ring_csdfg
-from repro.graph.cycles import (
-    karp_maximum_cycle_ratio,
-    recursive_core,
-    scc_condensation,
-    strongly_connected_components,
-)
+from repro.graph.cycles import recursive_core, strongly_connected_components
+
+from ..oracles import karp_maximum_cycle_ratio
 
 
 class TestScc:
@@ -27,17 +23,6 @@ class TestScc:
         comps = strongly_connected_components(diamond_dag)
         assert all(len(c) == 1 for c in comps)
         assert len(comps) == 4
-
-    def test_condensation_is_dag(self, figure7):
-        comps, edges = scc_condensation(figure7)
-        index = {}
-        for k, comp in enumerate(comps):
-            for v in comp:
-                index[v] = k
-        # Tarjan emits components in reverse topological order, so all
-        # condensation edges must go from a higher to a lower index
-        assert all(a > b for a, b in edges) or all(a != b for a, b in edges)
-        assert len({v for c in comps for v in c}) == 19
 
     def test_recursive_core(self, figure1):
         core = recursive_core(figure1)

@@ -1,10 +1,12 @@
-"""Lazy package exports: what an import loads, and that every public
-name still resolves where it did.
+"""Lazy package exports: what an import loads, that every public
+name still resolves where it did, and that the runtime needs no
+third-party package.
 
 Each check that depends on what is already imported runs in a fresh
 interpreter, since the test process has loaded most of the package.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -39,6 +41,11 @@ CLI_EXCLUDED = (
     "repro.analysis", "repro.codegen", "repro.sim", "repro.baselines",
     "repro.obs.export", "repro.obs.profile",
 )
+
+
+#: Third-party packages only the tests use (the ``test`` extra); no
+#: module under ``src/repro`` may import them.
+TEST_ONLY = ("networkx",)
 
 
 def fresh(code: str, *args: str) -> str:
@@ -186,3 +193,54 @@ def test_helper_caches_the_first_resolution(tmp_path, monkeypatch):
         for name in [m for m in sys.modules if m.startswith("cachepkg")]:
             del sys.modules[name]
 
+
+
+def imports_test_only(node: ast.AST) -> bool:
+    """Whether ``node`` imports a :data:`TEST_ONLY` package."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] in TEST_ONLY for name in names)
+
+
+def third_party_imports(root: Path) -> list[str]:
+    """``file:line`` of every import of a :data:`TEST_ONLY` package in
+    the ``.py`` files under ``root``, lazy imports inside functions
+    included."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        lines = sorted(n.lineno for n in ast.walk(tree) if imports_test_only(n))
+        found += [f"{path.relative_to(root)}:{line}" for line in lines]
+    return found
+
+
+def test_no_module_imports_a_test_only_package():
+    assert third_party_imports(Path(SRC) / "repro") == []
+
+
+def test_scan_convicts_a_lazy_import(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def f():\n    import networkx as nx\n    return nx\n"
+        "from networkx.algorithms import cycles\n"
+    )
+    assert third_party_imports(tmp_path) == ["mod.py:2", "mod.py:4"]
+
+
+BLOCK_NETWORKX = """
+import runpy, sys
+sys.modules["networkx"] = None
+sys.argv = ["repro", *sys.argv[1:]]
+runpy.run_module("repro", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["schedule", "figure7", "--arch", "mesh", "--pes", "8"],
+    ["fuzz", "--trials", "20", "--seed", "1"],
+])
+def test_cli_runs_with_networkx_blocked(argv):
+    fresh(BLOCK_NETWORKX, *argv)

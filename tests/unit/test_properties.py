@@ -14,12 +14,12 @@ from repro.graph import (
     critical_path_length,
     critical_path_nodes,
     iteration_bound,
-    iteration_bound_exact,
-    karp_maximum_cycle_ratio,
     layered_csdfg,
     parallelism_profile,
     ring_csdfg,
 )
+
+from ..oracles import iteration_bound_exact, karp_maximum_cycle_ratio
 
 
 class TestAsapAlap:

@@ -87,10 +87,3 @@ class TestCommCost:
         assert arch.name == "path3"
         # original unchanged
         assert path3().comm_cost(0, 2, 3) == 6
-
-
-class TestNetworkx:
-    def test_to_networkx(self):
-        g = path3().to_networkx()
-        assert g.number_of_nodes() == 3
-        assert g.number_of_edges() == 2
