@@ -138,6 +138,7 @@ def test_obs_disabled_overhead_under_1_percent():
         f"run (no sink): {run_ns / 1e6:.2f} ms, "
         f"bounded overhead: {overhead_ns / 1e6:.4f} ms "
         f"({ratio * 100:.3f}%)",
+        host_timed=True,
     )
     assert ratio < 0.01, (
         f"disabled instrumentation bound {ratio * 100:.2f}% exceeds the "

@@ -72,7 +72,7 @@ def test_bench_repair_vs_scratch(benchmark):
             f"{scratch_s * 1e3:7.1f} ms ({speedup:4.1f}x faster)"
         )
     lines.append(f"worst repair regression observed: {worst:.2f}x")
-    write_report("resilience_repair", "\n".join(lines))
+    write_report("resilience_repair", "\n".join(lines), host_timed=True)
     # the configurable default budget (1.5x) really is an upper bound:
     # repair falls back to re-optimisation rather than exceed it
     for _, _, rep, _, _, _ in rows:

@@ -10,17 +10,16 @@ is only meaningful for equivalent output.
 Writes ``BENCH_speedup.json`` at the repo root with the per-topology
 ratios.  ``BENCH_QUICK=1`` (CI smoke mode) still checks equivalence on
 every kind but times only the mesh, with a relaxed threshold, and
-writes its record to the untracked ``BENCH_speedup_quick.json`` so the
-committed full-mode record stays as it is; the full run requires >= 3x
-on the mesh.
+writes its record to the untracked ``BENCH_speedup_quick.json`` and its
+report to ``benchmarks/out/quick/`` so the committed full-mode records
+stay as they are; the full run requires >= 3x on the mesh.
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
-from _report import write_report
+from _report import QUICK, write_report
 
 from repro.arch import ARCHITECTURE_KINDS, make_architecture
 from repro.core import CycloConfig, cyclo_compact
@@ -39,7 +38,6 @@ PE_COUNTS = {
     "cayley-bubble": 6, "cayley-star": 6, "pancake": 6,
 }
 
-QUICK = os.environ.get("BENCH_QUICK") == "1"
 OUT_JSON = REPO_ROOT / (
     "BENCH_speedup_quick.json" if QUICK else "BENCH_speedup.json"
 )
@@ -105,7 +103,7 @@ def test_bench_fastpath_speedup():
         f"fast {r['fast_seconds'] * 1000:7.2f}ms = {r['speedup']:.2f}x"
         for r in rows
     ]
-    write_report("fastpath_speedup", "\n".join(lines))
+    write_report("fastpath_speedup", "\n".join(lines), host_timed=True)
 
     by_kind = {r["arch"]: r["speedup"] for r in rows}
     if QUICK:

@@ -54,6 +54,7 @@ def certify_schedule(
     if price is None:
         def price(pe_u: int, pe_v: int, volume: int) -> int:
             return arch.comm_model.cost(arch.hops(pe_u, pe_v), volume)  # repro-lint: disable=RL103 (independent re-derivation)
+    prices: dict[tuple[int, int, int], int] = {}
 
     out: list[Diagnostic] = []
 
@@ -72,7 +73,15 @@ def certify_schedule(
         ))
 
     # placement well-formedness (clause-1 preconditions) ----------------
-    placements = {str(v): schedule.placement(v) for v in schedule.nodes()}
+    # the live records, read without a copy each: a record's absolute
+    # start is ``p.start + origin``
+    stored, origin = schedule.stored_placements()
+    placements = {str(v): p for v, p in stored.items()}
+    # name -> graph node: the name itself when it is a node, else the
+    # first node (in graph order) printing as it
+    by_name: dict[str, object] = {}
+    for node in graph.nodes():
+        by_name.setdefault(str(node), node)
     routable: set[str] = set()
     for name in sorted(expected & scheduled):
         p = placements[name]
@@ -93,7 +102,8 @@ def certify_schedule(
             ))
             continue
         routable.add(name)
-        want = arch.execution_time(p.pe, graph.time(_node_key(graph, name)))
+        key = name if name in graph else by_name[name]
+        want = arch.execution_time(p.pe, graph.time(key))
         if p.duration != want:
             out.append(make(
                 "RA404",
@@ -101,11 +111,11 @@ def certify_schedule(
                 f"pe{p.pe + 1}",
                 node=name, pe=p.pe,
             ))
-        if p.finish > schedule.length:
+        if p.finish + origin > schedule.length:
             out.append(make(
                 "RA404",
-                f"node {name!r}: finishes at cs {p.finish}, beyond the "
-                f"schedule length {schedule.length}",
+                f"node {name!r}: finishes at cs {p.finish + origin}, "
+                f"beyond the schedule length {schedule.length}",
                 node=name, pe=p.pe,
             ))
 
@@ -117,8 +127,9 @@ def certify_schedule(
     for name in sorted(routable):
         p = placements[name]
         row = owners[p.pe]
-        last = p.start if pipelined_pes else p.finish
-        for cs in range(p.start, last + 1):
+        start = p.start + origin
+        last = start if pipelined_pes else p.finish + origin
+        for cs in range(start, last + 1):
             other = row.get(cs)
             if other is not None:
                 out.append(make(
@@ -138,27 +149,31 @@ def certify_schedule(
         if src not in routable or dst not in routable:
             continue
         pu, pv = placements[src], placements[dst]
-        ce_u = pu.start + pu.duration - 1
-        m = price(pu.pe, pv.pe, edge.volume)
-        if pv.start + edge.delay * L < ce_u + m + 1:
+        ce_u = pu.start + origin + pu.duration - 1
+        cb_v = pv.start + origin
+        link = (pu.pe, pv.pe, edge.volume)
+        m = prices.get(link)
+        if m is None:
+            m = prices[link] = price(*link)
+        if cb_v + edge.delay * L < ce_u + m + 1:
             out.append(make(
                 "RA403",
                 f"edge {src!r}->{dst!r} (d={edge.delay}, "
                 f"c={edge.volume}) pe{pu.pe + 1}->pe{pv.pe + 1}: "
-                f"CB={pv.start} + {edge.delay}*{L} < CE={ce_u} + "
+                f"CB={cb_v} + {edge.delay}*{L} < CE={ce_u} + "
                 f"M={m} + 1",
                 edge=(src, dst),
             ))
         if edge.delay > 0:
             # the smallest L keeping this edge legal at these placements
-            slack = ce_u + m + 1 - pv.start
+            slack = ce_u + m + 1 - cb_v
             need = -(-slack // edge.delay)  # ceil division
             if need > min_required:
                 min_required = need
 
     # slack report: only meaningful on an otherwise clean certificate ---
     if not out and routable:
-        makespan = max(placements[name].finish for name in routable)
+        makespan = max(placements[name].finish for name in routable) + origin
         feasible = max(min_required, makespan, 1)
         if feasible < L:
             out.append(make(
@@ -168,12 +183,3 @@ def certify_schedule(
             ))
     return out
 
-
-def _node_key(graph: CSDFG, name: str):
-    """Resolve a string node name back to the graph's node key."""
-    if name in graph:
-        return name
-    for node in graph.nodes():
-        if str(node) == name:
-            return node
-    return name

@@ -43,8 +43,8 @@ from repro.graph.csdfg import CSDFG, Node
 from repro.graph.validation import (
     kahn_order,
     topological_order_zero_delay,
+    zero_delay_index,
     zero_delay_row,
-    zero_delay_rows,
 )
 from repro.retiming.basic import apply_retiming
 from repro.schedule.table import ScheduleTable
@@ -172,12 +172,10 @@ class _TopoRankCache:
             self._resync(graph, rotated)
 
     def _build(self, graph: CSDFG) -> None:
-        nodes, self._rows = zero_delay_rows(graph)
-        self._index = {v: i for i, v in enumerate(nodes)}
-        indeg = self._indeg = [0] * len(self._rows)
-        for row in self._rows:
-            for w in row:
-                indeg[w] += 1
+        index = zero_delay_index(graph)
+        self._rows = index.rows
+        self._index = {v: i for i, v in enumerate(index.nodes)}
+        self._indeg = list(map(len, index.producers))
 
     def _resync(self, graph: CSDFG, rotated: list[Node]) -> None:
         succ, pred = graph._succ, graph._pred

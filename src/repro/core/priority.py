@@ -23,13 +23,20 @@ a key ``(a, b)`` whose score at control step ``cs`` is ``a + b * cs``
 ``cs_cur - ALAP(v)``, so ``b = 1``.  This is what lets
 :func:`repro.core.startup.start_up_schedule` keep the ready list in
 heaps instead of re-sorting it at every control step.
+
+A priority sees only what the PF reads: the node, its ALAP step and
+the ``(CE(u_i), m_i)`` pairs of its zero-delay producers.  The caller
+derives those from its own data — start-up from its index lists, the
+per-step reference (:mod:`repro.perf.reference`) from ``in_edges`` and
+its finish map — so neither shares the other's derivation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from operator import itemgetter
+from typing import Callable, Sequence
 
-from repro.graph.csdfg import CSDFG, Node
+from repro.graph.csdfg import Node
 
 __all__ = [
     "paper_priority",
@@ -44,66 +51,47 @@ __all__ = [
 PriorityKey = tuple[float, int]
 
 #: Signature shared by all start-up priority functions:
-#: ``(graph, alap, finish_times, node) -> (a, b)``, called once when
-#: ``node`` becomes ready.  ``b`` must be an integer and ``a`` exact in
-#: binary floating point (integers, or integers plus a fraction of few
-#: bits), so scores compare exactly at every control step.
-PriorityFn = Callable[
-    [CSDFG, Mapping[Node, int], Mapping[Node, int], Node], PriorityKey
-]
+#: ``(node, alap, inputs) -> (a, b)``, called once when ``node`` becomes
+#: ready.  ``alap`` is the node's ALAP step and ``inputs`` holds one
+#: ``(finish, volume)`` pair per zero-delay producer: the producer's
+#: last execution step ``CE(u)`` and the edge's data volume.  ``b``
+#: must be an integer and ``a`` exact in binary floating point
+#: (integers, or integers plus a fraction of few bits), so scores
+#: compare exactly at every control step.
+PriorityFn = Callable[[Node, int, Sequence[tuple[int, int]]], PriorityKey]
 
 
 def paper_priority(
-    graph: CSDFG,
-    alap: Mapping[Node, int],
-    finish: Mapping[Node, int],
-    node: Node,
+    node: Node, alap: int, inputs: Sequence[tuple[int, int]]
 ) -> PriorityKey:
     """The paper's PF (Definition 3.6)."""
-    late = alap[node]
     best: int | None = None
-    for e in graph.in_edges(node):
-        if e.delay != 0 or e.src not in finish:
-            continue
+    for finish, volume in inputs:
         # m_i - (cs - (CE(u_i) + 1)) - (ALAP(v) - cs): cs cancels
-        score = e.volume + finish[e.src] + 1
+        score = volume + finish + 1
         if best is None or score > best:
             best = score
     if best is None:
-        return float(-late), 1
-    return float(best - late), 0
+        return float(-alap), 1
+    return float(best - alap), 0
 
 
 def mobility_only_priority(
-    graph: CSDFG,
-    alap: Mapping[Node, int],
-    finish: Mapping[Node, int],
-    node: Node,
+    node: Node, alap: int, inputs: Sequence[tuple[int, int]]
 ) -> PriorityKey:
     """Classic list scheduling: least mobility first (ablation)."""
-    return float(-alap[node]), 1
+    return float(-alap), 1
 
 
 def fifo_priority(
-    graph: CSDFG,
-    alap: Mapping[Node, int],
-    finish: Mapping[Node, int],
-    node: Node,
+    node: Node, alap: int, inputs: Sequence[tuple[int, int]]
 ) -> PriorityKey:
     """No prioritisation at all — ready order (ablation strawman)."""
     return 0.0, 0
 
 
 def volume_only_priority(
-    graph: CSDFG,
-    alap: Mapping[Node, int],
-    finish: Mapping[Node, int],
-    node: Node,
+    node: Node, alap: int, inputs: Sequence[tuple[int, int]]
 ) -> PriorityKey:
     """Largest pending inbound data volume first (ablation)."""
-    volumes = [
-        e.volume
-        for e in graph.in_edges(node)
-        if e.delay == 0 and e.src in finish
-    ]
-    return float(max(volumes, default=0)), 0
+    return float(max(map(itemgetter(1), inputs), default=0)), 0

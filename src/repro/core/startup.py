@@ -41,13 +41,23 @@ The walk is event-driven; it places exactly what the step-by-step walk
   nodes share one order; only nodes with several producers sort their
   own.
 
-Nodes, PEs and producers live in integer-indexed lists.  The
-zero-delay successor rows and the same LIFO Kahn order as
-:func:`repro.graph.validation.topological_order_zero_delay` come from
-:func:`repro.graph.validation.zero_delay_order`, which ASAP/ALAP share;
-ALAP runs on those rows and the producer lists are read off them.  PE
-state is indexed by position in ``arch.processors`` (degraded machines
-have non-contiguous ids) and mapped back to the PE id when placing.
+* **Index data only.**  One walk over the graph
+  (:func:`repro.graph.validation.zero_delay_index`, shared with
+  ASAP/ALAP) yields the zero-delay successor rows, the producer lists
+  with their volumes, the same LIFO Kahn order as
+  :func:`repro.graph.validation.topological_order_zero_delay` and the
+  edge counts per volume that size :func:`start_up_step_limit`.  ALAP
+  runs on the rows, and a node's priority inputs are its producers'
+  finish steps and volumes, read off the producer list.  PE state is
+  indexed by position in ``arch.processors`` (degraded machines have
+  non-contiguous ids); each placed node's PE id, start, duration and
+  occupancy go into per-node lists.
+* **Bulk-loaded table.**  The loop never reads the table it produces:
+  it tracks PE occupancy in ``busy``.  The lists are loaded into the
+  :class:`~repro.schedule.table.ScheduleTable` in placement order at the
+  end (:meth:`~repro.schedule.table.ScheduleTable.from_placements`);
+  placements come at non-decreasing control steps, so each PE's spans
+  arrive sorted and append.
 
 Delayed (loop-carried) edges are invisible to the placement loop (the
 paper feeds the algorithm the graph "with no feedback edges") but still
@@ -58,19 +68,19 @@ empty control steps at the end of the table.
 
 from __future__ import annotations
 
-from collections import Counter
 from heapq import heappop, heappush
 from itertools import count, repeat
 from operator import add
+from typing import Mapping, Sequence
 
 from repro.arch.cache import CommCostCache
 from repro.arch.topology import Architecture
 from repro.core.priority import PriorityFn, paper_priority
 from repro.core.psl import projected_schedule_length
 from repro.errors import SchedulingError
-from repro.graph.csdfg import CSDFG, Node
+from repro.graph.csdfg import CSDFG
 from repro.graph.properties import alap_indexed
-from repro.graph.validation import zero_delay_order
+from repro.graph.validation import zero_delay_index
 from repro.obs import metrics, span
 from repro.schedule.table import ScheduleTable
 
@@ -78,37 +88,22 @@ __all__ = ["start_up_schedule", "start_up_step_limit"]
 
 
 def start_up_step_limit(
-    graph: CSDFG, arch: Architecture, comm: CommCostCache
+    arch: Architecture,
+    comm: CommCostCache,
+    work: int,
+    volumes: Mapping[int, int],
 ) -> int:
     """A control step by which start-up has placed every node.
 
-    Any list schedule fits in the total work run on the slowest PE plus
-    the dearest price ``comm`` can charge for every edge's transfer,
-    plus one.
+    Any list schedule fits in the total work ``work`` (the sum of the
+    graph's node times) run on the slowest PE plus the dearest price
+    ``comm`` can charge for every edge's transfer, plus one.
+    ``volumes`` counts the graph's edges, delayed ones included, by data
+    volume.
     """
     slowest = max(arch.time_scales[pe] for pe in arch.processors)
-    volumes = Counter(e.volume for e in graph.edges())
     max_comm = sum(comm.max_cost(volume) * k for volume, k in volumes.items())
-    return graph.total_work() * slowest + max_comm + 1
-
-
-def _index_graph(graph: CSDFG):
-    """The zero-delay adjacency of ``graph`` on node indices.
-
-    Returns ``(nodes, times, rows, producers, order)``: ``nodes``,
-    ``rows`` and ``order`` as from :func:`zero_delay_order`, which
-    raises on a zero-delay cycle, ``times[i]`` node ``i``'s execution
-    time and ``producers[i]`` its ``(source index, volume)`` zero-delay
-    in-edges.
-    """
-    nodes, rows, order = zero_delay_order(graph)
-    succ = graph._succ
-    producers: list[list[tuple[int, int]]] = [[] for _ in nodes]
-    for i, v in enumerate(nodes):
-        adj = succ[v]
-        for j in rows[i]:
-            producers[j].append((i, adj[nodes[j]].volume))
-    return nodes, list(graph._time.values()), rows, producers, order
+    return work * slowest + max_comm + 1
 
 
 def start_up_schedule(
@@ -147,15 +142,13 @@ def start_up_schedule(
     if graph.num_nodes == 0:
         raise SchedulingError("cannot schedule an empty graph")
     # verifies legality (zero-delay subgraph acyclic) as a side effect
-    nodes, times, rows, producers, order = _index_graph(graph)
+    nodes, rows, producers, volumes, order = zero_delay_index(graph)
+    times = list(graph._time.values())
 
     with span(
         "startup", workload=graph.name, arch=arch.name
     ) as startup_span:
-        alap = dict(zip(nodes, alap_indexed(times, rows, order)))
-        schedule = ScheduleTable(
-            arch.num_pes, name=f"{graph.name}@{arch.name}:startup"
-        )
+        alap = alap_indexed(times, rows, order)
         if comm is None:
             comm = CommCostCache.for_graph(arch, graph)
         cost = comm.cost
@@ -180,16 +173,19 @@ def start_up_schedule(
         busy = list(zeros)
         # base execution time -> duration on each PE
         by_time: dict[int, list[int]] = {}
-        # (source position, volume) -> (comm cost to each PE, probe
-        # order of a node whose one zero-delay producer sits there, min
-        # cost)
+        # (source PE, volume) -> (comm cost to each PE, probe order of a
+        # node whose one zero-delay producer sits there, min cost)
         transfers: dict[tuple[int, int], tuple[list[int], list[int], int]] = {}
-        finish: dict[Node, int] = {}
-        ends = [0] * len(nodes)  # finish step of each placed node
-        where = [0] * len(nodes)  # PE position of each placed node
+        # each placed node's PE id, start, duration and finish step
+        where = [0] * len(nodes)
+        begins = [0] * len(nodes)
+        took = [0] * len(nodes)
+        ends = [0] * len(nodes)
+        placed: list[int] = []  # node indices in placement order
         names = [str(v) for v in nodes]
         pending = [len(p) for p in producers]
-        keys: list[tuple[float, int]] = [(0.0, 0)] * len(nodes)
+        # a ready node's PF key; dropped with its probe once it is placed
+        keys: list[tuple[float, int] | None] = [(0.0, 0)] * len(nodes)
         # ready node -> (cm offset, cm_p - offset by position, probe
         # order, duration by position)
         probes: list = [None] * len(nodes)
@@ -200,23 +196,23 @@ def start_up_schedule(
         seqs = count()
         remaining = len(nodes)
 
-        cs_limit = start_up_step_limit(graph, arch, comm)
+        cs_limit = start_up_step_limit(arch, comm, sum(times), volumes)
 
         deferrals = 0
         sweeps = 0
 
         def transfer(
-            src: int, volume: int
+            src_pe: int, volume: int
         ) -> tuple[list[int], list[int], int]:
-            cached = transfers.get((src, volume))
+            cached = transfers.get((src_pe, volume))
             if cached is None:
-                src_pe = processors[src]
                 row = [cost(src_pe, pe, volume) for pe in processors]
-                cached = transfers[src, volume] = (row, ranked(row), min(row))
+                cached = transfers[src_pe, volume] = (
+                    row, ranked(row), min(row)
+                )
             return cached
 
         def make_ready(i: int) -> None:
-            keys[i] = priority(graph, alap, finish, nodes[i])
             durations = by_time.get(times[i])
             if durations is None:
                 durations = by_time[times[i]] = [
@@ -225,18 +221,22 @@ def start_up_schedule(
             sources = producers[i]
             # per-PE data arrival bound cm_p, fixed from here on
             if not sources:
+                inputs: Sequence[tuple[int, int]] = ()
                 offset, cms, ranking, low = 0, zeros, root_ranking, 0
             elif len(sources) == 1:
                 u, volume = sources[0]
                 offset = ends[u]
+                inputs = ((offset, volume),)
                 cms, ranking, low = transfer(where[u], volume)
             else:
+                inputs = [(ends[u], volume) for u, volume in sources]
                 offset = 0
                 cms = list(map(max, *[
                     map(add, transfer(where[u], volume)[0], repeat(ends[u]))
                     for u, volume in sources
                 ]))
                 ranking, low = ranked(cms), min(cms)
+            keys[i] = priority(nodes[i], alap[i], inputs)
             probes[i] = (offset, cms, ranking, durations)
             # no PE has the data before min_p cm_p + 1
             heappush(wake, (offset + low + 1, next(seqs), i))
@@ -288,17 +288,15 @@ def start_up_schedule(
                     blocked = min(map(max, cms, busy))
                     heappush(wake, (blocked + 1, next(seqs), i))
                     continue
-                duration = durations[pos]
-                occupancy = 1 if pipelined_pes else duration
-                schedule.place(
-                    nodes[i], processors[pos], cs, duration, occupancy
-                )
-                until = busy[pos] = cs + occupancy - 1
+                duration = took[i] = durations[pos]
+                until = busy[pos] = cs if pipelined_pes else cs + duration - 1
                 heappush(released, until)
                 free -= 1
-                ends[i] = finish[nodes[i]] = cs + duration - 1
-                where[i] = pos
-                probes[i] = None
+                where[i] = processors[pos]
+                begins[i] = cs
+                ends[i] = cs + duration - 1
+                placed.append(i)
+                probes[i] = keys[i] = None
                 remaining -= 1
                 last_placement = cs
                 for w in rows[i]:
@@ -325,7 +323,12 @@ def start_up_schedule(
                 )
             cs = next_cs
 
-        schedule.trim()
+        # its length is its makespan, the last busy control step
+        schedule = ScheduleTable.from_placements(
+            arch.num_pes, nodes, where, begins, took,
+            [1] * len(nodes) if pipelined_pes else took,
+            order=placed, name=f"{graph.name}@{arch.name}:startup",
+        )
         if pad_for_delayed_edges:
             schedule.set_length(
                 projected_schedule_length(

@@ -25,7 +25,7 @@ from repro.graph.csdfg import CSDFG, Node
 from repro.graph.cycles import recursive_core
 from repro.graph.validation import (
     topological_order_zero_delay,
-    zero_delay_order,
+    zero_delay_index,
 )
 
 __all__ = [
@@ -89,9 +89,9 @@ def _latest_finish(times: Sequence[int], starts: Sequence[int]) -> int:
 def _levels(
     graph: CSDFG,
 ) -> tuple[list[Node], list[int], list[list[int]], list[int]]:
-    """``(nodes, times, rows, order)`` over :func:`zero_delay_order`."""
-    nodes, rows, order = zero_delay_order(graph)
-    return nodes, list(graph._time.values()), rows, order
+    """``(nodes, times, rows, order)`` over :func:`zero_delay_index`."""
+    index = zero_delay_index(graph)
+    return index.nodes, list(graph._time.values()), index.rows, index.order
 
 
 def asap_times(graph: CSDFG) -> dict[Node, int]:

@@ -9,8 +9,7 @@ enforce) and optional structural expectations such as connectivity.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.errors import GraphError, GraphValidationError
 from repro.graph.csdfg import CSDFG, Edge, Node
@@ -19,9 +18,9 @@ __all__ = [
     "find_zero_delay_cycle",
     "kahn_order",
     "topological_order_zero_delay",
-    "zero_delay_order",
+    "ZeroDelayIndex",
+    "zero_delay_index",
     "zero_delay_row",
-    "zero_delay_rows",
     "collect_issues",
     "validate_csdfg",
     "is_legal",
@@ -70,9 +69,9 @@ def kahn_order(
     integer-indexed nodes.
 
     ``rows[i]`` lists node ``i``'s zero-delay successors and ``indeg``
-    their in-degrees (left unchanged).  Over :func:`zero_delay_rows` the
-    result is that function's order.  It is shorter than ``rows`` when a
-    zero-delay cycle leaves nodes out.
+    their in-degrees (left unchanged).  Over the rows of
+    :func:`zero_delay_index` the result is that function's order.  It
+    is shorter than ``rows`` when a zero-delay cycle leaves nodes out.
     """
     left = list(indeg)
     stack = [i for i, k in enumerate(left) if k == 0]
@@ -98,37 +97,57 @@ def zero_delay_row(
     return [index[dst] for dst, e in adjacency.items() if e.delay == 0]
 
 
-def zero_delay_rows(graph: CSDFG) -> tuple[list[Node], list[list[int]]]:
-    """``(nodes, rows)``: node ``i`` is the ``i``-th of
-    ``graph.nodes()`` and ``rows[i]`` its :func:`zero_delay_row`."""
+class ZeroDelayIndex(NamedTuple):
+    """The zero-delay adjacency of a graph on node indices.
+
+    Node ``i`` is the ``i``-th of ``graph.nodes()``.  ``rows[i]`` is its
+    :func:`zero_delay_row`, ``producers[i]`` its zero-delay in-edges as
+    ``(source index, volume)`` in source order (so
+    ``len(producers[i])`` is its zero-delay in-degree), ``volumes``
+    counts every edge, delayed ones included, by data volume, and
+    ``order`` is the :func:`kahn_order` over the rows, which indexes
+    :func:`topological_order_zero_delay`.
+    """
+
+    nodes: list[Node]
+    rows: list[list[int]]
+    producers: list[list[tuple[int, int]]]
+    volumes: dict[int, int]
+    order: list[int]
+
+
+def zero_delay_index(graph: CSDFG) -> ZeroDelayIndex:
+    """The :class:`ZeroDelayIndex` of ``graph``, from one walk over its
+    successor dicts.
+
+    Raises :func:`topological_order_zero_delay`'s
+    :class:`GraphValidationError` on a zero-delay cycle.
+    """
     nodes = list(graph._time)
     index = {v: i for i, v in enumerate(nodes)}
-    succ = graph._succ
-    return nodes, [zero_delay_row(succ[v], index) for v in nodes]
-
-
-def zero_delay_order(
-    graph: CSDFG,
-) -> tuple[list[Node], list[list[int]], list[int]]:
-    """``(nodes, rows, order)``: :func:`zero_delay_rows` and the
-    :func:`kahn_order` over them, which indexes
-    :func:`topological_order_zero_delay`.
-
-    Raises that function's :class:`GraphValidationError` on a
-    zero-delay cycle.
-    """
-    nodes, rows = zero_delay_rows(graph)
-    indeg = [0] * len(rows)
-    for w in chain.from_iterable(rows):
-        indeg[w] += 1
-    order = kahn_order(rows, indeg)
+    rows: list[list[int]] = []
+    producers: list[list[tuple[int, int]]] = [[] for _ in nodes]
+    volumes: dict[int, int] = {}
+    count = volumes.get
+    # ``_succ`` holds the nodes in ``_time`` order
+    for i, adjacency in enumerate(graph._succ.values()):
+        row: list[int] = []
+        for dst, e in adjacency.items():
+            volume = e.volume
+            volumes[volume] = count(volume, 0) + 1
+            if e.delay == 0:
+                j = index[dst]
+                row.append(j)
+                producers[j].append((i, volume))
+        rows.append(row)
+    order = kahn_order(rows, list(map(len, producers)))
     if len(order) != len(nodes):
         # a zero-delay cycle: the dict walk names it in its error
         topological_order_zero_delay(graph)
         raise GraphError(  # pragma: no cover - defensive
             "zero-delay adjacency out of sync"
         )
-    return nodes, rows, order
+    return ZeroDelayIndex(nodes, rows, producers, volumes, order)
 
 
 def find_zero_delay_cycle(graph: CSDFG) -> list[Node]:

@@ -35,6 +35,8 @@ path prunes slots and probes the reference path makes and rejects.)
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.arch.cache import CommCostCache
 from repro.arch.topology import Architecture
 from repro.core import cyclo as _cyclo_mod
@@ -359,8 +361,10 @@ def reference_start_up_schedule(
         remaining = graph.num_nodes
 
         cs_limit = start_up_step_limit(
-            graph, arch,
+            arch,
             comm if comm is not None else CommCostCache.for_graph(arch, graph),
+            graph.total_work(),
+            Counter(e.volume for e in graph.edges()),
         )
         cost = comm.cost if comm is not None else arch.comm_cost
 
@@ -369,7 +373,10 @@ def reference_start_up_schedule(
         deferrals = 0
 
         def score(v: Node, cs: int) -> float:
-            a, b = priority(graph, alap, finish, v)
+            a, b = priority(v, alap[v], [
+                (finish[e.src], e.volume)
+                for e in graph.in_edges(v) if e.delay == 0
+            ])
             return a + b * cs
 
         cs = 1

@@ -61,8 +61,8 @@ class JitteredPriority:
         self.seed = seed
         self.index = index
 
-    def __call__(self, graph, alap, finish, node) -> PriorityKey:
-        a, b = paper_priority(graph, alap, finish, node)
+    def __call__(self, node, alap, inputs) -> PriorityKey:
+        a, b = paper_priority(node, alap, inputs)
         digest = zlib.crc32(f"{self.seed}:{self.index}:{node}".encode())
         return a + digest / 2**32, b
 

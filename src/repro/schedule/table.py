@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import PlacementConflictError, ScheduleError
 from repro.graph.csdfg import Node
@@ -153,6 +153,67 @@ class ScheduleTable:
         # registry once per run by the engine (see :meth:`publish_stats`)
         self.probes = 0
         self.shifts = 0
+
+    @classmethod
+    def from_placements(
+        cls,
+        num_pes: int,
+        nodes: Sequence[Node],
+        pes: Sequence[int],
+        starts: Sequence[int],
+        durations: Sequence[int],
+        occupancies: Sequence[int],
+        *,
+        order: Iterable[int],
+        name: str = "schedule",
+    ) -> "ScheduleTable":
+        """A table holding ``nodes[i]`` on ``pes[i]`` from ``starts[i]``
+        for ``durations[i]`` steps, blocking it for ``occupancies[i]``,
+        for every index ``i`` in ``order``.
+
+        The records are placed in ``order``, so :meth:`placements`
+        iterates them in that order.  The result and every error equal
+        those of a :meth:`place` loop over the same records.  A record
+        that starts after its PE's last span appends to the PE's index
+        without a search; any other record, and any record
+        :meth:`place` would reject, goes through :meth:`place`.
+        """
+        table = cls(num_pes, name=name)
+        placed = table._placements
+        intervals = table._intervals
+        starts_by_pe = table._starts
+        busy = table._busy
+        new = Placement.__new__
+        set_field = object.__setattr__
+        last = 0
+        for i in order:
+            node, pe, start = nodes[i], pes[i], starts[i]
+            duration, occupancy = durations[i], occupancies[i]
+            if (
+                node in placed
+                or not 0 <= pe < num_pes
+                or start < 1
+                or not 1 <= occupancy <= duration
+                or (intervals[pe] and intervals[pe][-1][1] >= start)
+            ):
+                table.place(node, pe, start, duration, occupancy)
+                continue
+            placement = new(Placement)
+            set_field(placement, "node", node)
+            set_field(placement, "pe", pe)
+            set_field(placement, "start", start)
+            set_field(placement, "duration", duration)
+            set_field(placement, "occupancy", occupancy)
+            placed[node] = placement
+            intervals[pe].append((start, start + occupancy - 1, node))
+            starts_by_pe[pe].append(start)
+            busy[pe] += occupancy
+            finish = start + duration - 1
+            if finish > last:
+                last = finish
+        if last > table._length:
+            table._length = table._makespan = last
+        return table
 
     # ------------------------------------------------------------------
     # basic accessors

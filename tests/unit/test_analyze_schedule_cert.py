@@ -189,3 +189,111 @@ class TestValidatorAgreement:
                 assert bool(validator) == bool(certificate), (
                     seed, validator, [d.render() for d in certificate]
                 )
+
+
+class TestPerNodeWork:
+    """The certificate does a bounded amount of work per node and per
+    edge, whatever the node labels."""
+
+    @staticmethod
+    def _int_chain(n):
+        g = CSDFG("int-chain")
+        for v in range(n):
+            g.add_node(v, 1 + v % 3)
+        for v in range(n - 1):
+            g.add_edge(v, v + 1, 0, 1 + v % 2)
+        g.add_edge(n - 1, 0, 2, 1)
+        return g
+
+    def test_int_labels_walk_the_nodes_a_constant_number_of_times(self):
+        # each name whose str is not itself a node once cost a scan over
+        # every node: about n * n / 2 node visits on this chain
+        from repro.core import start_up_schedule
+
+        n = 300
+        graph = self._int_chain(n)
+        arch = make_architecture("ring", 16)
+        schedule = start_up_schedule(graph, arch)
+        visits = 0
+        nodes = graph.nodes
+
+        def counting_nodes():
+            nonlocal visits
+            for v in nodes():
+                visits += 1
+                yield v
+
+        graph.nodes = counting_nodes
+        assert errors(certify_schedule(graph, arch, schedule)) == []
+        assert visits <= 3 * n
+
+    def test_prices_each_link_and_volume_once(self):
+        from repro.core import start_up_schedule
+
+        graph = self._int_chain(200)
+        arch = make_architecture("ring", 16)
+        schedule = start_up_schedule(graph, arch)
+        calls = []
+
+        def price(pe_u, pe_v, volume):
+            calls.append((pe_u, pe_v, volume))
+            return arch.comm_cost(pe_u, pe_v, volume)
+
+        assert errors(
+            certify_schedule(graph, arch, schedule, price=price)
+        ) == []
+        assert len(calls) == len(set(calls)) < graph.num_edges
+
+    def test_reads_the_stored_records_without_copies(self, monkeypatch):
+        from repro.core import start_up_schedule
+
+        graph = self._int_chain(50)
+        arch = make_architecture("ring", 16)
+        schedule = start_up_schedule(graph, arch)
+
+        def no_copy(self, node):
+            raise AssertionError("certify built a placement copy")
+
+        monkeypatch.setattr(ScheduleTable, "placement", no_copy)
+        assert errors(certify_schedule(graph, arch, schedule)) == []
+
+
+class TestShiftedTables:
+    """A rotated table stores its steps against a moved origin; the
+    certificate reads absolute steps, so it equals that of a fresh
+    table holding the same absolute placements."""
+
+    @staticmethod
+    def _rebuilt(table):
+        fresh = ScheduleTable(table.num_pes, length=table.length)
+        for p in table.placements():
+            fresh.place(p.node, p.pe, p.start, p.duration, p.occupancy)
+        return fresh
+
+    @staticmethod
+    def _findings(graph, arch, table):
+        return [(d.code, d.message) for d in certify_schedule(graph, arch, table)]
+
+    @pytest.mark.parametrize("b_start, length, cut, expected", [
+        (5, 12, None, ["RA405"]),  # clean, with slack
+        (3, 12, None, ["RA403"]),  # b too early for the transfer
+        (5, 5, None, ["RA403"]),   # the delayed edge no longer wraps
+        # b finishes past the cut length, and the wrap breaks with it
+        (5, 6, 4, ["RA403", "RA404"]),
+    ])
+    def test_matches_an_unshifted_rebuild(
+        self, chain, b_start, length, cut, expected
+    ):
+        arch = make_architecture("linear", 2)
+        table = ScheduleTable(2, length=length + 2)
+        table.place("a", pe=0, start=3, duration=2)
+        table.place("b", pe=1, start=b_start + 2, duration=1)
+        table.shift_all(-2)
+        assert table.stored_placements()[1] == -2
+        fresh = self._rebuilt(table)
+        if cut is not None:
+            # sabotage: bypass the setter guard
+            table._length = fresh._length = cut
+        found = self._findings(chain, arch, table)
+        assert found == self._findings(chain, arch, fresh)
+        assert sorted(code for code, _ in found) == expected

@@ -1,7 +1,9 @@
 """Unit tests for mobility and the start-up priority function PF.
 
-A priority returns a key ``(a, b)``; its score at control step ``cs``
-is ``a + b * cs`` (:func:`score`).
+A priority maps ``(node, alap, inputs)`` to a key ``(a, b)``; its score
+at control step ``cs`` is ``a + b * cs`` (:func:`score`).  ``inputs``
+holds the ``(finish, volume)`` pairs of the node's zero-delay
+producers.
 """
 
 from repro.core import (
@@ -14,9 +16,19 @@ from repro.core import (
 from repro.core.priority import mobility_only_priority
 
 
+def producer_inputs(graph, finish, node):
+    """``(finish, volume)`` of ``node``'s zero-delay producers that have
+    a finish step, read through ``in_edges``."""
+    return [
+        (finish[e.src], e.volume)
+        for e in graph.in_edges(node)
+        if e.delay == 0 and e.src in finish
+    ]
+
+
 def score(priority, graph, alap, finish, node, cs):
     """``priority``'s score for ``node`` at control step ``cs``."""
-    a, b = priority(graph, alap, finish, node)
+    a, b = priority(node, alap[node], producer_inputs(graph, finish, node))
     return a + b * cs
 
 
@@ -122,3 +134,89 @@ class TestAffineKey:
                     )
                     got = score(paper_priority, g, alap, finish, v, cs)
                     assert got == expected, (seed, v, cs)
+
+
+def _old_paper(graph, alap, finish, node):
+    """The PF as derived before it took index data: a walk over
+    ``in_edges`` against ``finish`` and ``alap`` maps."""
+    late = alap[node]
+    best = None
+    for e in graph.in_edges(node):
+        if e.delay != 0 or e.src not in finish:
+            continue
+        score = e.volume + finish[e.src] + 1
+        if best is None or score > best:
+            best = score
+    if best is None:
+        return float(-late), 1
+    return float(best - late), 0
+
+
+def _old_volume_only(graph, alap, finish, node):
+    volumes = [
+        e.volume
+        for e in graph.in_edges(node)
+        if e.delay == 0 and e.src in finish
+    ]
+    return float(max(volumes, default=0)), 0
+
+
+def _old_jittered(seed, index):
+    import zlib
+
+    def key(graph, alap, finish, node):
+        a, b = _old_paper(graph, alap, finish, node)
+        digest = zlib.crc32(f"{seed}:{index}:{node}".encode())
+        return a + digest / 2**32, b
+
+    return key
+
+
+class TestIndexKeys:
+    """Fed from start-up's index data (the producer lists of
+    :func:`repro.graph.validation.zero_delay_index`), every priority
+    returns the key the old ``in_edges`` derivation returned."""
+
+    @staticmethod
+    def _graphs(figure1, figure7):
+        from repro.qa import sample_sized_graph
+
+        yield figure1
+        yield figure7
+        for seed in range(4):
+            yield sample_sized_graph("layered", 40, seed=seed)
+
+    def test_every_priority_matches_the_in_edges_derivation(
+        self, figure1, figure7
+    ):
+        import random
+
+        from repro.graph.properties import alap_indexed
+        from repro.graph.validation import zero_delay_index
+        from repro.perf.restarts import JitteredPriority
+
+        pairs = [
+            (paper_priority, _old_paper),
+            (mobility_only_priority, lambda g, al, f, v: (float(-al[v]), 1)),
+            (fifo_priority, lambda g, al, f, v: (0.0, 0)),
+            (volume_only_priority, _old_volume_only),
+            (JitteredPriority(11, 3), _old_jittered(11, 3)),
+        ]
+        rng = random.Random(3)
+        checked = 0
+        for graph in self._graphs(figure1, figure7):
+            nodes, rows, producers, _volumes, order = zero_delay_index(graph)
+            times = [graph.time(v) for v in nodes]
+            alap = alap_indexed(times, rows, order)
+            alap_map = mobility_map(graph)
+            assert dict(zip(nodes, alap)) == alap_map
+            ends = [rng.randint(1, 30) for _ in nodes]
+            finish = dict(zip(nodes, ends))
+            for i, v in enumerate(nodes):
+                inputs = [(ends[u], volume) for u, volume in producers[i]]
+                for new, old in pairs:
+                    assert new(v, alap[i], inputs) == (
+                        old(graph, alap_map, finish, v)
+                    ), (graph.name, v, new)
+                    checked += 1
+        assert checked > 5 * 19

@@ -161,9 +161,9 @@ class TestJitteredPriority:
         alap = mobility_map(graph)
         node = next(iter(graph.nodes()))
         p = JitteredPriority(5, 2)
-        base_a, base_b = paper_priority(graph, alap, {}, node)
-        a, b = p(graph, alap, {}, node)
-        assert (a, b) == p(graph, alap, {}, node)
+        base_a, base_b = paper_priority(node, alap[node], ())
+        a, b = p(node, alap[node], ())
+        assert (a, b) == p(node, alap[node], ())
         assert b == base_b
         assert 0.0 <= a - base_a < 1.0
 

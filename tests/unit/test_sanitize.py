@@ -159,12 +159,12 @@ def mutate_priority(site: Path) -> Path:
     shutil.copytree(PACKAGE_DIR, pkg)
     victim = pkg / "core" / "priority.py"
     text = victim.read_text()
-    marker = "    late = alap[node]\n"
+    marker = "    \"\"\"The paper's PF (Definition 3.6).\"\"\"\n"
     assert marker in text
     text = text.replace(marker, marker + (
         "    import os\n"
         "    import zlib\n"
-        "    late -= zlib.crc32(\n"
+        "    alap -= zlib.crc32(\n"
         "        f\"{os.environ.get('PYTHONHASHSEED', '')}:\"\n"
         "        f\"{node}\".encode()\n"
         "    ) % 97\n"

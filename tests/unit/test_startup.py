@@ -1,18 +1,23 @@
 """Unit tests for the start-up (communication-aware list) scheduler."""
 
+from collections import Counter
+
 import pytest
 
 from repro.arch import CompletelyConnected, LinearArray, Mesh2D
 from repro.arch.cache import CommCostCache
 from repro.arch.comm import ConstantLatencyModel
 from repro.core import start_up_schedule
-from repro.core.startup import _index_graph, start_up_step_limit
+from repro.core.startup import start_up_step_limit
 from repro.core.priority import fifo_priority
 from repro.errors import SchedulingError
 from repro.graph import CSDFG, alap_times, asap_times, critical_path_length
 from repro.graph.generators import layered_csdfg, random_csdfg
 from repro.graph.properties import alap_indexed
-from repro.graph.validation import topological_order_zero_delay
+from repro.graph.validation import (
+    topological_order_zero_delay,
+    zero_delay_index,
+)
 from repro.perf.reference import reference_start_up_schedule
 from repro.schedule import is_valid_schedule, validate_schedule
 
@@ -103,6 +108,14 @@ class TestGeneralBehaviour:
         assert s.cell(pe, 2) == "B" and s.cell(pe, 3) == "B"
 
 
+def step_limit(graph, arch, comm):
+    """:func:`start_up_step_limit` fed from the graph's own counts."""
+    return start_up_step_limit(
+        arch, comm, graph.total_work(),
+        Counter(e.volume for e in graph.edges()),
+    )
+
+
 class TestStepLimit:
     """The start-up step limit covers the prices the run really pays."""
 
@@ -118,7 +131,7 @@ class TestStepLimit:
         g.add_edge("b", "c", 0)
         arch = CompletelyConnected(2, comm_model=ConstantLatencyModel(10))
         comm = CommCostCache.for_graph(arch, g)
-        assert start_up_step_limit(g, arch, comm) == 3 + 2 * 10 + 1
+        assert step_limit(g, arch, comm) == 3 + 2 * 10 + 1
         s = schedule(g, arch)
         assert s.start("c") == 12
         assert is_valid_schedule(g, arch, s)
@@ -129,7 +142,7 @@ class TestStepLimit:
         g.add_edge("a", "b", 0, 2)
         arch = LinearArray(3).with_time_scales([1, 2, 4])
         comm = CommCostCache.for_graph(arch, g)
-        assert start_up_step_limit(g, arch, comm) == 6 * 4 + 2 * 2 + 1
+        assert step_limit(g, arch, comm) == 6 * 4 + 2 * 2 + 1
 
 
 class TestCounters:
@@ -162,7 +175,8 @@ class TestPrologue:
     def test_matches_alap_times_and_step_limit(self):
         arch = Mesh2D(2, 3).with_time_scales([1, 2, 1, 3, 1, 2])
         for graph in self._graphs():
-            nodes, times, rows, producers, order = _index_graph(graph)
+            nodes, rows, producers, volumes, order = zero_delay_index(graph)
+            times = [graph.time(v) for v in nodes]
             assert [nodes[i] for i in order] == (
                 topological_order_zero_delay(graph)
             )
@@ -174,9 +188,12 @@ class TestPrologue:
                     sorted((e.src, e.volume) for e in graph.in_edges(v)
                            if e.delay == 0)
                 )
+            assert volumes == Counter(e.volume for e in graph.edges())
             # the slowest PE runs every node, every edge at its dearest
             comm = CommCostCache.for_graph(arch, graph)
-            assert start_up_step_limit(graph, arch, comm) == (
+            assert start_up_step_limit(
+                arch, comm, sum(times), volumes
+            ) == (
                 3 * graph.total_work()
                 + sum(comm.max_cost(e.volume) for e in graph.edges()) + 1
             )

@@ -253,3 +253,162 @@ class TestInstrumentationTallies:
         snap = metrics.snapshot()
         assert snap["counters"]["schedule.table.probes"] == 2
         assert snap["counters"]["schedule.table.shifts"] == 1
+
+
+def _loop_build(num_pes, records, name="schedule"):
+    """The table a :meth:`ScheduleTable.place` loop builds, or the error
+    it raises, as ``(table, error)``."""
+    table = ScheduleTable(num_pes, name=name)
+    try:
+        for record in records:
+            table.place(*record)
+    except Exception as exc:  # compared with the constructor's error
+        return None, exc
+    return table, None
+
+
+def _bulk_build(num_pes, records, name="schedule"):
+    """:meth:`ScheduleTable.from_placements` over ``records`` given as
+    columns, as ``(table, error)``."""
+    columns = [list(c) for c in zip(*records)] if records else [[]] * 5
+    try:
+        return ScheduleTable.from_placements(
+            num_pes, *columns, order=range(len(records)), name=name
+        ), None
+    except Exception as exc:
+        return None, exc
+
+
+def _assert_same_build(num_pes, records):
+    loop, loop_err = _loop_build(num_pes, records)
+    bulk, bulk_err = _bulk_build(num_pes, records)
+    assert type(bulk_err) is type(loop_err)
+    assert str(bulk_err) == str(loop_err)
+    if loop is not None:
+        assert bulk.same_placements(loop)
+        assert list(bulk.placements()) == list(loop.placements())
+        assert bulk.makespan == loop.makespan
+        assert [bulk.pe_tasks(pe) for pe in range(num_pes)] == [
+            loop.pe_tasks(pe) for pe in range(num_pes)
+        ]
+        assert [bulk.busy_cells(pe) for pe in range(num_pes)] == [
+            loop.busy_cells(pe) for pe in range(num_pes)
+        ]
+
+
+class TestFromPlacements:
+    """The bulk constructor builds what a ``place()`` loop builds and
+    rejects what it rejects, with the same error."""
+
+    def test_sorted_records_append(self):
+        records = [("a", 0, 1, 2, 2), ("b", 1, 1, 1, 1), ("c", 0, 3, 3, 1),
+                   ("d", 0, 4, 1, 1), ("e", 1, 5, 2, 2)]
+        _assert_same_build(2, records)
+        table, _ = _bulk_build(2, records)
+        assert [p.node for p in table.placements()] == list("abcde")
+        assert table.length == table.makespan == 6
+        assert table.cell(0, 3) == "c" and table.cell(0, 4) == "d"
+
+    def test_order_selects_and_orders_records(self):
+        table = ScheduleTable.from_placements(
+            2, ["a", "b", "c"], [0, 0, 1], [3, 1, 1], [1, 2, 1],
+            [1, 2, 1], order=[1, 2, 0], name="t",
+        )
+        assert [p.node for p in table.placements()] == ["b", "c", "a"]
+        assert table.name == "t" and table.length == 3
+
+    def test_rejects_overlap(self):
+        # on the last span's steps, then straddling its end
+        _assert_same_build(1, [("a", 0, 1, 3, 3), ("b", 0, 2, 1, 1)])
+        _assert_same_build(1, [("a", 0, 1, 3, 3), ("b", 0, 3, 2, 2)])
+        _, err = _bulk_build(1, [("a", 0, 1, 3, 3), ("b", 0, 3, 2, 2)])
+        assert isinstance(err, PlacementConflictError)
+
+    def test_out_of_order_starts(self):
+        # a start before the PE's last span: rejected when it overlaps
+        # an earlier span, accepted where place() accepts it
+        _assert_same_build(1, [("a", 0, 1, 2, 2), ("b", 0, 6, 1, 1),
+                               ("c", 0, 2, 1, 1)])
+        _assert_same_build(1, [("a", 0, 1, 2, 2), ("b", 0, 6, 1, 1),
+                               ("c", 0, 4, 2, 2)])
+        table, _ = _bulk_build(1, [("a", 0, 1, 2, 2), ("b", 0, 6, 1, 1),
+                                   ("c", 0, 4, 2, 2)])
+        assert [p.node for p in table.pe_tasks(0)] == ["a", "c", "b"]
+        _, err = _bulk_build(1, [("a", 0, 1, 2, 2), ("b", 0, 6, 1, 1),
+                                 ("c", 0, 5, 2, 2)])
+        assert isinstance(err, PlacementConflictError)
+
+    def test_rejects_out_of_domain_fields(self):
+        for bad in (("x", 2, 1, 1, 1), ("x", -1, 1, 1, 1),
+                    ("x", 0, 0, 1, 1), ("x", 0, 1, 0, 0),
+                    ("x", 0, 1, 2, 3), ("x", 0, 1, 2, 0)):
+            records = [("a", 0, 1, 1, 1), bad]
+            _assert_same_build(2, records)
+            _, err = _bulk_build(2, records)
+            assert isinstance(err, ScheduleError), bad
+
+    def test_rejects_duplicate_node(self):
+        _assert_same_build(2, [("a", 0, 1, 1, 1), ("a", 1, 2, 1, 1)])
+
+    def test_random_records_match_the_place_loop(self):
+        import random
+
+        rng = random.Random(7)
+        for _ in range(300):
+            num_pes = rng.randint(1, 3)
+            clock = [1] * num_pes
+            records = []
+            for k in range(rng.randint(0, 12)):
+                pe = rng.randrange(num_pes)
+                duration = rng.randint(1, 3)
+                occupancy = rng.randint(1, duration)
+                if rng.random() < 0.8:  # the start-up case: sorted spans
+                    start = clock[pe] + rng.randint(0, 2)
+                    clock[pe] = start + occupancy
+                else:
+                    start = rng.randint(0, 12)
+                records.append((f"n{k}", pe, start, duration, occupancy))
+            _assert_same_build(num_pes, records)
+
+
+class TestStartupTable:
+    """Start-up's bulk-loaded table equals the table a ``place()`` loop
+    builds from the same records, on every registry workload."""
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_registry_workloads(self, monkeypatch, pipelined):
+        from repro.arch import make_architecture
+        from repro.core import start_up_schedule
+        from repro.workloads import make_workload, workload_names
+
+        built = []
+        original = ScheduleTable.from_placements.__func__
+
+        def spy(cls, num_pes, nodes, pes, starts, durations, occupancies,
+                *, order, name="schedule"):
+            table = original(cls, num_pes, nodes, pes, starts, durations,
+                             occupancies, order=order, name=name)
+            loop, err = _loop_build(num_pes, [
+                (nodes[i], pes[i], starts[i], durations[i], occupancies[i])
+                for i in order
+            ], name)
+            assert err is None
+            built.append((table, loop))
+            return table
+
+        monkeypatch.setattr(ScheduleTable, "from_placements",
+                            classmethod(spy))
+        for name in workload_names():
+            graph = make_workload(name)
+            for kind, pes in (("mesh", 4), ("ring", 5)):
+                arch = make_architecture(kind, pes)
+                schedule = start_up_schedule(
+                    graph, arch, pipelined_pes=pipelined,
+                    pad_for_delayed_edges=False,
+                )
+                table, loop = built[-1]
+                assert table is schedule
+                assert table.same_placements(loop), (name, kind)
+                assert list(table.placements()) == list(loop.placements())
+                assert table.name == loop.name
+        assert len(built) == 2 * len(workload_names())

@@ -12,7 +12,7 @@ from repro.graph import (
     validate_csdfg,
 )
 from repro.graph.generators import random_csdfg
-from repro.graph.validation import zero_delay_order
+from repro.graph.validation import zero_delay_index
 
 
 def make_zero_cycle():
@@ -70,7 +70,7 @@ class TestZeroDelayOrder:
     def test_indexes_the_dict_walk(self):
         for seed in range(10):
             g = random_csdfg(4 + 3 * seed, seed=seed, edge_prob=0.3)
-            nodes, rows, order = zero_delay_order(g)
+            nodes, rows, _producers, _volumes, order = zero_delay_index(g)
             assert nodes == list(g.nodes())
             for v, row in zip(nodes, rows):
                 assert [nodes[j] for j in row] == [
@@ -84,7 +84,7 @@ class TestZeroDelayOrder:
         with pytest.raises(GraphValidationError) as expected:
             topological_order_zero_delay(make_zero_cycle())
         with pytest.raises(GraphValidationError) as got:
-            zero_delay_order(make_zero_cycle())
+            zero_delay_index(make_zero_cycle())
         assert got.value.issues == expected.value.issues
 
 
