@@ -28,12 +28,6 @@ def check_config(config: CycloConfig) -> list[Diagnostic]:
             "max_iterations = 0: compaction never runs, only the "
             "start-up schedule is produced",
         ))
-    if config.deadline_seconds == 0:
-        out.append(make(
-            "RA303",
-            "deadline_seconds = 0: the wall-clock budget expires before "
-            "the first compaction pass",
-        ))
     return out
 
 

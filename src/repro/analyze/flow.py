@@ -16,10 +16,10 @@ same-seed-same-schedule across ``--jobs`` and ``PYTHONHASHSEED``:
   a set, or a helper summarized as *returning* set-ordered data,
   without sorting;
 * RD103 — a wall-clock/``os.environ`` read flows into scheduling: as
-  an argument to an entry point (budget keywords excluded — deadlines
-  are user intent), or as a read inside :data:`WALLCLOCK_BANNED` code
-  or a function transitively callable from it or from the core entry
-  points (``repro.obs`` instrumentation is allowlisted).
+  an argument to an entry point (positionally or by keyword), or as a
+  read inside :data:`WALLCLOCK_BANNED` code or a function transitively
+  callable from it or from the core entry points (``repro.obs``
+  instrumentation is allowlisted).
 
 Unseeded randomness is RL101's: every draw is convicted at the draw
 itself, wherever it flows.
@@ -79,14 +79,6 @@ SCHEDULE_ENTRY_POINTS = frozenset({
     "start_up_schedule", "cyclo_compact", "remap_nodes", "optimize",
     "best_of_restarts", "contention_aware_schedule",
     "CycloConfig",
-})
-
-#: Explicit time *budgets* are user intent, not leaked nondeterminism:
-#: the deadline changes how long the optimiser searches, which the
-#: caller asked for.  Everything else an entry point consumes must be
-#: clock-free.
-BUDGET_KEYWORDS = frozenset({
-    "deadline_seconds", "time_budget_seconds", "timeout",
 })
 
 #: Roots of the RD103(b) reachability closure besides the
@@ -387,8 +379,6 @@ class _Scanner:
                     break
             else:
                 for kw in node.keywords:
-                    if kw.arg in BUDGET_KEYWORDS:
-                        continue
                     if self._clock_tainted(kw.value, scope):
                         s.clock_into_entry.append((line, (
                             f"clock/env-derived value passed to "

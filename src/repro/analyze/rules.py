@@ -178,12 +178,6 @@ RULES: dict[str, Rule] = _catalogue([
         "set max_iterations >= 1 (or None for the 3*|V| default)",
     ),
     Rule(
-        "RA303", "warning", "zero-deadline",
-        "deadline_seconds is 0: the optimiser will stop after at most one "
-        "pass boundary, keeping the start-up schedule.",
-        "remove the deadline or give it a positive budget",
-    ),
-    Rule(
         "RA304", "error", "malformed-config",
         "The optimiser configuration payload is rejected by CycloConfig "
         "(unknown key, out-of-domain value).",
@@ -312,9 +306,8 @@ RULES: dict[str, Rule] = _catalogue([
         "Schedule lengths and placements would then depend on machine "
         "speed or ambient environment, not just (graph, arch, config, "
         "seed).  repro.obs instrumentation is allowlisted.",
-        "keep clock reads in repro.obs/repro.perf drivers; pass "
-        "budgets and knobs as explicit config values, or suppress a "
-        "deliberate budget check with a disable comment",
+        "keep clock reads in repro.obs/repro.perf drivers and pass "
+        "knobs as explicit config values",
     ),
     # ------------------------------------------------------------- RC2xx
     Rule(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.arch.comm import (
     CONTENTION_MODELS,
@@ -29,9 +29,6 @@ class CycloConfig:
         Number of rotation+remapping passes (the paper's ``z``).
         ``None`` picks ``3 * |V|``, comfortably past the convergence
         points observed in the paper's examples.
-    patience:
-        Stop early after this many consecutive passes without improving
-        the best length.  ``None`` disables early stopping.
     validate_each_step:
         Debug mode: run the full schedule validator after every
         accepted pass and cross-check the incremental projected
@@ -49,20 +46,6 @@ class CycloConfig:
         ``"first-fit"`` reproduces the paper's procedure literally:
         earliest available slot at or after the anticipation function's
         value, minimised across processors.
-    deadline_seconds:
-        Wall-clock budget for the compaction loop.  When it runs out
-        the optimiser stops *between* passes and returns the best legal
-        schedule found so far (``stop_reason == "deadline"``); the
-        passes already done are never lost.  ``None`` disables the
-        deadline.  The pass budget itself is ``max_iterations``.
-    recover_on_error:
-        When true, an exception thrown inside a compaction pass does
-        not propagate: the optimiser stops and returns the best legal
-        schedule seen before the failing pass
-        (``stop_reason == "error"``).  The best-schedule bookkeeping
-        only ever copies validated tables, so the returned schedule is
-        unaffected by whatever state the failing pass left behind.
-        Default false: internal invariant violations stay loud.
     contention_model:
         Opt-in contention-aware pricing for the two-phase pipeline
         (``contention_aware_schedule``): ``None`` (default) keeps the
@@ -81,12 +64,9 @@ class CycloConfig:
 
     relaxation: bool = True
     max_iterations: int | None = None
-    patience: int | None = None
     validate_each_step: bool = False
     pipelined_pes: bool = False
     remap_strategy: str = "implied"
-    deadline_seconds: float | None = None
-    recover_on_error: bool = False
     contention_model: str | None = None
     contention_weight: int = 1
     contention_rounds: int = 2
@@ -96,16 +76,10 @@ class CycloConfig:
             raise SchedulingError(
                 f"max_iterations must be >= 0, got {self.max_iterations}"
             )
-        if self.patience is not None and self.patience < 1:
-            raise SchedulingError(f"patience must be >= 1, got {self.patience}")
         if self.remap_strategy not in ("implied", "first-fit"):
             raise SchedulingError(
                 f"remap_strategy must be 'implied' or 'first-fit', got "
                 f"{self.remap_strategy!r}"
-            )
-        if self.deadline_seconds is not None and self.deadline_seconds < 0:
-            raise SchedulingError(
-                f"deadline_seconds must be >= 0, got {self.deadline_seconds}"
             )
         if (
             self.contention_model is not None
@@ -144,12 +118,9 @@ class CycloConfig:
         return {
             "relaxation": self.relaxation,
             "max_iterations": self.max_iterations,
-            "patience": self.patience,
             "validate_each_step": self.validate_each_step,
             "pipelined_pes": self.pipelined_pes,
             "remap_strategy": self.remap_strategy,
-            "deadline_seconds": self.deadline_seconds,
-            "recover_on_error": self.recover_on_error,
             "contention_model": self.contention_model,
             "contention_weight": self.contention_weight,
             "contention_rounds": self.contention_rounds,
@@ -157,5 +128,12 @@ class CycloConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CycloConfig":
-        """Inverse of :meth:`to_dict` (unknown keys are rejected)."""
+        """Inverse of :meth:`to_dict`.  A key that is not a field — say
+        one an old reproducer still carries for a removed option —
+        raises :class:`SchedulingError` naming it."""
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise SchedulingError(
+                f"unknown CycloConfig key(s): {', '.join(unknown)}"
+            )
         return cls(**data)

@@ -16,17 +16,13 @@ non-increasing); since a rolled-back pass would repeat identically, the
 driver stops there.  *Remapping with relaxation* lets intermediate
 schedules grow and relies on the best-seen bookkeeping.
 
-Hardened budgets (``repro.resilience``): the loop honours a wall-clock
-``deadline_seconds`` and, with ``recover_on_error``, an exception
-inside a pass — instead of propagating — stops the loop and returns
-the best legal schedule found before it.  Both paths go through the
-same best-schedule bookkeeping, so budget exhaustion can never hand
-back a half-mutated table.
+The loop has exactly those two exits: the pass budget ``z``
+(``max_iterations``) and, without relaxation, the first rejected
+pass.  An exception inside a pass propagates unchanged.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.arch.cache import CommCostCache
@@ -73,11 +69,8 @@ class CycloResult:
     trace:
         Per-pass records (lengths, rotated sets, accept/reject).
     stop_reason:
-        Why the loop ended: ``"completed"`` (pass budget spent),
-        ``"converged"`` (a monotone pass was rejected),
-        ``"patience"`` (no improvement streak), ``"deadline"``
-        (wall-clock budget exhausted) or ``"error"`` (a pass raised and
-        ``recover_on_error`` was set).
+        Why the loop ended: ``"completed"`` (pass budget spent) or
+        ``"converged"`` (a monotone pass was rejected).
     final_schedule / final_graph:
         The *working* schedule and retimed graph when the loop stopped.
         The working schedule may be longer than the best one; the
@@ -119,7 +112,6 @@ class _LoopState:
     initial_schedule: ScheduleTable
     trace: CompactionTrace
     tracker: PSLTracker
-    stall: int = 0
 
 
 class _TopoRankCache:
@@ -236,9 +228,9 @@ def cyclo_compact(
 
     The returned schedule is always certified (one
     :func:`~repro.schedule.validate.collect_violations` walk under
-    ``comm``, whatever ``validate_each_step`` and ``recover_on_error``
-    say); an illegal one raises :class:`ScheduleValidationError`.  The
-    input graph is copied, never mutated.
+    ``comm``, whatever ``validate_each_step`` says); an illegal one
+    raises :class:`ScheduleValidationError`.  The input graph is copied,
+    never mutated.
     """
     cfg = config if config is not None else CycloConfig()
     with span("cyclo_compact", workload=graph.name, arch=arch.name) as sp:
@@ -314,44 +306,19 @@ def _run_passes(
     *,
     comm: CommCostCache,
 ) -> CycloResult:
-    """Drive passes ``1 .. z``, honouring every budget, and certify the
-    best schedule before returning it."""
-    started = time.monotonic()  # repro-lint: disable=RD103 (deadline budget, result-neutral)
+    """Drive passes ``1 .. z`` and certify the best schedule before
+    returning it."""
     stop_reason = "completed"
     total = cfg.iterations_for(state.working.num_nodes)
     topo_cache = _TopoRankCache()
     for index in range(1, total + 1):
-        if (
-            cfg.deadline_seconds is not None
-            and time.monotonic() - started >= cfg.deadline_seconds  # repro-lint: disable=RD103 (deadline budget, result-neutral)
+        if _one_pass(
+            state, arch, cfg, index, comm=comm, topo_cache=topo_cache
         ):
-            metrics.inc("cyclo.deadline_stops")
-            stop_reason = "deadline"
-            break
-        try:
-            outcome_reason = _one_pass(
-                state,
-                arch,
-                cfg,
-                index,
-                comm=comm,
-                topo_cache=topo_cache,
-            )
-        except Exception:  # repro-lint: disable=RL105 (recover_on_error boundary)
-            if not cfg.recover_on_error:
-                raise
-            # the working table may be half-mutated; the best-* fields
-            # are clean validated copies, which is what we return
-            metrics.inc("cyclo.recovered_errors")
-            stop_reason = "error"
-            break
-        if outcome_reason is not None:
-            stop_reason = outcome_reason
+            stop_reason = "converged"
             break
 
-    if stop_reason != "error" and state.best_retiming == state.retiming:
-        # the working graph is the best one (a pass that raised may
-        # have left it half-rotated, so it is not trusted then)
+    if state.best_retiming == state.retiming:
         best_graph = state.working
     else:
         # copy-on-write: materialise the best graph from the retiming
@@ -386,8 +353,9 @@ def _one_pass(
     *,
     comm: CommCostCache,
     topo_cache: _TopoRankCache,
-) -> str | None:
-    """One rotate+remap pass; a stop reason string ends the loop."""
+) -> bool:
+    """One rotate+remap pass; true when the pass was rejected, which
+    ends the loop."""
     working, schedule, retiming = state.working, state.schedule, state.retiming
     tracker = state.tracker
     with span("pass", index=index) as pass_span:
@@ -415,7 +383,6 @@ def _one_pass(
             )
         if not outcome.accepted:
             metrics.inc("cyclo.rejected")
-            metrics.inc("cyclo.rollbacks")
             undo_rotation(
                 working, schedule, rotated, old_placements, previous_length
             )
@@ -433,7 +400,7 @@ def _one_pass(
             )
             pass_span.add(accepted=False, length=schedule.length)
             # a rejected pass would repeat identically: stop here
-            return "converged"
+            return True
 
         metrics.inc("cyclo.accepted")
         if cfg.validate_each_step:
@@ -447,14 +414,10 @@ def _one_pass(
                     "schedule: " + "; ".join(violations)
                 )
 
-        improved = schedule.length < state.best_schedule.length
-        if improved:
+        if schedule.length < state.best_schedule.length:
             metrics.inc("cyclo.improved")
             state.best_schedule = schedule.copy()
             state.best_retiming = dict(retiming)
-            state.stall = 0
-        else:
-            state.stall += 1
 
         state.trace.records.append(
             IterationRecord(
@@ -466,6 +429,4 @@ def _one_pass(
             )
         )
         pass_span.add(accepted=True, length=schedule.length)
-        if cfg.patience is not None and state.stall >= cfg.patience:
-            return "patience"
-    return None
+    return False

@@ -14,15 +14,12 @@ wins and ties go to the lowest restart index.  ``run_parallel``
 returns results in item order, so the outcome is **identical for every
 ``jobs`` value** — the worker count changes only wall-clock time,
 never the winner (pinned in ``tests/unit/test_restarts.py``).
-Wall-clock deadlines are stripped from the config: a deadline would
-make a restart's outcome depend on machine speed, which is exactly
-what the jobs-invariance guarantee forbids.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.arch.topology import Architecture
 from repro.core.config import CycloConfig
@@ -75,7 +72,7 @@ class RestartOutcome:
     """Where one restart ended up.
 
     ``stop_reason`` is the engine's reason (``completed`` /
-    ``converged`` / ``patience``).
+    ``converged``).
     """
 
     index: int
@@ -152,17 +149,10 @@ def best_of_restarts(
         are jobs-invariant.
     seed:
         Seeds the per-restart priority jitter.
-
-    The config's ``deadline_seconds`` is ignored (restarts must not
-    depend on wall clock); apply an outer budget around this call
-    instead.
     """
     if restarts < 1:
         raise SchedulingError(f"restarts must be >= 1, got {restarts}")
-    cfg = replace(
-        config if config is not None else CycloConfig(),
-        deadline_seconds=None,
-    )
+    cfg = config if config is not None else CycloConfig()
 
     with span(
         "best_of_restarts",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.core.config import CycloConfig
-from repro.errors import QAError
+from repro.errors import QAError, SchedulingError
 from repro.graph import io as graph_io
 from repro.graph.csdfg import CSDFG
 from repro.qa.generate import ArchSpec
@@ -89,7 +89,7 @@ class ReproCase:
                 seed=int(data.get("seed", 0)),
                 note=str(data.get("note", "")),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, SchedulingError) as exc:
             raise QAError(f"malformed qa case: {exc}") from exc
 
     def to_json(self, **dumps_kwargs) -> str:

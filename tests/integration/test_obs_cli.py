@@ -179,7 +179,7 @@ class TestHistoryRecording:
                      "--history-dir", str(hist), *extra]) == 0
         out = capsys.readouterr().out
         attrs = HistoryStore(hist).load("schedule")[0].attrs
-        assert attrs["stop_reason"] in {"completed", "converged", "patience"}
+        assert attrs["stop_reason"] in {"completed", "converged"}
         assert (f"{attrs['initial_length']} -> {attrs['final_length']} "
                 "control steps") in out
 

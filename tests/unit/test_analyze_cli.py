@@ -97,7 +97,8 @@ class TestAnalyzeCommand:
         assert main(
             ["analyze", "fir8", "mesh", "--pes", "4", "--config", str(path)]
         ) == 1
-        assert "RA304" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "RA304" in out and "no_such_knob" in out
 
     def test_schedule_certificate_roundtrip(self, tmp_path, capsys):
         graph = make_workload("fir8")

@@ -174,14 +174,26 @@ class TestRD103ClockIntoSchedule:
             diag.message)
 
     def test_clock_derived_argument(self, tmp_path):
-        report = run(tmp_path, {"perf/driver.py": (
-            "import time\n"
-            "from repro.core.cyclo import cyclo_compact\n"
-            "def schedule(graph, arch, cfg):\n"
-            "    stamp = time.monotonic()\n"
-            "    return cyclo_compact(graph, arch, config=stamp)\n"
-        )})
-        assert "RD103" in codes(report)
+        drivers = [
+            (
+                "import time\n"
+                "from repro.core.cyclo import cyclo_compact\n"
+                "def schedule(graph, arch, cfg):\n"
+                "    stamp = time.monotonic()\n"
+                "    return cyclo_compact(graph, arch, config=stamp)\n"
+            ),
+            # a budget-named keyword has no exemption either
+            (
+                "import time\n"
+                "from repro.core.config import CycloConfig\n"
+                "def configure(budget):\n"
+                "    left = budget - time.monotonic()\n"
+                "    return CycloConfig(time_budget_seconds=left)\n"
+            ),
+        ]
+        for n, driver in enumerate(drivers):
+            report = run(tmp_path / str(n), {"perf/driver.py": driver})
+            assert "RD103" in codes(report), driver
 
     def test_env_read_reachable_from_entry_point(self, tmp_path):
         # the read hides one call below a core entry-point name
@@ -196,18 +208,6 @@ class TestRD103ClockIntoSchedule:
         assert "RD103" in codes(report)
         (diag,) = [d for d in report.diagnostics if d.code == "RD103"]
         assert diag.line == 5
-
-    def test_budget_keyword_is_exempt(self, tmp_path):
-        # explicit deadlines are user intent, not leaked nondeterminism
-        report = run(tmp_path, {"perf/driver.py": (
-            "import time\n"
-            "from repro.core.cyclo import cyclo_compact\n"
-            "def schedule(graph, arch, budget):\n"
-            "    left = budget - time.monotonic()\n"
-            "    return cyclo_compact(graph, arch, "
-            "deadline_seconds=left)\n"
-        )})
-        assert "RD103" not in codes(report)
 
 
 class TestRD104CompletionOrder:

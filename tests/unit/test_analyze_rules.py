@@ -51,7 +51,7 @@ class TestCatalogue:
             "RA101", "RA102", "RA103", "RA104", "RA105", "RA106",
             "RA107", "RA108",
             "RA201", "RA202", "RA203", "RA204", "RA205",
-            "RA301", "RA302", "RA303", "RA304", "RA305",
+            "RA301", "RA302", "RA304", "RA305",
             "RA401", "RA402", "RA403", "RA404", "RA405",
             "RL101", "RL103", "RL104", "RL105", "RL106",
             "RL107", "RL109",
@@ -74,6 +74,7 @@ class TestCatalogue:
         assert rows == set(RULES)
         assert retired >= {
             "RC204", "RL108", "RL102", "RD101", "RD104", "RC201", "RC202",
+            "RA303",
         }
         assert not retired & set(RULES)
 
@@ -223,8 +224,8 @@ class TestBuildArchitecture:
 
 class TestConfigAndBounds:
     def test_config_warnings(self):
-        cfg = CycloConfig(max_iterations=0, deadline_seconds=0)
-        assert codes(check_config(cfg)) == ["RA302", "RA303"]
+        cfg = CycloConfig(max_iterations=0)
+        assert codes(check_config(cfg)) == ["RA302"]
 
     def test_default_config_is_quiet(self):
         assert check_config(CycloConfig()) == []

@@ -64,6 +64,14 @@ class TestValidation:
                 '{"format": "repro-qa-case", "version": 999}'
             )
 
+    def test_removed_config_key_rejected(self):
+        # a reproducer written before the key was removed from
+        # CycloConfig fails typed, naming the key
+        payload = _case().to_dict()
+        payload["config"]["patience"] = None
+        with pytest.raises(QAError, match="patience"):
+            ReproCase.from_dict(payload)
+
 
 class TestReplayTotality:
     def test_exceptions_become_violations(self, monkeypatch):

@@ -102,7 +102,7 @@ class TestBestOfN:
         assert report.winner.length == min(
             o.length for o in report.outcomes
         )
-        allowed = {"completed", "converged", "patience"}
+        allowed = {"completed", "converged"}
         assert {o.stop_reason for o in report.outcomes} <= allowed
 
     def test_figure7_mesh_reaches_six(self):
