@@ -20,7 +20,7 @@ from repro.graph import CSDFG, chain_csdfg
 from repro.graph.validation import topological_order_zero_delay
 from repro.obs import InMemorySink, metrics, sink_installed
 from repro.retiming import apply_retiming
-from repro.schedule import ScheduleTable, is_valid_schedule, schedule_to_json
+from repro.schedule import ScheduleTable, is_valid_schedule
 
 # the debug checks (every intermediate schedule, the PSL cross-check,
 # the placement order) on, as these tests had them before they became
@@ -70,11 +70,6 @@ class TestPolicies:
         result = cyclo_compact(figure1, mesh2x2, config=cfg)
         assert result.final_length == result.initial_length
         assert result.trace.records == []
-        # the start-up state is also the working state
-        assert result.final_graph.structurally_equal(figure1)
-        assert schedule_to_json(result.final_schedule) == schedule_to_json(
-            result.initial_schedule
-        )
 
     def test_config_validation(self):
         with pytest.raises(SchedulingError):

@@ -7,10 +7,25 @@ import repro.core.cyclo as cyclo_mod
 from repro.arch import Mesh2D
 from repro.core import CycloConfig, cyclo_compact
 from repro.errors import SchedulingError
+from repro.schedule import schedule_to_json
 from repro.workloads import figure1_csdfg
 
 
 class TestDeadline:
+    def test_deadline_keeps_start_as_working_state(self):
+        # the pass budget is the only deadline: a run stopped before
+        # pass 1 returns the start-up state as its working state
+        graph = figure1_csdfg()
+        arch = Mesh2D(2, 2)
+        result = cyclo_compact(
+            graph, arch, config=CycloConfig(max_iterations=0)
+        )
+        assert result.trace.records == []
+        assert result.final_graph.structurally_equal(graph)
+        assert schedule_to_json(result.final_schedule) == schedule_to_json(
+            result.initial_schedule
+        )
+
     def test_no_deadline_runs_to_completion(self):
         graph = figure1_csdfg()
         arch = Mesh2D(2, 2)
